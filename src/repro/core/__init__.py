@@ -1,9 +1,9 @@
 """The paper's contribution: choke-error-resilient EDAC techniques.
 
 * :mod:`repro.core.tags` -- DCS four-part error tags and Trident EIDs,
-* :mod:`repro.core.plru` / :mod:`repro.core.bloom` -- replacement policy
-  and lookup-accelerator substrates,
+* :mod:`repro.core.plru` -- the tree pseudo-LRU replacement policy,
 * :mod:`repro.core.cslt` -- the Choke Sensor Lookup Table (ICSLT/ACSLT),
+* :mod:`repro.core.kernels` -- event-compressed replay of those tables,
 * :mod:`repro.core.dcs` -- Dynamic Choke Sensing (the DATE 2017 scheme),
 * :mod:`repro.core.trident` -- the Trident extension (TDC/CET/CCR/CDC),
 * :mod:`repro.core.schemes` -- Razor, HFG, and OCST comparison schemes,
@@ -12,7 +12,6 @@
 """
 
 from repro.core.tags import DcsTag, ErrorId, DCS_TAG_BITS, EID_BITS
-from repro.core.bloom import BloomFilter
 from repro.core.plru import PseudoLRUTree
 from repro.core.cslt import AssociativeCSLT, IndependentCSLT
 from repro.core.dcs import DcsScheme
@@ -22,7 +21,6 @@ from repro.core.trident import TridentScheme
 
 __all__ = [
     "AssociativeCSLT",
-    "BloomFilter",
     "DCS_TAG_BITS",
     "DcsScheme",
     "DcsTag",

@@ -11,13 +11,13 @@ The CSLT is DCS' record of unique timing-error instances (§3.3.3):
   a set-associative organisation that eliminates the redundancy.
 
 Both variants expose the same interface: ``lookup`` (the decode-stage
-probe, through a Bloom filter in hardware) and ``insert`` (the
+probe; the hardware fronts it with a Bloom filter, which cannot change
+a lookup's outcome and is not modelled) and ``insert`` (the
 error-sensing path).
 """
 
 from __future__ import annotations
 
-from repro.core.bloom import BloomFilter
 from repro.core.plru import PseudoLRUTree
 from repro.core.tags import DcsTag
 
@@ -25,14 +25,13 @@ from repro.core.tags import DcsTag
 class IndependentCSLT:
     """Fully-associative CSLT: one independent tuple per tag."""
 
-    def __init__(self, capacity: int, bloom_bits: int | None = None) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1 or capacity & (capacity - 1):
             raise ValueError(f"capacity must be a power of two, got {capacity}")
         self.capacity = capacity
         self._slots: list[DcsTag | None] = [None] * capacity
         self._index: dict[DcsTag, int] = {}
         self._plru = PseudoLRUTree(capacity)
-        self._bloom = BloomFilter(bloom_bits or max(64, capacity * 16))
         self.unique_insertions = 0
         self.evictions = 0
 
@@ -44,11 +43,9 @@ class IndependentCSLT:
 
     def lookup(self, tag: DcsTag) -> bool:
         """Decode-stage probe; a hit marks the tuple recently used."""
-        if tag not in self._bloom:
-            return False
         slot = self._index.get(tag)
         if slot is None:
-            return False  # Bloom false positive; the tag compare fails
+            return False
         self._plru.touch(slot)
         return True
 
@@ -69,7 +66,6 @@ class IndependentCSLT:
         self._slots[slot] = tag
         self._index[tag] = slot
         self._plru.touch(slot)
-        self._bloom.rebuild(self._index)
 
     def tags(self) -> list[DcsTag]:
         return [tag for tag in self._slots if tag is not None]

@@ -23,11 +23,18 @@ removes).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.arch.pipeline import DEFAULT_PIPELINE, PipelineConfig
-from repro.core.cslt import AssociativeCSLT, IndependentCSLT
+from repro.core.kernels import (
+    encode,
+    first_of_code,
+    lru_inserts,
+    resident_insert,
+    set_associative_inserts,
+)
 from repro.core.scheme_sim import ErrorTrace
 from repro.core.schemes.base import Scheme, SchemeResult, record_result
-from repro.core.tags import DcsTag
 from repro.obs import audit
 
 
@@ -70,92 +77,70 @@ class DcsScheme(Scheme):
                 suffix.append("noPrev")
             self.name += "[" + ",".join(suffix) + "]"
 
-    def _new_table(self):
-        if self.variant == "icslt":
-            return IndependentCSLT(self.capacity)
-        return AssociativeCSLT(self.capacity, self.associativity)
-
     def simulate(self, trace: ErrorTrace) -> SchemeResult:
-        table = self._new_table()
-        seen_tags: set[DcsTag] = set()
-
-        stalls = 0
-        flushes = 0
-        predicted = 0
-        false_positives = 0
-        first_occurrences = 0
-        capacity_misses = 0
-
-        instr_sens = trace.instr_sens
-        instr_init = trace.instr_init
-        owm_sens = trace.owm_sens
-        owm_init = trace.owm_init
+        # The errant (opcode, OWM) pair is the ACSLT set; the previous
+        # pair completes the four-part tag.  A knob that drops a field
+        # drops its column, which is the same as holding it constant.
+        errant_pair = [trace.instr_sens] + ([trace.owm_sens != 0] if self.use_owm else [])
+        prev_pair = [trace.instr_init] if self.use_prev else []
+        if self.use_owm and self.use_prev:
+            prev_pair.append(trace.owm_init != 0)
+        codes = encode(*errant_pair, *prev_pair)
         max_err = trace.max_err
+        errant = np.flatnonzero(max_err)
+        if self.variant == "icslt":
+            inserts = lru_inserts(codes, errant, self.capacity)
+            insertions = len(inserts.code)
+        else:
+            inserts, insertions = set_associative_inserts(
+                encode(*errant_pair), codes, errant, self.capacity, self.associativity
+            )
 
-        err_class = trace.err_class
+        # A hit stalls once (avoidance); an errant miss flushes, replays
+        # and teaches the table the tag (sensing + recovery).
+        hit = resident_insert(codes, inserts) >= 0
+        flush = max_err & ~hit
+        novel = first_of_code(codes, flush)
+        stalls = int(hit.sum())
+        predicted = int((hit & max_err).sum())
+        flushes = int(flush.sum())
+        first_occurrences = int(novel.sum())
+
         stall_penalty = self.pipeline.stall_penalty
         flush_penalty = self.pipeline.flush_penalty
         sink = audit.get()
-        rec = sink.begin_scheme_run(self.name, trace) if sink is not None else None
-
-        use_owm = self.use_owm
-        use_prev = self.use_prev
-        for j in range(len(trace)):
-            tag = DcsTag(
-                int(instr_sens[j]),
-                bool(owm_sens[j]) if use_owm else False,
-                int(instr_init[j]) if use_prev else 0,
-                bool(owm_init[j]) if (use_owm and use_prev) else False,
+        if sink is not None:
+            rec = sink.begin_scheme_run(self.name, trace)
+            cycles = np.flatnonzero(hit | flush)
+            hits = hit[cycles]
+            hit_decision = np.where(
+                max_err[cycles], audit.DEC_PREDICT_HIT, audit.DEC_FALSE_POSITIVE
             )
-            actual = bool(max_err[j])
-            if table.lookup(tag):
-                # Avoidance: one stall gives the execute stage an extra
-                # cycle, which covers even the worst-case choke path.
-                stalls += 1
-                if actual:
-                    predicted += 1
-                else:
-                    false_positives += 1
-                if rec is not None:
-                    rec.decision(
-                        j, int(err_class[j]),
-                        audit.DEC_PREDICT_HIT if actual else audit.DEC_FALSE_POSITIVE,
-                        stall=1, penalty=stall_penalty,
-                    )
-            elif actual:
-                # Sensing + recovery: flush the pipeline, replay, record.
-                flushes += 1
-                novel = tag not in seen_tags
-                if not novel:
-                    capacity_misses += 1  # known tag lost to eviction
-                else:
-                    first_occurrences += 1
-                    seen_tags.add(tag)
-                table.insert(tag)
-                if rec is not None:
-                    rec.decision(j, int(err_class[j]), audit.DEC_DETECT,
-                                 penalty=flush_penalty, novel=novel)
-
-        if rec is not None:
+            rec.decisions(
+                cycles,
+                trace.err_class[cycles],
+                np.where(hits, hit_decision, audit.DEC_DETECT),
+                stall=hits,
+                penalty=np.where(hits, stall_penalty, flush_penalty),
+                novel=novel[cycles],
+            )
             rec.finish(effective_clock_period=trace.clock_period)
-        penalty = stalls * self.pipeline.stall_penalty
-        penalty += flushes * self.pipeline.flush_penalty
         return record_result(SchemeResult(
             scheme=self.name,
             benchmark=trace.benchmark,
             base_cycles=len(trace),
-            penalty_cycles=penalty,
+            penalty_cycles=stalls * stall_penalty + flushes * flush_penalty,
             effective_clock_period=trace.clock_period,
             errors_total=predicted + flushes,
             errors_predicted=predicted,
             errors_missed=flushes,
-            false_positives=false_positives,
+            false_positives=stalls - predicted,
             stalls=stalls,
             flushes=flushes,
-            unique_instances=len(seen_tags),
+            unique_instances=first_occurrences,
             extra={
                 "first_occurrences": first_occurrences,
-                "capacity_misses": capacity_misses,
-                "table_unique_insertions": table.unique_insertions,
+                "capacity_misses": flushes - first_occurrences,
+                "table_unique_insertions": insertions,
             },
         ))

@@ -8,35 +8,6 @@ the accessed leaf; the victim is found by following the bits.
 
 from __future__ import annotations
 
-#: num_ways -> per-way root-to-leaf paths: way -> ((node, bit), ...).
-#: The path a touch walks is a pure function of (num_ways, way), and
-#: touch() is one of the hottest calls in the scheme simulations, so
-#: the walk is precomputed once per tree shape.
-_PATH_CACHE: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
-
-
-def _touch_paths(num_ways: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    paths = _PATH_CACHE.get(num_ways)
-    if paths is None:
-        built = []
-        for way in range(num_ways):
-            steps = []
-            node = 0
-            low, high = 0, num_ways
-            while high - low > 1:
-                mid = (low + high) // 2
-                if way < mid:
-                    steps.append((node, 1))  # LRU side is now the right subtree
-                    node = 2 * node + 1
-                    high = mid
-                else:
-                    steps.append((node, 0))
-                    node = 2 * node + 2
-                    low = mid
-            built.append(tuple(steps))
-        paths = _PATH_CACHE[num_ways] = tuple(built)
-    return paths
-
 
 class PseudoLRUTree:
     """Tree-PLRU over ``num_ways`` slots (``num_ways`` a power of two)."""
@@ -47,15 +18,21 @@ class PseudoLRUTree:
         self.num_ways = num_ways
         # bits[i] == 0 means "the LRU side is the left subtree of node i".
         self._bits = [0] * max(num_ways - 1, 1)
-        self._paths = _touch_paths(num_ways)
 
     def touch(self, way: int) -> None:
         """Record an access to ``way``, protecting it from eviction."""
         if not 0 <= way < self.num_ways:
             raise ValueError(f"way {way} out of range")
-        bits = self._bits
-        for node, bit in self._paths[way]:
-            bits[node] = bit
+        node = 0
+        low, high = 0, self.num_ways
+        while high - low > 1:
+            mid = (low + high) // 2
+            if way < mid:
+                self._bits[node] = 1  # the LRU side is now the right subtree
+                node, high = 2 * node + 1, mid
+            else:
+                self._bits[node] = 0
+                node, low = 2 * node + 2, mid
 
     def victim(self) -> int:
         """The slot the policy would evict next."""

@@ -119,8 +119,8 @@ def _assemble_trace(
             t_late=timings.t_late,
             t_early=timings.t_early,
         )
-        for j in np.flatnonzero(err_class):
-            rec.decision(int(j), int(err_class[j]), audit.DEC_NONE)
+        cycles = np.flatnonzero(err_class)
+        rec.decisions(cycles, err_class[cycles], audit.DEC_NONE)
         rec.finish()
 
     return ErrorTrace(

@@ -78,9 +78,8 @@ class HfgScheme(Scheme):
         sink = audit.get()
         if sink is not None:
             rec = sink.begin_scheme_run(self.name, trace)
-            err_class = trace.err_class
-            for j in np.flatnonzero(trace.max_err):
-                rec.decision(int(j), int(err_class[j]), audit.DEC_AVOID)
+            cycles = np.flatnonzero(trace.max_err)
+            rec.decisions(cycles, trace.err_class[cycles], audit.DEC_AVOID)
             rec.finish(effective_clock_period=period)
         return record_result(SchemeResult(
             scheme=self.name,

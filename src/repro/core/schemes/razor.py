@@ -32,11 +32,9 @@ class RazorScheme(Scheme):
         sink = audit.get()
         if sink is not None:
             rec = sink.begin_scheme_run(self.name, trace)
-            err_class = trace.err_class
-            flush_penalty = self.pipeline.flush_penalty
-            for j in np.flatnonzero(trace.max_err):
-                rec.decision(int(j), int(err_class[j]), audit.DEC_DETECT,
-                             penalty=flush_penalty)
+            cycles = np.flatnonzero(trace.max_err)
+            rec.decisions(cycles, trace.err_class[cycles], audit.DEC_DETECT,
+                          penalty=self.pipeline.flush_penalty)
             rec.finish(effective_clock_period=trace.clock_period)
         return record_result(SchemeResult(
             scheme=self.name,

@@ -6,7 +6,7 @@ Four hardware components regulate Trident's three mechanisms:
   illegal transitions during the detection clock's transparent phase and
   classifies errors (SE(Min), SE(Max), CE) by their count,
 * :mod:`repro.core.trident.cet` -- Choke Error Table: EID storage with
-  pseudo-LRU replacement and Bloom-filtered lookup,
+  pseudo-LRU replacement,
 * :mod:`repro.core.trident.ccr` -- Choke Clearance Register: the
   DE-to-WB instruction buffer providing EID details and replay addresses,
 * :mod:`repro.core.trident.controller` -- Choke Detection Controller:

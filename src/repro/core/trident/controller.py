@@ -21,12 +21,12 @@ escalated.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.arch.pipeline import DEFAULT_PIPELINE, PipelineConfig
+from repro.core.kernels import encode, first_of_code, lru_inserts, resident_insert
 from repro.core.scheme_sim import ErrorTrace
 from repro.core.schemes.base import Scheme, SchemeResult, record_result
-from repro.core.tags import EX_STAGE, ErrorId
-from repro.core.trident.cet import ChokeErrorTable
-from repro.core.trident.tdc import TransitionDetectorCounter
 from repro.obs import audit
 from repro.timing.dta import ERR_CE, ERR_NONE
 
@@ -45,101 +45,78 @@ class TridentScheme(Scheme):
         self.pipeline = pipeline
 
     def simulate(self, trace: ErrorTrace) -> SchemeResult:
-        cet = ChokeErrorTable(self.cet_capacity)
-        seen: set[tuple] = set()
+        # The CET key: initialising and sensitising opcodes, operand size
+        # classes (the pipestage is always EX here).
+        codes = encode(
+            trace.instr_init, trace.instr_sens, trace.size_a != 0, trace.size_b != 0
+        )
+        actual = trace.err_class
+        errant = actual != ERR_NONE
+        inserts = lru_inserts(codes, np.flatnonzero(errant), self.cet_capacity)
+        holder = resident_insert(codes, inserts)
+        hit = holder >= 0
+        flush = errant & ~hit
+        novel = first_of_code(codes, flush)
 
-        stalls = 0
-        flushes = 0
-        predicted = 0
-        false_positives = 0
-        under_stalled = 0
-        first_occurrences = 0
-        capacity_misses = 0
+        # The stored class of an entry escalates to CE at the first CE
+        # cycle of its tenure (its learning cycle included), so a hit is
+        # granted two stalls once a CE of the same tenure came before it.
+        ce = actual == ERR_CE
+        tenure = holder.copy()
+        tenure[inserts.start] = np.arange(len(inserts.start))
+        ce_cycles = np.flatnonzero(ce & (tenure >= 0))
+        first_ce = np.full(len(inserts.start), len(trace), dtype=np.int64)
+        escalated, first = np.unique(tenure[ce_cycles], return_index=True)
+        first_ce[escalated] = ce_cycles[first]
+        granted = np.where(hit, 1, 0)
+        granted[hit] += first_ce[holder[hit]] < np.flatnonzero(hit)
+        under = hit & ce & (granted < 2)
+        predicted_mask = hit & errant & ~under
 
-        instr_sens = trace.instr_sens
-        instr_init = trace.instr_init
-        size_a = trace.size_a
-        size_b = trace.size_b
-        err_class = trace.err_class
+        stalls = int(granted.sum())
+        flushes = int(flush.sum()) + int(under.sum())
+        predicted = int(predicted_mask.sum())
+        first_occurrences = int(novel.sum())
 
         stall_penalty = self.pipeline.stall_penalty
         flush_penalty = self.pipeline.flush_penalty
         sink = audit.get()
-        rec = sink.begin_scheme_run(self.name, trace) if sink is not None else None
-
-        for j in range(len(trace)):
-            key = (
-                int(instr_init[j]),
-                int(instr_sens[j]),
-                bool(size_a[j]),
-                bool(size_b[j]),
-                EX_STAGE,
+        if sink is not None:
+            rec = sink.begin_scheme_run(self.name, trace)
+            cycles = np.flatnonzero(hit | flush)
+            decision = np.select(
+                [flush[cycles], under[cycles], predicted_mask[cycles]],
+                [audit.DEC_DETECT, audit.DEC_UNDER_STALL, audit.DEC_PREDICT_HIT],
+                audit.DEC_FALSE_POSITIVE,
             )
-            actual = int(err_class[j])
-            stored = cet.lookup(key)
-            if stored is not None:
-                needed = TransitionDetectorCounter.stall_cycles_for(actual)
-                granted = TransitionDetectorCounter.stall_cycles_for(stored)
-                stalls += granted
-                if actual == ERR_NONE:
-                    false_positives += 1
-                    if rec is not None:
-                        rec.decision(j, actual, audit.DEC_FALSE_POSITIVE,
-                                     stall=granted, penalty=granted * stall_penalty)
-                elif granted >= needed:
-                    predicted += 1
-                    if rec is not None:
-                        rec.decision(j, actual, audit.DEC_PREDICT_HIT,
-                                     stall=granted, penalty=granted * stall_penalty)
-                else:
-                    # Predicted an SE, got a CE: the stall was insufficient,
-                    # the trailing violation is detected and corrected, and
-                    # the stored class escalates.
-                    under_stalled += 1
-                    flushes += 1
-                    cet.insert(
-                        ErrorId(key[0], key[1], key[2], key[3], actual)
-                    )
-                    if rec is not None:
-                        rec.decision(
-                            j, actual, audit.DEC_UNDER_STALL, stall=granted,
-                            penalty=granted * stall_penalty + flush_penalty,
-                        )
-            elif actual != ERR_NONE:
-                flushes += 1
-                novel = key not in seen
-                if not novel:
-                    capacity_misses += 1
-                else:
-                    first_occurrences += 1
-                    seen.add(key)
-                cet.insert(ErrorId(key[0], key[1], key[2], key[3], actual))
-                if rec is not None:
-                    rec.decision(j, actual, audit.DEC_DETECT,
-                                 penalty=flush_penalty, novel=novel)
-
-        if rec is not None:
+            penalty = granted[cycles] * stall_penalty
+            penalty += (flush[cycles] | under[cycles]) * flush_penalty
+            rec.decisions(
+                cycles,
+                actual[cycles],
+                decision,
+                stall=granted[cycles],
+                penalty=penalty,
+                novel=novel[cycles],
+            )
             rec.finish(effective_clock_period=trace.clock_period)
-        penalty = stalls * self.pipeline.stall_penalty
-        penalty += flushes * self.pipeline.flush_penalty
-        errors_total = predicted + flushes
         return record_result(SchemeResult(
             scheme=self.name,
             benchmark=trace.benchmark,
             base_cycles=len(trace),
-            penalty_cycles=penalty,
+            penalty_cycles=stalls * stall_penalty + flushes * flush_penalty,
             effective_clock_period=trace.clock_period,
-            errors_total=errors_total,
+            errors_total=predicted + flushes,
             errors_predicted=predicted,
             errors_missed=flushes,
-            false_positives=false_positives,
+            false_positives=int((hit & ~errant).sum()),
             stalls=stalls,
             flushes=flushes,
-            unique_instances=len(seen),
+            unique_instances=first_occurrences,
             extra={
                 "first_occurrences": first_occurrences,
-                "capacity_misses": capacity_misses,
-                "under_stalled": under_stalled,
-                "ce_count": int((err_class == ERR_CE).sum()),
+                "capacity_misses": int(flush.sum()) - first_occurrences,
+                "under_stalled": int(under.sum()),
+                "ce_count": int(ce.sum()),
             },
         ))

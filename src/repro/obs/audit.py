@@ -14,7 +14,8 @@ Design rules, mirroring :mod:`repro.obs`:
 * **Near-zero cost when off.**  Instrumented loops hoist
   ``sink = audit.get()`` once and pay a single ``None`` check per cycle
   (guarded by the overhead test in ``tests/test_audit.py``); the
-  vectorised schemes skip the record loop entirely.
+  vectorised schemes build their decisions as arrays only when a sink
+  is on and hand them over in one :meth:`RunRecorder.decisions` call.
 * **Bounded memory.**  A :class:`SamplePolicy` (``full`` /
   ``window:START:LEN`` / ``reservoir:K[:SEED]``) caps what each run
   keeps; reservoir sampling is seeded deterministically from the run's
@@ -35,6 +36,7 @@ run exactly from a full (unsampled) stream — the conservation law the
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -236,6 +238,49 @@ class RunRecorder:
         self._stall.append(int(stall))
         self._penalty.append(int(penalty))
         self._novel.append(int(bool(novel)))
+
+    def decisions(
+        self,
+        cycles: np.ndarray,
+        err: np.ndarray,
+        decision: np.ndarray | int,
+        stall: np.ndarray | int = 0,
+        penalty: np.ndarray | int = 0,
+        novel: np.ndarray | bool = False,
+    ) -> None:
+        """Record a batch of decision events given in cycle order.
+
+        Same columns, digest and ``events_seen`` as one :meth:`decision`
+        call per event; scalar fields apply to every event.
+        """
+        cycles = np.asarray(cycles, dtype=np.int64)
+        n = len(cycles)
+        err, decision, stall, penalty = (
+            np.broadcast_to(np.asarray(col, dtype=np.int64), (n,))
+            for col in (err, decision, stall, penalty)
+        )
+        novel = np.broadcast_to(np.asarray(novel, dtype=bool), (n,)).astype(np.int64)
+        policy = self.policy
+        if policy.mode == "reservoir":  # one RNG draw per event, in order
+            for row in zip(
+                *(col.tolist() for col in (cycles, err, decision, stall, penalty, novel))
+            ):
+                self.decision(*row)
+            return
+        self.events_seen += n
+        if policy.mode == "window":
+            keep = (cycles >= policy.window_start) & (
+                cycles < policy.window_start + policy.window_len
+            )
+            cycles, err, decision, stall, penalty, novel = (
+                col[keep] for col in (cycles, err, decision, stall, penalty, novel)
+            )
+        self._cycle.extend(cycles.tolist())
+        self._err.extend(err.tolist())
+        self._decision.extend(decision.tolist())
+        self._stall.extend(stall.tolist())
+        self._penalty.extend(penalty.tolist())
+        self._novel.extend(novel.tolist())
 
     def finish(self, effective_clock_period: float | None = None) -> "RunRecorder":
         """Pack the buffers into sorted column arrays and seal the run."""
@@ -729,6 +774,19 @@ def disable() -> None:
 
 def enabled() -> bool:
     return _sink is not None
+
+
+@contextlib.contextmanager
+def recording(policy: str = "full"):
+    """A fresh recorder as the sink for a block; the previous sink after."""
+    previous = _sink
+    try:
+        yield enable(AuditRecorder(policy=policy))
+    finally:
+        if previous is None:
+            disable()
+        else:
+            enable(previous)
 
 
 def get() -> AuditRecorder | None:

@@ -17,6 +17,8 @@ Layout:
 * :mod:`repro.qa.shrink` — deterministic greedy case shrinking.
 * :mod:`repro.qa.oracles` — the registry of differential and invariant
   oracles.
+* :mod:`repro.qa.scheme_reference` — the per-cycle DCS/Trident loops the
+  event-compressed scheme kernels are checked against.
 * :mod:`repro.qa.engine` — budget planning and campaign execution.
 * :mod:`repro.qa.corpus` — replayable JSON failure artifacts + the
   checked-in seed corpus.

@@ -103,11 +103,22 @@ def _result_tweak(mutate):
     return wrap
 
 
-def _insert_noop(_original):
-    def insert(self, *args, **kwargs):
-        return None  # the table never learns
+def _learn_nothing(_original):
+    from repro.core.kernels import Inserts
 
-    return insert
+    def lru_inserts(codes, errant, capacity):
+        none = np.zeros(0, dtype=np.int64)
+        return Inserts(none, none, none)  # the table never learns
+
+    return lru_inserts
+
+
+def _plru_first_touch(_original):
+    def last_before(self, codes, cycle):
+        # each slot ranked by its tag's first touch, not its last
+        return self.previous[self.keys.searchsorted(codes * self.stride) + 1]
+
+    return last_before
 
 
 def _drop_choke_event(_original):
@@ -168,12 +179,13 @@ def _batch_drift(original):
 def _audit_drop_rollback(original):
     from repro.obs.audit import DEC_DETECT
 
-    def decision(self, cycle, err, decision, **kwargs):
-        if decision == DEC_DETECT:
-            return None  # rollback flushes vanish from the flight record
-        return original(self, cycle, err, decision, **kwargs)
+    def decisions(self, cycles, err, decision, stall=0, penalty=0, novel=False):
+        n = len(cycles)
+        columns = [np.broadcast_to(col, (n,)) for col in (err, decision, stall, penalty, novel)]
+        keep = columns[1] != DEC_DETECT  # rollback flushes vanish from the flight record
+        return original(self, np.asarray(cycles)[keep], *(col[keep] for col in columns))
 
-    return decision
+    return decisions
 
 
 def _stale_digest(_original):
@@ -256,23 +268,31 @@ MUTANTS: dict[str, Mutant] = {
         Mutant(
             name="audit-drop-rollback",
             description="the flight recorder silently drops rollback (detect) records",
-            target=("repro.obs.audit", "RunRecorder.decision"),
+            target=("repro.obs.audit", "RunRecorder.decisions"),
             build=_audit_drop_rollback,
             oracles=("audit_vs_result",),
         ),
         Mutant(
             name="dcs-learning-dropped",
             description="the independent CSLT never inserts a tag",
-            target=("repro.core.cslt", "IndependentCSLT.insert"),
-            build=_insert_noop,
+            target=("repro.core.dcs", "lru_inserts"),
+            build=_learn_nothing,
             oracles=("scheme_learning",),
         ),
         Mutant(
             name="trident-learning-dropped",
             description="the Trident CET never inserts an error id",
-            target=("repro.core.trident.cet", "ChokeErrorTable.insert"),
-            build=_insert_noop,
+            target=("repro.core.trident.controller", "lru_inserts"),
+            build=_learn_nothing,
             oracles=("scheme_learning",),
+        ),
+        Mutant(
+            name="plru-first-touch",
+            description="the table kernels rank pseudo-LRU slots by each tag's "
+            "first touch instead of its last",
+            target=("repro.core.kernels", "Occurrences.last_before"),
+            build=_plru_first_touch,
+            oracles=("scheme_kernel_vs_reference",),
         ),
         Mutant(
             name="choke-event-dropped",

@@ -6,6 +6,7 @@ passed.  Two families:
 
 * **differential** — the fast production implementation against an
   independent slow one (vectorised DTA vs :mod:`repro.timing.reference`,
+  event-compressed scheme kernels vs :mod:`repro.qa.scheme_reference`,
   parallel fleet vs serial executor);
 * **invariant** — conservation laws that must hold on *any* input
   (scheme accounting identities, checkpoint round-trip/corruption
@@ -25,7 +26,7 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -42,7 +43,7 @@ from repro.obs import trends
 from repro.obs.ledger import LEDGER_VERSION
 from repro.pv import chip as chip_mod
 from repro.pv.delaymodel import NTC, STC
-from repro.qa import circuits
+from repro.qa import circuits, scheme_reference
 from repro.qa.gen import Param, case_rng
 from repro.runtime import checkpoint as ckpt_mod
 from repro.timing import choke as choke_mod
@@ -421,9 +422,7 @@ def _check_audit_vs_result(case: dict[str, int]) -> list[str]:
         trident_mod.TridentScheme(cet_capacity=capacity),
     )
     violations: list[str] = []
-    previous = audit.get()
-    sink = audit.enable(audit.AuditRecorder(policy="full"))
-    try:
+    with audit.recording() as sink:
         for scheme in schemes:
             result = scheme.simulate(trace)
             run = sink.runs[-1].to_block()
@@ -442,11 +441,45 @@ def _check_audit_vs_result(case: dict[str, int]) -> list[str]:
                         f"{scheme.name}: replayed {name}={value!r} "
                         f"!= result {actual!r}"
                     )
-    finally:
-        if previous is None:
-            audit.disable()
-        else:
-            audit.enable(previous)
+    return violations
+
+
+def _check_scheme_kernel_vs_reference(case: dict[str, int]) -> list[str]:
+    """The event-compressed DCS/Trident kernels against the per-cycle
+    reference loops: every ``SchemeResult`` field and every audit column
+    must be equal.  Capacities of 1-8 force evictions (ACSLT set and way
+    evictions alike), random error classes force Trident's SE->CE
+    escalation, and the DCS tag-granularity knobs vary."""
+    trace = _random_error_trace(case)
+    capacity = 2 ** case["capacity_log2"]
+    knobs = {"use_owm": bool(case["use_owm"]), "use_prev": bool(case["use_prev"])}
+    runs = (
+        (dcs_mod.DcsScheme("icslt", capacity=capacity, **knobs), scheme_reference.dcs_reference),
+        (
+            dcs_mod.DcsScheme(
+                "acslt", capacity=capacity, associativity=2 ** case["ways_log2"], **knobs
+            ),
+            scheme_reference.dcs_reference,
+        ),
+        (trident_mod.TridentScheme(cet_capacity=capacity), scheme_reference.trident_reference),
+    )
+    violations: list[str] = []
+    with audit.recording() as sink:
+        for scheme, reference in runs:
+            kernel = asdict(scheme.simulate(trace))
+            kernel_run = sink.runs[-1].to_block()
+            expected = asdict(reference(scheme, trace))
+            reference_run = sink.runs[-1].to_block()
+            for name, value in expected.items():
+                if kernel[name] != value:
+                    violations.append(
+                        f"{scheme.name}: kernel {name}={kernel[name]!r} != reference {value!r}"
+                    )
+            if kernel_run["events_seen"] != reference_run["events_seen"]:
+                violations.append(f"{scheme.name}: audit events_seen differs")
+            for name, column in reference_run["columns"].items():
+                if not np.array_equal(kernel_run["columns"][name], column):
+                    violations.append(f"{scheme.name}: audit column {name!r} differs")
     return violations
 
 
@@ -1101,6 +1134,23 @@ ORACLES: dict[str, Oracle] = {
             },
             check=_check_audit_vs_result,
             cost=2.0,
+        ),
+        Oracle(
+            name="scheme_kernel_vs_reference",
+            description="event-compressed DCS/Trident kernels equal the per-cycle "
+            "reference: results and audit columns",
+            params={
+                "n": Param(2, 300),
+                "err_rate_pct": Param(0, 80),
+                "ctx_space": Param(0, 7),
+                "capacity_log2": Param(0, 3),
+                "ways_log2": Param(0, 2),
+                "use_owm": Param(0, 1),
+                "use_prev": Param(0, 1),
+                "seed": Param(0, 999_999),
+            },
+            check=_check_scheme_kernel_vs_reference,
+            cost=3.0,
         ),
         Oracle(
             name="scheme_learning",

@@ -82,3 +82,18 @@ def error_trace16_vortex(stage16_ntc, chip16, vortex_trace16):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def fast_error_traces():
+    """FAST_CONFIG error traces of every benchmark on both reference
+    chips (the Chapter-3 chip, then the Chapter-4 chip)."""
+    from repro.experiments.config import FAST_CONFIG
+    from repro.experiments.runner import ExperimentContext
+
+    ctx = ExperimentContext(FAST_CONFIG)
+    seeds = [FAST_CONFIG.ch3_chip_seed, FAST_CONFIG.ch4_chip_seed]
+    return {
+        benchmark: ctx.error_traces_batch(benchmark, seeds)
+        for benchmark in FAST_CONFIG.benchmarks
+    }

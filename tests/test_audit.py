@@ -108,6 +108,64 @@ def test_replay_counters_guards():
         audit.replay_counters(etrace)  # no scheme decisions to replay
 
 
+@pytest.mark.parametrize("policy", ["full", "window:100:50", "reservoir:16:3"])
+def test_batch_decisions_match_per_event_calls(policy):
+    """decisions() over arrays (or scalars) is one decision() per event."""
+    rng = np.random.default_rng(5)
+    n = 400
+    cycles = np.flatnonzero(rng.random(n) < 0.3)
+    half = len(cycles) // 2
+    err = rng.integers(0, 4, len(cycles))
+    decision = rng.integers(0, 6, half)
+    stall = rng.integers(0, 3, half)
+    penalty = rng.integers(0, 20, half)
+    novel = rng.random(half) < 0.5
+    t_late, t_early = rng.random(n) * 1200.0, rng.random(n) * 200.0
+
+    def record(emit):
+        sink = audit.AuditRecorder(policy=policy)
+        run = sink.begin_run(
+            kind="scheme",
+            scheme="unit",
+            benchmark="synthetic",
+            corner="NTC",
+            base_cycles=n,
+            clock_period=1000.0,
+            hold_constraint=120.0,
+            t_late=t_late,
+            t_early=t_early,
+        )
+        emit(run)
+        return run.finish().to_block()
+
+    def per_event(run):
+        for i, cycle in enumerate(cycles.tolist()):
+            if i < half:
+                run.decision(
+                    cycle,
+                    int(err[i]),
+                    int(decision[i]),
+                    stall=int(stall[i]),
+                    penalty=int(penalty[i]),
+                    novel=bool(novel[i]),
+                )
+            else:
+                run.decision(cycle, int(err[i]), audit.DEC_DETECT, penalty=11)
+
+    def batched(run):
+        run.decisions(
+            cycles[:half], err[:half], decision, stall=stall, penalty=penalty, novel=novel
+        )
+        run.decisions(cycles[half:], err[half:], audit.DEC_DETECT, penalty=11)
+
+    expected, got = record(per_event), record(batched)
+    assert got["events_seen"] == expected["events_seen"] == len(cycles)
+    assert got["digest"] == expected["digest"]
+    for name, column in expected["columns"].items():
+        assert got["columns"][name].dtype == column.dtype
+        np.testing.assert_array_equal(got["columns"][name], column)
+
+
 # ----------------------------------------------------------------------
 # shard round-trip and merge determinism
 # ----------------------------------------------------------------------

@@ -5,9 +5,12 @@ import pytest
 
 from repro.arch.pipeline import PipelineConfig
 from repro.core.dcs import DcsScheme
+from repro.core.trident import TridentScheme
+from repro.experiments.scheme_runs import ACSLT_ENTRIES, ACSLT_WAYS, ICSLT_ENTRIES
+from repro.qa.scheme_reference import dcs_reference, trident_reference
 from repro.timing.dta import ERR_NONE, ERR_SE_MAX
 
-from tests.util import synthetic_error_trace
+from tests.util import simulate_audited, synthetic_error_trace
 
 
 def _trace_with_repeating_error(repeats=10, period=4):
@@ -120,3 +123,46 @@ def test_result_metadata(error_trace16):
     assert result.base_cycles == len(error_trace16)
     assert 0.0 <= result.prediction_accuracy <= 1.0
     assert result.total_cycles == result.base_cycles + result.penalty_cycles
+
+
+# ----------------------------------------------------------------------
+# the event-compressed kernel against the per-cycle reference
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "variant, capacity, associativity",
+    [
+        ("icslt", ICSLT_ENTRIES, 1),
+        ("icslt", 4, 1),
+        ("icslt", 16, 1),
+        ("acslt", ACSLT_ENTRIES, ACSLT_WAYS),
+        ("acslt", 4, 4),
+        ("acslt", 16, 16),
+    ],
+)
+def test_kernel_equals_reference_on_fast_traces(
+    fast_error_traces, variant, capacity, associativity
+):
+    scheme = DcsScheme(variant, capacity, associativity)
+    for benchmark, traces in fast_error_traces.items():
+        for chip, trace in zip(("ch3", "ch4"), traces):
+            kernel = simulate_audited(DcsScheme.simulate, scheme, trace)
+            assert kernel == simulate_audited(dcs_reference, scheme, trace), (benchmark, chip)
+
+
+def test_report_identical_with_reference_installed(tmp_path, monkeypatch, capsys):
+    """fig3_8 / fig4_9 sweep the table capacities through every eviction
+    regime; their report bytes must not depend on which engine runs."""
+    from repro.experiments.__main__ import main
+
+    def report(name):
+        out = tmp_path / f"{name}.json"
+        argv = ["fig3_8", "fig4_9", "--fast", "--jobs", "1", "--format", "json",
+                "--out", str(out)]
+        assert main(argv) == 0
+        return out.read_bytes()
+
+    kernel = report("kernel")
+    monkeypatch.setattr(DcsScheme, "simulate", dcs_reference)
+    monkeypatch.setattr(TridentScheme, "simulate", trident_reference)
+    assert report("reference") == kernel

@@ -1,12 +1,15 @@
 """Unit tests for the Trident controller on synthetic error traces."""
 
 import numpy as np
+import pytest
 
 from repro.arch.pipeline import PipelineConfig
 from repro.core.trident import TridentScheme
+from repro.experiments.scheme_runs import CET_ENTRIES
+from repro.qa.scheme_reference import trident_reference
 from repro.timing.dta import ERR_CE, ERR_NONE, ERR_SE_MAX, ERR_SE_MIN
 
-from tests.util import synthetic_error_trace
+from tests.util import simulate_audited, synthetic_error_trace
 
 
 def _repeating(err_class, repeats=8, period=3):
@@ -92,3 +95,25 @@ def test_unique_instances_counted():
     trace = _repeating(ERR_SE_MAX, repeats=5, period=4)
     result = TridentScheme(32).simulate(trace)
     assert result.unique_instances == 1
+
+
+@pytest.mark.parametrize("capacity", [CET_ENTRIES, 4, 16])
+def test_kernel_equals_reference_on_fast_traces(fast_error_traces, capacity):
+    scheme = TridentScheme(capacity)
+    for benchmark, traces in fast_error_traces.items():
+        for chip, trace in zip(("ch3", "ch4"), traces):
+            kernel = simulate_audited(TridentScheme.simulate, scheme, trace)
+            assert kernel == simulate_audited(trident_reference, scheme, trace), (benchmark, chip)
+
+
+def test_kernel_escalates_per_tenure():
+    """An entry evicted after escalating to CE comes back with the class
+    of its new learning cycle, so its next CE is under-stalled again."""
+    se, ce = ERR_SE_MAX, ERR_CE
+    classes = np.array([se, ce, ce, se, se, ce, ce], dtype=np.int8)
+    instr = np.array([1, 1, 1, 2, 1, 1, 1], dtype=np.int16)
+    trace = synthetic_error_trace(classes, instr_sens=instr, instr_init=instr)
+    result = TridentScheme(1).simulate(trace)
+    assert result == trident_reference(TridentScheme(1), trace)
+    assert result.extra["under_stalled"] == 2
+    assert result.extra["capacity_misses"] == 1

@@ -9,8 +9,11 @@ place.  Only the word-level ALU helpers remain test-local.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
+from repro.obs import audit
 from repro.qa.circuits import (  # noqa: F401 - re-exported for the tests
     ChokeFixture,
     all_none,
@@ -43,3 +46,11 @@ def eval_word(builder, word, input_bits) -> int:
 
 def int_to_bits(value: int, width: int) -> list[int]:
     return [(value >> i) & 1 for i in range(width)]
+
+
+def simulate_audited(simulate, scheme, trace):
+    """``simulate(scheme, trace)`` under a fresh full audit sink: the
+    result fields (``extra`` included) and the audit run's digest."""
+    with audit.recording() as sink:
+        result = simulate(scheme, trace)
+    return dataclasses.asdict(result), sink.runs[-1].digest
