@@ -19,6 +19,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -70,25 +71,14 @@ def _schemes():
 
 def run_once(trace, policy: str | None) -> tuple[float, int]:
     """Wall seconds for one full scheme sweep; records captured."""
-    records = 0
-    previous = audit.get()
-    sink = None
-    if policy is not None:
-        sink = audit.enable(audit.AuditRecorder(policy=policy))
-    else:
-        audit.disable()
-    try:
+    assert not audit.enabled(), "the off leg needs audit off"
+    recording = audit.recording(policy) if policy is not None else contextlib.nullcontext()
+    with recording as sink:
         start = time.perf_counter()
         for scheme in _schemes():
             scheme.simulate(trace)
         elapsed = time.perf_counter() - start
-        if sink is not None:
-            records = sum(len(run.columns["cycle"]) for run in sink.runs)
-    finally:
-        if previous is None:
-            audit.disable()
-        else:
-            audit.enable(previous)
+    records = sum(len(run.columns["cycle"]) for run in sink.runs) if sink else 0
     return elapsed, records
 
 

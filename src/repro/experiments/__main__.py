@@ -361,54 +361,46 @@ def main(argv: list[str] | None = None) -> int:
             "(it takes a worker down)"
         )
 
-    # Telemetry is on iff any telemetry flag was given; the recorder is
-    # installed before the store so checkpoint counters are captured.
-    # --ledger-dir counts: a ledger record is built from the merged
-    # metrics document, so recording implies instrumenting.
-    telemetry_on = bool(
-        args.metrics_out or args.trace_out or args.profile or args.ledger_dir
-    )
-    events_on = bool(args.events_out)
-    # The cycle audit is its own channel: it never implies telemetry and
-    # never feeds back into the report (byte-identity audit on/off).
-    audit_on = bool(args.audit_out)
     from repro.obs import audit
 
     try:
         audit_policy = audit.SamplePolicy(args.audit_policy).text
     except ValueError as exc:
         parser.error(str(exc))
-    # Every instrumented run gets a trace id: it stamps recorder spans,
-    # rides the WorkerSpec into every worker (local or remote), tags each
+    # Metrics are on iff any metrics flag was given (--ledger-dir counts:
+    # a ledger record is built from the merged metrics document).  The
+    # cycle audit never implies metrics and never feeds back into the
+    # report (byte-identity audit on/off).  Telemetry is installed
+    # before the store so checkpoint counters are captured.
+    metrics_on = bool(
+        args.metrics_out or args.trace_out or args.profile or args.ledger_dir
+    )
+    # Every instrumented run gets a trace id: it stamps spans, rides the
+    # WorkerSpec into every worker (local or remote), tags each
     # structured event, and lands in the ledger record — one key linking
-    # all the run's artefacts.
-    trace_id = obs.new_trace_id() if (telemetry_on or events_on or audit_on) else ""
-    parent_span_id = obs.new_span_id() if trace_id else None
-    recorder = None
-    telemetry_dir = None
-    if telemetry_on:
-        recorder = obs.enable(obs.TelemetryRecorder(
-            process="main",
-            profile=bool(args.profile),
-            profile_top=args.profile_top,
-            trace_id=trace_id,
-        ))
-        if backend_name != "inproc":
-            telemetry_dir = tempfile.mkdtemp(prefix="repro-telemetry-")
-    if events_on:
+    # all the run's artefacts.  Local workers flush their shards into
+    # one directory the merge reads back.
+    instrumented = bool(metrics_on or args.events_out or args.audit_out)
+    trace_id = obs.new_trace_id() if instrumented else ""
+    shard_dir = None
+    if (metrics_on or args.audit_out) and backend_name != "inproc":
+        shard_dir = tempfile.mkdtemp(prefix="repro-telemetry-")
+    telemetry_spec = obs.TelemetrySpec(
+        metrics=metrics_on,
+        profile=bool(args.profile),
+        profile_top=args.profile_top,
+        events_path=args.events_out or None,
+        audit_policy=audit_policy if args.audit_out else None,
+        trace_id=trace_id,
+        parent_span_id=obs.new_span_id() if instrumented else None,
+        shard_dir=shard_dir,
+    )
+    if args.events_out:
         try:  # a fresh run starts a fresh stream (the log appends)
             os.unlink(args.events_out)
         except OSError:
             pass
-        obs.enable_events(obs.EventLog(args.events_out, trace_id=trace_id))
-    audit_dir = None
-    if audit_on:
-        # Parent and workers all flush shards here; the post-run merge
-        # deduplicates and writes the single --audit-out stream.
-        audit_dir = tempfile.mkdtemp(prefix="repro-audit-")
-        audit.enable(audit.AuditRecorder(
-            policy=audit_policy, shard_dir=audit_dir, trace_id=trace_id,
-        ))
+    telemetry = obs.install(obs.Telemetry(telemetry_spec)) if instrumented else None
 
     store = None
     if args.checkpoint_dir:
@@ -450,13 +442,7 @@ def main(argv: list[str] | None = None) -> int:
         chaos_kill=tuple(args.chaos_kill),
         verbose=args.verbose,
         claim_stale_s=args.claim_stale_s,
-        telemetry_dir=telemetry_dir,
-        profile=bool(args.profile),
-        trace_id=trace_id or None,
-        parent_span_id=parent_span_id,
-        events_path=args.events_out if events_on else None,
-        audit_dir=audit_dir,
-        audit_policy=audit_policy if audit_on else None,
+        telemetry=telemetry_spec,
     )
     remote_options = None
     if backend_name == "remote":
@@ -473,65 +459,44 @@ def main(argv: list[str] | None = None) -> int:
     obs.emit(
         "run_start", backend=backend_name, jobs=jobs, experiments=len(ids)
     )
+    merged = obs.MergedTelemetry()
     try:
         report, worker_stats = backend.run(
             ids, spec, jobs=jobs, on_outcome=report_outcome
         )
+        obs.emit(
+            "run_end",
+            status="ok" if report.ok else "failed",
+            ok=len(report.outcomes) - len(report.failures),
+            total=len(report.outcomes),
+        )
+        # Fold the parent's channels and every worker's shards into the
+        # final documents before any reporting happens.
+        if telemetry is not None:
+            merged = telemetry.merge()
     finally:
         if ephemeral_dir is not None:
             shutil.rmtree(ephemeral_dir, ignore_errors=True)
-    obs.emit(
-        "run_end",
-        status="ok" if report.ok else "failed",
-        ok=len(report.outcomes) - len(report.failures),
-        total=len(report.outcomes),
-    )
+        if telemetry is not None:
+            obs.uninstall()
+        if shard_dir is not None:
+            shutil.rmtree(shard_dir, ignore_errors=True)
     if store is not None:
         store.stats.merge(worker_stats)
+    if merged.stale:
+        logger.warning("skipped %d stale telemetry shard(s)", merged.stale)
+    metrics_doc = merged.metrics
+    if telemetry is not None and telemetry.events is not None:
+        print(f"events written to {args.events_out} "
+              f"({telemetry.events.count} event(s))")
 
-    # Fold the parent's recorder and every worker shard into the final
-    # telemetry documents before any reporting happens.
-    metrics_doc = None
-    trace_doc = None
-    profiles: list = []
-    if telemetry_on and recorder is not None:
-        shard_docs = [recorder.snapshot_doc()]
-        if telemetry_dir is not None:
-            worker_docs, stale = obs.scan_shards(telemetry_dir)
-            shard_docs.extend(worker_docs)
-            shutil.rmtree(telemetry_dir, ignore_errors=True)
-        else:
-            stale = 0
-        registry, events, profiles, processes = obs.merge_shards(shard_docs)
-        if stale:
-            registry.inc("obs.stale_shards_skipped", stale)
-            logger.warning("skipped %d stale telemetry shard(s)", stale)
-        metrics_doc = obs.metrics_document(registry, processes)
-        trace_doc = obs.trace_document(events, trace_id=trace_id)
-        obs.disable()
-    if events_on:
-        count = obs.get_event_log().count if obs.get_event_log() else 0
-        obs.disable_events()
-        print(f"events written to {args.events_out} ({count} event(s))")
-
-    # Fold the audit shards the same way: parent flush + worker scan,
-    # content-digest dedup, one merged deterministic stream.
     audit_rollup_doc = None
     audit_write_failed = False
-    if audit_on:
-        sink = audit.get()
-        if sink is not None:
-            sink.flush()
-        audit.disable()
-        audit_docs, audit_stale = audit.scan_audit_shards(audit_dir)
-        shutil.rmtree(audit_dir, ignore_errors=True)
-        if audit_stale:
-            logger.warning("skipped %d stale audit shard(s)", audit_stale)
-        audit_runs = audit.merge_audit(audit_docs)
-        audit_rollup_doc = audit.audit_rollup(audit_runs)
+    if merged.audit_runs is not None:
+        audit_rollup_doc = audit.audit_rollup(merged.audit_runs)
         try:
             audit.write_audit(
-                args.audit_out, audit_runs,
+                args.audit_out, merged.audit_runs,
                 trace_id=trace_id, policy=audit_policy,
             )
         except OSError as exc:
@@ -542,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             records = audit_rollup_doc["records"]
             print(f"audit stream written to {args.audit_out} "
-                  f"({len(audit_runs)} run(s), {records} record(s))")
+                  f"({len(merged.audit_runs)} run(s), {records} record(s))")
 
     report_write_failed = False
     if args.out:
@@ -561,10 +526,11 @@ def main(argv: list[str] | None = None) -> int:
          json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n"
          if metrics_doc is not None else None, "metrics"),
         (args.trace_out,
-         json.dumps(trace_doc) + "\n" if trace_doc is not None else None,
+         json.dumps(merged.trace) + "\n" if merged.trace is not None else None,
          "trace"),
         (args.profile,
-         obs.profile_report(profiles, args.profile_top) if telemetry_on else None,
+         obs.profile_report(merged.profiles, args.profile_top)
+         if metrics_doc is not None else None,
          "profile"),
     ):
         if not path or payload is None:

@@ -175,24 +175,17 @@ def _cmd_why_fixture(args: argparse.Namespace) -> int:
     err_class[cycle] = ERR_CE
     trace = synthetic_error_trace(err_class, benchmark="forced-choke")
 
-    previous = audit.get()
-    sink = audit.enable(audit.AuditRecorder(policy="full"))
-    try:
-        schemes = [
-            razor_mod.RazorScheme(),
-            dcs_mod.DcsScheme(variant="icslt", capacity=8, associativity=4),
-            trident_mod.TridentScheme(cet_capacity=8),
-        ]
-        if args.scheme:
-            schemes = [s for s in schemes if s.name == args.scheme] or schemes
+    schemes = [
+        razor_mod.RazorScheme(),
+        dcs_mod.DcsScheme(variant="icslt", capacity=8, associativity=4),
+        trident_mod.TridentScheme(cet_capacity=8),
+    ]
+    if args.scheme:
+        schemes = [s for s in schemes if s.name == args.scheme] or schemes
+    with audit.recording() as sink:
         for scheme in schemes:
             scheme.simulate(trace)
-        runs = [run.to_block() for run in sink.runs if run.done]
-    finally:
-        if previous is None:
-            audit.disable()
-        else:
-            audit.enable(previous)
+    runs = sink.snapshot_runs()
 
     print(f"audit why: forced-choke fixture, cycle {cycle}")
     print(f"  error: CE at cycle {cycle} "

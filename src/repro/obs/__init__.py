@@ -1,22 +1,19 @@
-"""Experiment telemetry: metrics, phase tracing, and profiling hooks.
+"""Experiment telemetry: metrics, spans, events and decision audit.
 
-The instrumented layers (``pv``, ``timing``, ``runtime``,
-``experiments``) call the module-level helpers below unconditionally;
-whether anything is recorded depends on the process-global recorder:
+Instrumented code (``pv``, ``timing``, ``core``, ``runtime``,
+``experiments``) calls the module-level helpers below unconditionally;
+whether anything is recorded depends on the process's one
+:class:`Telemetry` object (:mod:`repro.obs.telemetry`).
 
 * **Off (default).**  ``span()`` returns a shared no-op context manager
-  and ``inc``/``observe``/``gauge`` return after one ``None`` check —
-  instrumented code paths cost ~nothing, guarded by the overhead tests
-  in ``tests/test_obs.py``.
-* **On** (the CLI's ``--metrics-out`` / ``--trace-out`` / ``--profile``,
-  or :func:`enable` in tests).  A :class:`TelemetryRecorder` accumulates
-  counters/gauges/histograms, emits Chrome trace events per span, and —
-  with profiling on — captures ``cProfile`` stats for the slowest spans.
-
-Parallel runs give every worker process its own recorder
-(:func:`ensure_worker`) flushing to a per-process shard file
-(:func:`flush_worker`); :mod:`repro.obs.merge` folds the shards into one
-``metrics.json`` + ``trace.json`` deterministically.
+  and ``inc``/``observe``/``gauge``/``emit`` (and ``audit.get()``) cost
+  one global read and one ``None`` check, guarded by the overhead tests
+  in ``tests/test_obs.py``, ``test_events.py`` and ``test_audit.py``.
+* **On.**  :func:`install` points those globals at the object's
+  channels; :func:`uninstall` turns them all off again.  Workers build
+  their own object with :func:`ensure_worker` and write one shard pair
+  per process with :func:`flush_worker`; :meth:`Telemetry.merge` folds
+  everything into ``metrics.json``, ``trace.json`` and the audit stream.
 
 Typical instrumentation::
 
@@ -33,6 +30,7 @@ from __future__ import annotations
 import os
 from typing import Any
 
+from repro.obs import audit
 from repro.obs.dashboard import render_dashboard
 from repro.obs.events import (
     EVENT_KINDS,
@@ -52,7 +50,6 @@ from repro.obs.ledger import (
 from repro.obs.merge import (
     SCHEDULE_DEPENDENT_PREFIXES,
     determinism_view,
-    load_shards,
     merge_shards,
     metrics_document,
     profile_report,
@@ -68,6 +65,7 @@ from repro.obs.recorder import (
     Span,
     TelemetryRecorder,
 )
+from repro.obs.telemetry import MergedTelemetry, Telemetry, TelemetrySpec
 from repro.obs.tracectx import (
     ClockSync,
     correct_shard,
@@ -85,39 +83,36 @@ __all__ = [
     "Histogram",
     "LEDGER_FILENAME",
     "LEDGER_VERSION",
+    "MergedTelemetry",
     "MetricsRegistry",
     "NullSpan",
     "RunLedger",
     "SCHEDULE_DEPENDENT_PREFIXES",
     "SHARD_VERSION",
     "Span",
+    "Telemetry",
     "TelemetryRecorder",
+    "TelemetrySpec",
+    "active",
     "build_record",
     "correct_shard",
     "determinism_view",
     "detect_drift",
     "diff_records",
-    "disable",
-    "disable_events",
     "emit",
-    "enable",
-    "enable_events",
     "enabled",
     "ensure_worker",
-    "ensure_worker_events",
     "events_enabled",
     "flatten",
     "flush_worker",
     "format_event",
     "gauge",
-    "get_event_log",
-    "get_recorder",
     "headline_metrics",
     "history",
     "inc",
+    "install",
     "iter_events",
     "labelled",
-    "load_shards",
     "merge_shards",
     "metrics_document",
     "new_span_id",
@@ -134,34 +129,47 @@ __all__ = [
     "summary_table",
     "timeline_now_us",
     "trace_document",
+    "uninstall",
 ]
 
-#: the process-global recorder; ``None`` means telemetry is off.
-_recorder: TelemetryRecorder | None = None
+#: the process's telemetry; ``None`` means every channel is off.
+_telemetry: Telemetry | None = None
 
-#: the process-global event log; ``None`` means the event stream is off.
+#: the hot-path view of its channels (``None`` = that channel is off).
+_recorder: TelemetryRecorder | None = None
 _events: EventLog | None = None
 
 
-def enable(recorder: TelemetryRecorder) -> TelemetryRecorder:
-    """Install ``recorder`` as this process's telemetry sink."""
-    global _recorder
-    _recorder = recorder
-    return recorder
+def install(telemetry: Telemetry) -> Telemetry:
+    """Make ``telemetry`` this process's sink for every channel."""
+    global _telemetry, _recorder, _events
+    _telemetry = telemetry
+    _recorder = telemetry.recorder
+    _events = telemetry.events
+    audit._sink = telemetry.audit
+    return telemetry
 
 
-def disable() -> None:
-    """Turn telemetry off (the default state)."""
-    global _recorder
-    _recorder = None
+def uninstall() -> None:
+    """Turn every channel off (the default state)."""
+    global _telemetry, _recorder, _events
+    telemetry = _telemetry
+    _telemetry = _recorder = _events = None
+    audit._sink = None
+    if telemetry is not None and telemetry.events is not None:
+        telemetry.events.close()
+
+
+def active() -> Telemetry | None:
+    return _telemetry
 
 
 def enabled() -> bool:
     return _recorder is not None
 
 
-def get_recorder() -> TelemetryRecorder | None:
-    return _recorder
+def events_enabled() -> bool:
+    return _events is not None
 
 
 # ----------------------------------------------------------------------
@@ -201,32 +209,6 @@ def emit(kind: str, **fields: Any) -> None:
         log.emit(kind, **fields)
 
 
-# ----------------------------------------------------------------------
-# event-stream lifecycle
-# ----------------------------------------------------------------------
-
-def enable_events(log: EventLog) -> EventLog:
-    """Install ``log`` as this process's event sink."""
-    global _events
-    _events = log
-    return log
-
-
-def disable_events() -> None:
-    global _events
-    if _events is not None:
-        _events.close()
-    _events = None
-
-
-def events_enabled() -> bool:
-    return _events is not None
-
-
-def get_event_log() -> EventLog | None:
-    return _events
-
-
 def recent_events(n: int = 16) -> tuple[str, ...]:
     """The flight recorder's last ``n`` events (crash/partition context)."""
     log = _events
@@ -235,59 +217,31 @@ def recent_events(n: int = 16) -> tuple[str, ...]:
     return tuple(log.recent(n))
 
 
-def ensure_worker_events(path: str | None, trace_id: str = "") -> EventLog | None:
-    """Point a worker process's event sink at the run's event file.
-
-    Fork workers inherit the parent's :class:`EventLog` (same path, a
-    shared ``O_APPEND`` descriptor — whole-line appends interleave
-    safely), so an inherited log targeting the same file is kept.
-    ``path=None`` (events off, or a remote worker whose coordinator
-    owns the file) drops any inherited log.
-    """
-    global _events
-    if path is None:
-        _events = None
-        return None
-    log = _events
-    if log is not None and log.path == str(path):
-        return log
-    return enable_events(EventLog(path, trace_id=trace_id))
-
-
 # ----------------------------------------------------------------------
 # worker-process lifecycle (used by repro.runtime.parallel)
 # ----------------------------------------------------------------------
 
-def ensure_worker(
-    shard_dir: str | None,
-    process: str = "worker",
-    profile: bool = False,
-    trace_id: str = "",
-) -> TelemetryRecorder | None:
-    """Give a worker process its own recorder writing to ``shard_dir``.
+def ensure_worker(spec: TelemetrySpec) -> Telemetry | None:
+    """Give a worker process its own telemetry built from ``spec``.
 
-    Fork workers inherit the parent's recorder object; recording into it
-    would double-count the parent's history into the worker's shard, so
-    a recorder whose pid is not ours is replaced with a fresh one.  With
-    ``shard_dir=None`` (telemetry off) any inherited recorder is
-    discarded instead.
+    Telemetry installed by this process is kept: a pool worker runs
+    many tasks, and a remote worker installs its session's telemetry
+    before any task.  Telemetry whose pid is not ours was inherited
+    through fork; recording into it would double-count the parent's
+    history into the worker's shard, so it is replaced with a fresh
+    object, or dropped when ``spec`` records nothing.
     """
-    global _recorder
-    if shard_dir is None:
-        if _recorder is not None and _recorder.pid != os.getpid():
-            _recorder = None
+    telemetry = _telemetry
+    if telemetry is not None and telemetry.pid == os.getpid():
+        return telemetry
+    if not spec.on:
+        uninstall()
         return None
-    recorder = _recorder
-    if recorder is not None and recorder.pid == os.getpid():
-        return recorder
-    return enable(TelemetryRecorder(
-        process=process, profile=profile, shard_dir=shard_dir,
-        trace_id=trace_id,
-    ))
+    return install(Telemetry(spec, process="worker"))
 
 
 def flush_worker() -> None:
-    """Rewrite the current worker's shard file (idempotent, never raises)."""
-    recorder = _recorder
-    if recorder is not None and recorder.shard_dir is not None:
-        recorder.flush()
+    """Rewrite this worker's shard pair (idempotent, never raises)."""
+    telemetry = _telemetry
+    if telemetry is not None and telemetry.pid == os.getpid():
+        telemetry.flush()

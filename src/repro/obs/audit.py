@@ -22,7 +22,8 @@ Design rules, mirroring :mod:`repro.obs`:
   identity — never from pid or time — so sampled streams are
   schedule-independent.
 * **Deterministic artefacts.**  Workers flush packed ``.npz`` shards
-  (``audit-v1-<pid>-<tag>.npz``) that :func:`merge_audit` folds into one
+  (``shard-v2-<pid>-<tag>.npz``, beside their JSON metrics shard) that
+  :func:`merge_audit` folds with the parent's in-memory runs into one
   stream, deduplicating identical run blocks by content digest so
   ``--jobs 1`` and ``--jobs 2`` merge to the same stream.
 * **Reports untouched.**  Audit never feeds back into
@@ -38,19 +39,19 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import os
-import re
-import tempfile
-import time
 import zlib
 from typing import Any
 
 import numpy as np
 
 from repro import obs
+from repro.obs.merge import _scan_shards
+from repro.obs.recorder import SHARD_VERSION, atomic_write_bytes
 
-#: bump when the shard/stream layout changes; mismatched shards are stale.
+#: bump when the merged ``--audit-out`` stream layout changes.
 AUDIT_VERSION = 1
 
 # ----------------------------------------------------------------------
@@ -320,20 +321,9 @@ class RunRecorder:
 
     def to_block(self) -> dict[str, Any]:
         """The serialisable run block (header fields + column arrays)."""
-        block: dict[str, Any] = {
-            "kind": self.kind,
-            "scheme": self.scheme,
-            "benchmark": self.benchmark,
-            "corner": self.corner,
-            "base_cycles": self.base_cycles,
-            "clock_period": self.clock_period,
-            "hold_constraint": self.hold_constraint,
-            "effective_clock_period": self.effective_clock_period,
-            "policy": self.policy.text,
-            "events_seen": self.events_seen,
-            "digest": self.digest,
-            "columns": dict(self.columns),
-        }
+        block = {field: getattr(self, field) for field in HEADER_FIELDS}
+        block["policy"] = self.policy.text
+        block["columns"] = dict(self.columns)
         return block
 
 
@@ -351,43 +341,14 @@ def _digest_columns(columns: dict[str, np.ndarray]) -> str:
 class AuditRecorder:
     """Per-process audit sink accumulating finished run blocks."""
 
-    def __init__(
-        self,
-        policy: str | SamplePolicy = "full",
-        shard_dir: str | None = None,
-        trace_id: str = "",
-    ) -> None:
+    def __init__(self, policy: str | SamplePolicy = "full") -> None:
         self.policy = policy if isinstance(policy, SamplePolicy) else SamplePolicy(policy)
-        self.shard_dir = shard_dir
-        self.trace_id = trace_id
         self.pid = os.getpid()
-        self._shard_tag = time.time_ns()
         self.runs: list[RunRecorder] = []
 
-    def begin_run(
-        self,
-        kind: str,
-        scheme: str,
-        benchmark: str,
-        corner: str,
-        base_cycles: int,
-        clock_period: float,
-        hold_constraint: float,
-        t_late: np.ndarray | None = None,
-        t_early: np.ndarray | None = None,
-    ) -> RunRecorder:
-        run = RunRecorder(
-            self.policy,
-            kind,
-            scheme,
-            benchmark,
-            corner,
-            base_cycles,
-            clock_period,
-            hold_constraint,
-            t_late=t_late,
-            t_early=t_early,
-        )
+    def begin_run(self, **header: Any) -> RunRecorder:
+        """A new run under this sink's policy (``header``: see :class:`RunRecorder`)."""
+        run = RunRecorder(self.policy, **header)
         self.runs.append(run)
         return run
 
@@ -409,28 +370,13 @@ class AuditRecorder:
         """Finished run blocks (unfinished runs are skipped, not broken)."""
         return [run.to_block() for run in self.runs if run.done]
 
-    def shard_path(self) -> str | None:
-        if self.shard_dir is None:
-            return None
-        name = f"audit-v{AUDIT_VERSION}-{self.pid}-{self._shard_tag}.npz"
-        return os.path.join(self.shard_dir, name)
-
-    def flush(self) -> None:
-        """Atomically (re)write this process's shard; never raises."""
-        path = self.shard_path()
-        if path is None:
-            return
-        try:
-            _write_npz(path, {
-                "version": AUDIT_VERSION,
-                "pid": self.pid,
-                "trace_id": self.trace_id,
-                "policy": self.policy.text,
-            }, self.snapshot_runs())
-        except Exception:
-            # Telemetry must never take down a run; a missing shard just
-            # reduces audit coverage (and is reported as stale on scan).
-            pass
+    def write_shard(self, path: str) -> None:
+        """Atomically write the finished runs as an npz decision shard."""
+        _write_npz(path, {
+            "version": SHARD_VERSION,
+            "pid": self.pid,
+            "policy": self.policy.text,
+        }, self.snapshot_runs())
 
 
 def _write_npz(path: str, header: dict[str, Any], runs: list[dict[str, Any]]) -> None:
@@ -446,19 +392,9 @@ def _write_npz(path: str, header: dict[str, Any], runs: list[dict[str, Any]]) ->
     for index, run in enumerate(runs):
         for name, dtype in COLUMNS:
             payload[f"r{index}/{name}"] = np.asarray(run["columns"][name], dtype=dtype)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, **payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    buffer = io.BytesIO()
+    np.savez(buffer, **payload)
+    atomic_write_bytes(path, buffer.getvalue())
 
 
 def _read_npz(path: str) -> dict[str, Any]:
@@ -480,43 +416,13 @@ def _read_npz(path: str) -> dict[str, Any]:
 # shard scan / merge / stream IO
 # ----------------------------------------------------------------------
 
-_SHARD_NAME = re.compile(r"^audit-v(\d+)-(\d+)-\d+\.npz$")
-
-
 def scan_audit_shards(shard_dir: str) -> tuple[list[dict[str, Any]], int]:
-    """Load every current-version audit shard under ``shard_dir``.
+    """Decision shard documents under ``shard_dir`` plus a stale count.
 
-    Returns ``(documents, stale)`` where ``stale`` counts shards whose
-    filename or header version/pid did not line up (leftovers from an
-    older layout or a recycled pid) — skipped, like ``obs.scan_shards``.
+    The npz half of each worker's shard pair, under the same stale rule
+    as :func:`repro.obs.scan_shards`.
     """
-    documents: list[dict[str, Any]] = []
-    stale = 0
-    try:
-        names = sorted(os.listdir(shard_dir))
-    except OSError:
-        return [], 0
-    for name in names:
-        match = _SHARD_NAME.match(name)
-        if match is None:
-            continue
-        if int(match.group(1)) != AUDIT_VERSION:
-            stale += 1
-            continue
-        path = os.path.join(shard_dir, name)
-        try:
-            document = _read_npz(path)
-        except Exception:
-            stale += 1
-            continue
-        if document.get("version") != AUDIT_VERSION:
-            stale += 1
-            continue
-        if int(document.get("pid", -1)) != int(match.group(2)):
-            stale += 1
-            continue
-        documents.append(document)
-    return documents, stale
+    return _scan_shards(shard_dir, ".npz", lambda path: _read_npz(str(path)))
 
 
 def _run_key(run: dict[str, Any]) -> tuple:
@@ -752,24 +658,11 @@ def audit_rollup(runs: list[dict[str, Any]]) -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# process lifecycle (mirrors repro.obs)
+# the process's decision channel (installed by repro.obs.install)
 # ----------------------------------------------------------------------
 
 #: the process-global audit sink; ``None`` means audit is off.
 _sink: AuditRecorder | None = None
-
-
-def enable(recorder: AuditRecorder) -> AuditRecorder:
-    """Install ``recorder`` as this process's audit sink."""
-    global _sink
-    _sink = recorder
-    return recorder
-
-
-def disable() -> None:
-    """Turn audit off (the default state)."""
-    global _sink
-    _sink = None
 
 
 def enabled() -> bool:
@@ -778,49 +671,25 @@ def enabled() -> bool:
 
 @contextlib.contextmanager
 def recording(policy: str = "full"):
-    """A fresh recorder as the sink for a block; the previous sink after."""
-    previous = _sink
+    """A fresh recorder as the sink for a block; the previous sink after.
+
+    The other channels of the installed telemetry stay live inside the
+    block.
+    """
+    previous = obs.active()
+    telemetry = obs.Telemetry(obs.TelemetrySpec(audit_policy=policy))
+    if previous is not None:
+        telemetry.recorder, telemetry.events = previous.recorder, previous.events
+    obs.install(telemetry)
     try:
-        yield enable(AuditRecorder(policy=policy))
+        yield telemetry.audit
     finally:
         if previous is None:
-            disable()
+            obs.uninstall()
         else:
-            enable(previous)
+            obs.install(previous)
 
 
 def get() -> AuditRecorder | None:
     """The hot-path accessor: hoist into a local before a cycle loop."""
     return _sink
-
-
-def ensure_worker(
-    shard_dir: str | None,
-    policy: str | None = "full",
-    trace_id: str = "",
-) -> AuditRecorder | None:
-    """Give a worker process its own audit recorder (fork-safe).
-
-    Like :func:`repro.obs.ensure_worker`: an inherited recorder whose pid
-    is not ours would replay the parent's history into the worker's
-    shard, so it is replaced; ``shard_dir=None`` (audit off) drops any
-    inherited recorder.
-    """
-    global _sink
-    if shard_dir is None:
-        if _sink is not None and _sink.pid != os.getpid():
-            _sink = None
-        return None
-    sink = _sink
-    if sink is not None and sink.pid == os.getpid():
-        return sink
-    return enable(AuditRecorder(
-        policy=policy or "full", shard_dir=shard_dir, trace_id=trace_id,
-    ))
-
-
-def flush_worker() -> None:
-    """Rewrite the current worker's audit shard (idempotent, never raises)."""
-    sink = _sink
-    if sink is not None and sink.shard_dir is not None:
-        sink.flush()

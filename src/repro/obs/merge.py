@@ -1,8 +1,9 @@
 """Deterministic shard merging and telemetry document rendering.
 
-A telemetry run produces one in-memory recorder in the parent plus zero
-or more ``shard-<pid>-<tag>.json`` files written by workers.  This
-module folds them into the two artefacts the CLI emits:
+A telemetry run produces one in-memory recorder in the parent, the
+shards remote workers returned in memory, and zero or more
+``shard-v<version>-<pid>-<tag>.json`` files written by local workers.
+This module folds them into the two artefacts the CLI emits:
 
 * ``metrics.json`` — merged counters/gauges/histogram summaries, keys
   sorted, values rounded; identical regardless of the order shards are
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import SHARD_VERSION
@@ -79,48 +80,44 @@ SCHEDULE_DEPENDENT_PREFIXES = (
     "audit.",
 )
 
-_SHARD_NAME = re.compile(r"^shard-v(\d+)-(\d+)-\d+\.json$")
+_SHARD_NAME = re.compile(r"^shard-v(\d+)-(\d+)-\d+\.(?:json|npz)$")
 
 
-def scan_shards(directory: str | Path) -> tuple[list[dict[str, Any]], int]:
-    """Shard documents under ``directory`` plus a stale-shard count.
+def _scan_shards(
+    directory: str | Path, suffix: str, load: Callable[[Path], dict[str, Any]]
+) -> tuple[list[dict[str, Any]], int]:
+    """The ``shard-*<suffix>`` documents under ``directory``, plus a stale count.
 
-    Three kinds of file are *not* merged:
-
-    * unreadable/truncated shards (a worker died mid-write before its
-      atomic replace) — skipped silently, as before;
-    * shards whose filename lacks the ``shard-v<version>-<pid>-`` form
-      or carries a foreign :data:`SHARD_VERSION` — leftovers from an
-      older telemetry schema in a reused directory;
-    * shards whose document header (version/pid) disagrees with their
-      filename — renamed or cross-run leftovers.
-
-    The latter two are **stale** and counted, so the CLI can surface an
-    ``obs.stale_shards_skipped`` counter instead of silently merging a
+    One rule for both shard encodings.  A file is **stale** — counted,
+    never merged — when it is unreadable or truncated, when its name
+    lacks the ``shard-v<version>-<pid>-<tag>`` form or carries a foreign
+    :data:`SHARD_VERSION` (a leftover from an older layout in a reused
+    directory), or when its header's version or pid disagrees with its
+    name (a renamed or cross-run leftover).  The CLI surfaces the count
+    as ``obs.stale_shards_skipped`` instead of silently merging a
     previous run's numbers into this one.
     """
     docs: list[dict[str, Any]] = []
     stale = 0
-    for path in sorted(Path(directory).glob("shard-*.json")):
+    for path in sorted(Path(directory).glob(f"shard-*{suffix}")):
         match = _SHARD_NAME.match(path.name)
-        if match is None or int(match.group(1)) != SHARD_VERSION:
-            stale += 1
-            continue
         try:
-            doc = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        if (doc.get("version") != SHARD_VERSION
-                or doc.get("pid") != int(match.group(2))):
+            if match is None or int(match.group(1)) != SHARD_VERSION:
+                raise ValueError("foreign shard name")
+            doc = load(path)
+            if (doc.get("version") != SHARD_VERSION
+                    or doc.get("pid") != int(match.group(2))):
+                raise ValueError("header disagrees with name")
+        except Exception:
             stale += 1
             continue
         docs.append(doc)
     return docs, stale
 
 
-def load_shards(directory: str | Path) -> list[dict[str, Any]]:
-    """:func:`scan_shards` without the stale count (compatibility shim)."""
-    return scan_shards(directory)[0]
+def scan_shards(directory: str | Path) -> tuple[list[dict[str, Any]], int]:
+    """Metrics/span shard documents under ``directory`` plus a stale count."""
+    return _scan_shards(directory, ".json", lambda path: json.loads(path.read_text()))
 
 
 def merge_shards(

@@ -15,11 +15,13 @@ keeps the stats of the top-N slowest spans.  Nested spans are never
 profiled (``cProfile`` cannot nest), and profiling is strictly opt-in
 because its overhead is far beyond the telemetry budget.
 
-Workers serialise their recorder with :meth:`TelemetryRecorder.flush`
-into per-process shard files; :mod:`repro.obs.merge` folds the shards
-back together.  Timestamps come from ``time.perf_counter`` against a
-module-import epoch — under the fork start method every worker inherits
-the parent's epoch, so all shards share one trace timeline.
+Workers serialise their recorder with
+:meth:`TelemetryRecorder.write_shard` when their
+:class:`~repro.obs.telemetry.Telemetry` flushes; :mod:`repro.obs.merge`
+folds the shards back together.  Timestamps come from
+``time.perf_counter`` against a module-import epoch — under the fork
+start method every worker inherits the parent's epoch, so all shards
+share one trace timeline.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ import pstats
 import tempfile
 import threading
 import time
-from pathlib import Path
 from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
 
-#: bump when the shard document layout changes.
-SHARD_VERSION = 1
+#: bump when the shard layout changes (the JSON document or the npz
+#: decision shard written beside it under the same name).
+SHARD_VERSION = 2
 
 #: common timeline origin for trace timestamps; fork workers inherit it.
 _EPOCH = time.perf_counter()
@@ -100,7 +102,6 @@ class TelemetryRecorder:
         process: str = "main",
         profile: bool = False,
         profile_top: int = 5,
-        shard_dir: str | os.PathLike | None = None,
         trace_id: str = "",
     ) -> None:
         self.metrics = MetricsRegistry()
@@ -111,10 +112,7 @@ class TelemetryRecorder:
         self.pid = os.getpid()
         self.profile = profile
         self.profile_top = profile_top
-        self.shard_dir = Path(shard_dir) if shard_dir is not None else None
         self._profiling = False
-        #: distinguishes shards when a pid is ever reused across pools
-        self._shard_tag = time.time_ns()
         self.events.append({
             "name": "process_name", "ph": "M", "ts": 0, "pid": self.pid,
             "tid": 0, "args": {"name": f"{process}-{self.pid}"},
@@ -181,46 +179,30 @@ class TelemetryRecorder:
             "profiles": list(self.profiles),
         }
 
-    def shard_path(self) -> Path:
-        """Shard filename carrying schema version and writer pid.
+    def write_shard(self, path: str) -> None:
+        """Atomically write the shard document to ``path``."""
+        atomic_write_bytes(path, json.dumps(self.snapshot_doc()).encode())
 
-        Both also live in the document header; ``scan_shards`` treats a
-        mismatch between the two (or an unknown version) as a stale
-        leftover from a previous run in a reused directory and skips it
-        rather than merging it.
-        """
-        if self.shard_dir is None:
-            raise ValueError("recorder has no shard directory")
-        return (self.shard_dir
-                / f"shard-v{SHARD_VERSION}-{self.pid}-{self._shard_tag}.json")
 
-    def flush(self) -> Path | None:
-        """Atomically (re)write this process's shard file.
+def atomic_write_bytes(path: str, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` through a temp file and a rename.
 
-        Called after every worker task; the snapshot is cumulative, so
-        rewriting is idempotent and a crash between tasks loses at most
-        the unfinished task's telemetry.  Failures are swallowed —
-        telemetry must never take an experiment down.
-        """
-        if self.shard_dir is None:
-            return None
-        path = self.shard_path()
+    A reader never sees a half-written file: a writer that dies
+    mid-write leaves only its ``.tmp`` file, which no scan matches.
+    """
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
         try:
-            payload = json.dumps(self.snapshot_doc())
-            fd, tmp = tempfile.mkstemp(dir=self.shard_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(payload)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except Exception:
-            return None
-        return path
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _jsonable(value: Any) -> Any:

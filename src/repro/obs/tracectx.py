@@ -47,7 +47,7 @@ import os
 import time
 from typing import Any
 
-from repro.obs.recorder import _EPOCH, SHARD_VERSION
+from repro.obs.recorder import _EPOCH
 
 #: quality tiers, best to worst (the signal-recorder tiering model).
 QUALITY_SYNCED = "synced"
@@ -182,7 +182,3 @@ def correct_shard(doc: dict[str, Any], sync: ClockSync) -> dict[str, Any]:
     corrected["trace_events"] = events
     return corrected
 
-
-def shard_filename(pid: int, tag: int) -> str:
-    """A shard filename ``scan_shards`` accepts for a received shard."""
-    return f"shard-v{SHARD_VERSION}-{pid}-{tag}.json"

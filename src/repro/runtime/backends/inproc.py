@@ -41,41 +41,13 @@ class InprocBackend(ExecutorBackend):
         ctx = ExperimentContext(spec.config, store=store)
         for eid in experiment_ids:
             obs.emit("scheduled", experiment=eid, worker="inproc")
-        report = run_many(
-            experiment_ids,
-            ctx,
-            retries=spec.retries,
-            timeout_s=spec.timeout_s,
-            retry_backoff_s=spec.retry_backoff_s,
-            resolve=self._event_resolve(self._resolve(spec)),
-            on_outcome=self._event_outcome(on_outcome),
-        )
-        return report, store.stats if store is not None else StoreStats()
+        resolve = self._resolve(spec)
 
-    @staticmethod
-    def _event_resolve(
-        resolve: Callable[[str], Callable] | None,
-    ) -> Callable[[str], Callable] | None:
-        """Emit ``started`` when the serial executor picks a task up."""
-        if not obs.events_enabled():
-            return resolve
-        if resolve is None:
-            from repro.experiments.registry import get_experiment as resolve
-
-        def wrapped(experiment_id: str) -> Callable:
+        def started(experiment_id: str) -> Callable:
             obs.emit("started", experiment=experiment_id, worker="inproc")
             return resolve(experiment_id)
 
-        return wrapped
-
-    @staticmethod
-    def _event_outcome(
-        on_outcome: Callable[[RunOutcome], None] | None,
-    ) -> Callable[[RunOutcome], None] | None:
-        if not obs.events_enabled():
-            return on_outcome
-
-        def wrapped(outcome: RunOutcome) -> None:
+        def finished(outcome: RunOutcome) -> None:
             obs.emit(
                 "result",
                 experiment=outcome.experiment_id,
@@ -86,10 +58,19 @@ class InprocBackend(ExecutorBackend):
             if on_outcome is not None:
                 on_outcome(outcome)
 
-        return wrapped
+        report = run_many(
+            experiment_ids,
+            ctx,
+            retries=spec.retries,
+            timeout_s=spec.timeout_s,
+            retry_backoff_s=spec.retry_backoff_s,
+            resolve=started,
+            on_outcome=finished,
+        )
+        return report, store.stats if store is not None else StoreStats()
 
     @staticmethod
-    def _resolve(spec: WorkerSpec) -> Callable[[str], Callable] | None:
+    def _resolve(spec: WorkerSpec) -> Callable[[str], Callable]:
         """Chaos interposition for the serial path.
 
         ``chaos_fail`` and ``chaos_slow`` are honoured; ``chaos_kill``
@@ -97,8 +78,6 @@ class InprocBackend(ExecutorBackend):
         process down, which is why the CLI refuses ``--chaos-kill``
         without a multi-process backend.
         """
-        if not (spec.chaos_fail or spec.chaos_slow):
-            return None
         from repro.experiments.registry import get_experiment
         from repro.runtime.chaos import chaos_resolve, slow_run
 

@@ -40,18 +40,16 @@ locally.
 from __future__ import annotations
 
 import dataclasses
-import json
 import queue
 import socket
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro import obs
-from repro.obs.tracectx import ClockSync, correct_shard, shard_filename, timeline_now_us
+from repro.obs.tracectx import ClockSync, correct_shard, timeline_now_us
 from repro.runtime.backends.base import ExecutorBackend, SubmissionOrderMerger
 from repro.runtime.backends.frames import FrameError, FrameStream, pack_pickle, unpack_pickle
 from repro.runtime.backends.procpool import ProcpoolBackend
@@ -226,15 +224,10 @@ class RemoteBackend(ExecutorBackend):
         options = self.options
         # started-markers are a process-pool blame device; remote blame
         # is connection-based, and the parent's scratch dir would not
-        # exist on a remote machine anyway.  Telemetry/event paths are
-        # coordinator-local too: worker spans travel back inside result
-        # frames (clock-corrected here), worker events are synthesised
-        # here from protocol traffic.  The trace id stays — it is what
-        # stitches the worker's shard into this run's trace.
-        shipped = dataclasses.replace(
-            spec, scratch_dir=None, telemetry_dir=None, events_path=None,
-            audit_dir=None,
-        )
+        # exist on a remote machine anyway.  Telemetry is the worker
+        # session's business: it records metrics in memory only and
+        # returns them inside result frames (clock-corrected here).
+        shipped = dataclasses.replace(spec, scratch_dir=None)
         spec_blob = pack_pickle(shipped)
         merger = SubmissionOrderMerger(experiment_ids, on_outcome)
         stats = StoreStats()
@@ -244,7 +237,8 @@ class RemoteBackend(ExecutorBackend):
         self._clock_by_pid: dict[int, ClockSync] = {}
         self._shards_by_pid: dict[int, dict[str, Any]] = {}
         self._span_ctx = (
-            {"parent": spec.parent_span_id} if spec.trace_id else None
+            {"parent": spec.telemetry.parent_span_id}
+            if spec.telemetry.trace_id else None
         )
 
         workers = self._connect_fleet(spec_blob, inbox)
@@ -297,36 +291,26 @@ class RemoteBackend(ExecutorBackend):
                 for conn in workers.values():
                     conn.send({"type": "bye"})
                     conn.close()
-                self._write_worker_shards(spec)
+                self._receive_worker_shards()
         return merger.report(), stats
 
-    def _write_worker_shards(self, spec: WorkerSpec) -> None:
-        """Rebase collected worker shards onto the coordinator timeline.
+    def _receive_worker_shards(self) -> None:
+        """Rebase collected worker shards into this process's merge.
 
         Each remote worker's spans are stamped against its own
         ``perf_counter`` epoch — meaningless here.  The per-pid
         :class:`ClockSync` (fed by hello and task-ack round trips)
-        shifts them onto this process's timeline; the corrected shard
-        lands in ``spec.telemetry_dir`` under the standard shard name,
-        so the existing merge path picks it up like any local shard.
+        shifts them onto this process's timeline, and the corrected
+        shard joins the run's telemetry merge in memory.
         """
-        if not spec.telemetry_dir or not self._shards_by_pid:
+        telemetry = obs.active()
+        if telemetry is None or telemetry.recorder is None:
             return
-        for seq, pid in enumerate(sorted(self._shards_by_pid)):
+        for pid in sorted(self._shards_by_pid):
             sync = self._clock_by_pid.get(pid) or ClockSync()
-            doc = correct_shard(self._shards_by_pid[pid], sync)
-            path = Path(spec.telemetry_dir) / shard_filename(pid, seq)
-            tmp = path.with_suffix(".tmp")
-            try:
-                tmp.write_text(json.dumps(doc, sort_keys=True))
-                tmp.replace(path)
-            except OSError as exc:
-                logger.warning("could not write worker shard %s: %s", path, exc)
-            else:
-                obs.inc("clock.shards_corrected")
-                logger.info(
-                    "worker pid %d shard rebased (%s)", pid, sync.describe()
-                )
+            telemetry.received.append(correct_shard(self._shards_by_pid[pid], sync))
+            obs.inc("clock.shards_corrected")
+            logger.info("worker pid %d shard rebased (%s)", pid, sync.describe())
 
     def _register_clock(
         self, conn: _WorkerConn, reply: dict[str, Any],
@@ -335,17 +319,7 @@ class RemoteBackend(ExecutorBackend):
         """Fold one hello round trip into the worker's clock estimate."""
         conn.pid = int(reply.get("pid") or 0)
         conn.clock = self._clock_by_pid.setdefault(conn.pid, ClockSync())
-        now_us = reply.get("now_us")
-        if now_us is None:  # pre-tracing worker: stays uncorrected
-            return
-        if conn.clock.add_sample(t_send_us, float(now_us), t_recv_us):
-            obs.inc("clock.samples")
-            obs.emit(
-                "clock", worker=conn.label, pid=conn.pid,
-                tier=conn.clock.quality,
-                offset_us=round(conn.clock.offset_us or 0.0, 1),
-                uncertainty_us=round(conn.clock.uncertainty_us or 0.0, 1),
-            )
+        _clock_sample(conn, t_send_us, reply.get("now_us"), t_recv_us)
 
     # ------------------------------------------------------------------
     def _connect_fleet(
@@ -490,17 +464,8 @@ class RemoteBackend(ExecutorBackend):
                 # our send and this receive is a clock-offset sample,
                 # and "the worker actually started" is an event
                 conn.task_acked = True
-                now_us = payload.get("now_us")
-                if (now_us is not None and conn.task_sent_us is not None
-                        and conn.clock.add_sample(
-                            conn.task_sent_us, float(now_us), t_recv_us)):
-                    obs.inc("clock.samples")
-                    obs.emit(
-                        "clock", worker=conn.label, pid=conn.pid,
-                        tier=conn.clock.quality,
-                        offset_us=round(conn.clock.offset_us or 0.0, 1),
-                        uncertainty_us=round(conn.clock.uncertainty_us or 0.0, 1),
-                    )
+                if conn.task_sent_us is not None:
+                    _clock_sample(conn, conn.task_sent_us, payload.get("now_us"), t_recv_us)
                 obs.emit("started", experiment=eid, worker=conn.label)
             return
         if frame_type == "result":
@@ -696,6 +661,24 @@ class RemoteBackend(ExecutorBackend):
         stats.merge(fallback_stats)
         for outcome in report.outcomes:
             merger.add(outcome)
+
+
+def _clock_sample(
+    conn: _WorkerConn, t_send_us: float, now_us: Any, t_recv_us: float
+) -> None:
+    """Fold one round trip into the worker's clock estimate.
+
+    ``now_us`` is the worker's timeline clock from its reply; a worker
+    that sent none (pre-tracing) stays uncorrected.
+    """
+    if now_us is not None and conn.clock.add_sample(t_send_us, float(now_us), t_recv_us):
+        obs.inc("clock.samples")
+        obs.emit(
+            "clock", worker=conn.label, pid=conn.pid,
+            tier=conn.clock.quality,
+            offset_us=round(conn.clock.offset_us or 0.0, 1),
+            uncertainty_us=round(conn.clock.uncertainty_us or 0.0, 1),
+        )
 
 
 def _blame_outcome(

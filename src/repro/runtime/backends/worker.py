@@ -144,9 +144,9 @@ def _run_task(
     # coordinator keeps the latest per pid and rebases it through the
     # clock-offset estimate — this is how remote worker spans reach the
     # merged trace at all (their raw epochs are incomparable).
-    recorder = obs.get_recorder()
-    if recorder is not None:
-        result["shard"] = recorder.snapshot_doc()
+    telemetry = obs.active()
+    if telemetry is not None and telemetry.recorder is not None:
+        result["shard"] = telemetry.recorder.snapshot_doc()
     stream.send(result)
 
 
@@ -173,14 +173,17 @@ def _serve_session(sock: socket.socket, peer: str, state: _WorkerState) -> None:
             return
         spec: WorkerSpec = unpack_pickle(hello["spec"])
         heartbeat_s = float(hello.get("heartbeat_s", 0.5))
-        if getattr(spec, "trace_id", None):
-            # traced run: record spans in memory (no shard dir — shards
-            # travel back inside result frames) under the run's trace id.
-            # A new traced session replaces the previous recorder, so a
-            # reused worker never leaks one run's spans into the next.
-            obs.enable(obs.TelemetryRecorder(
-                process="remote-worker", trace_id=spec.trace_id
-            ))
+        # The session's telemetry records metrics in memory under the
+        # run's trace id (its shard travels back inside result frames);
+        # the event file, the shard directory and the audit belong to
+        # the coordinator.  Each session replaces the previous one's, so
+        # a reused worker never leaks one run's spans into the next.
+        obs.install(obs.Telemetry(
+            obs.TelemetrySpec(
+                metrics=spec.telemetry.metrics, trace_id=spec.telemetry.trace_id
+            ),
+            process="remote-worker",
+        ))
         stream.send({
             "type": "hello_ok",
             "host": socket.gethostname(),

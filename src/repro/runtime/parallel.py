@@ -45,7 +45,6 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro import obs
-from repro.obs import audit
 from repro.runtime.checkpoint import CheckpointStore, StoreStats, config_fingerprint
 from repro.runtime.executor import FailureRecord, RunOutcome, RunReport
 from repro.runtime.log import get_logger
@@ -54,7 +53,14 @@ logger = get_logger("parallel")
 
 
 def default_jobs() -> int:
-    """The CLI's ``--jobs`` default: one worker per CPU."""
+    """The CLI's ``--jobs`` default: one worker per usable CPU.
+
+    Usable means this process's CPU affinity where the platform has it,
+    so a pinned run (``taskset``, a container's cpuset) does not
+    oversubscribe its cores.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -90,25 +96,11 @@ class WorkerSpec:
     scratch_dir: str | None = None
     claim_stale_s: float = 600.0
     claim_poll_s: float = 0.05
-    #: parent-managed directory for telemetry shards (None = telemetry off)
-    telemetry_dir: str | None = None
-    #: capture per-span cProfile stats inside workers
-    profile: bool = False
+    #: which telemetry channels workers record, and their shard directory
+    telemetry: obs.TelemetrySpec = obs.TelemetrySpec()
     #: shared-memory catalog of population artefacts (set by run_fleet;
     #: workers that cannot attach fall back to local computation)
     shm_catalog: Any = None
-    #: run-scoped trace id propagated into every worker span (None =
-    #: tracing off); remote task frames carry it across the wire
-    trace_id: str | None = None
-    #: the coordinator's run-level span id (parent linkage for workers)
-    parent_span_id: str | None = None
-    #: run event-stream file (None = events off); fork workers append
-    #: directly, remote workers get it nulled (the coordinator emits)
-    events_path: str | None = None
-    #: parent-managed directory for cycle-audit shards (None = audit off)
-    audit_dir: str | None = None
-    #: audit sampling policy text (full / window:S:L / reservoir:K:SEED)
-    audit_policy: str | None = None
 
 
 # ----------------------------------------------------------------------
@@ -120,14 +112,7 @@ def _worker_context(spec: WorkerSpec):
     from repro.runtime.log import configure
 
     configure(spec.verbose)
-    obs.ensure_worker(
-        spec.telemetry_dir, profile=spec.profile,
-        trace_id=spec.trace_id or "",
-    )
-    obs.ensure_worker_events(spec.events_path, trace_id=spec.trace_id or "")
-    audit.ensure_worker(
-        spec.audit_dir, policy=spec.audit_policy, trace_id=spec.trace_id or "",
-    )
+    obs.ensure_worker(spec.telemetry)
     store = None
     if spec.checkpoint_dir:
         store = CheckpointStore(
@@ -223,7 +208,6 @@ def _run_experiment_task(
         return outcome, stats
     finally:
         obs.flush_worker()
-        audit.flush_worker()
 
 
 def _prefetch_task(
@@ -250,7 +234,6 @@ def _prefetch_task(
         return ctx.store.stats.as_dict() if ctx.store is not None else None
     finally:
         obs.flush_worker()
-        audit.flush_worker()
 
 
 # ----------------------------------------------------------------------

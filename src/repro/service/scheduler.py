@@ -1,16 +1,17 @@
 """The scheduler bridge: job table -> ExecutorBackend fleet.
 
 One worker thread drains accepted jobs sequentially, off the asyncio
-event loop.  Sequential on purpose: the structured-event sink
-(:func:`repro.obs.enable_events`) is process-global — one events file
-per run — so one run executes at a time while the *inside* of a run
-fans out across the configured backend (``--jobs``/``--backend`` exactly
-as on the CLI, including the remote worker fleet).
+event loop.  Sequential on purpose: the process's telemetry
+(:func:`repro.obs.install`) is process-global — one events file per
+run — so one run executes at a time while the *inside* of a run fans
+out across the configured backend (``--jobs``/``--backend`` exactly as
+on the CLI, including the remote worker fleet).
 
 Per executed job the runner:
 
-1. enables a fresh per-job :class:`~repro.obs.events.EventLog` at
-   ``jobs/<id>/events.jsonl`` (the file the SSE endpoint tails),
+1. installs fresh per-job telemetry whose one channel is the event
+   stream at ``jobs/<id>/events.jsonl`` (the file the SSE endpoint
+   tails),
 2. runs the request through
    :func:`repro.runtime.backends.resolve_backend` with a
    :class:`~repro.runtime.WorkerSpec` built exactly as the CLI builds
@@ -125,16 +126,15 @@ class JobRunner:
         })
         events_path = self.table.events_path(job.id)
         events_path.parent.mkdir(parents=True, exist_ok=True)
-        trace_id = obs.new_trace_id()
-        obs.enable_events(obs.EventLog(events_path, trace_id=trace_id))
-        checkpoint_dir = str(self.table.root / "checkpoints")
+        telemetry = obs.install(obs.Telemetry(obs.TelemetrySpec(
+            events_path=str(events_path), trace_id=obs.new_trace_id(),
+        )))
         spec = WorkerSpec(
             config=config,
-            checkpoint_dir=checkpoint_dir,
+            checkpoint_dir=str(self.table.root / "checkpoints"),
             resume=True,
             retries=self.retries,
-            trace_id=trace_id,
-            events_path=str(events_path),
+            telemetry=telemetry.spec,
         )
         remote_options = None
         if self.backend_name == "remote":
@@ -157,10 +157,7 @@ class JobRunner:
                 total=len(report.outcomes),
             )
         finally:
-            log = obs.get_event_log()
-            obs.disable_events()
-            if log is not None:
-                log.close()
+            obs.uninstall()
 
         payload = render_report(report, job.fmt)
         atomic_write_text(
@@ -170,7 +167,7 @@ class JobRunner:
             report=report,
             metrics_doc={},
             config=config,
-            trace_id=trace_id,
+            trace_id=telemetry.spec.trace_id,
             notes=f"service:{job.id}",
         )
         self.ledger.append(record)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.obs import audit
 from repro.obs.schema import check
 from repro.qa.circuits import synthetic_error_trace
@@ -38,7 +39,7 @@ def load_schema(name: str) -> dict:
 def audit_off_after_test():
     """Never leak a process-global audit sink into the next test."""
     yield
-    audit.disable()
+    obs.uninstall()
 
 
 def record_run(policy: str, n: int = 500, seed: int = 1, scheme: str = "unit"):
@@ -194,18 +195,19 @@ def test_shard_roundtrip_and_order_independent_merge(tmp_path):
 
 
 def test_worker_shard_scan_skips_stale(tmp_path):
-    sink = audit.enable(audit.AuditRecorder(
-        policy="full", shard_dir=str(tmp_path), trace_id="t-2"
-    ))
-    run = sink.begin_run(
+    telemetry = obs.install(obs.Telemetry(obs.TelemetrySpec(
+        audit_policy="full", shard_dir=str(tmp_path), trace_id="t-2",
+    )))
+    run = audit.get().begin_run(
         kind="scheme", scheme="unit", benchmark="b", corner="NTC",
         base_cycles=8, clock_period=1000.0, hold_constraint=120.0,
     )
     run.decision(3, 2, audit.DEC_DETECT, penalty=5)
     run.finish()
-    sink.flush()
+    telemetry.flush()
+    assert not list(tmp_path.glob("*.json"))  # metrics channel off: npz only
     # a stale shard from an older layout version must be skipped
-    (tmp_path / "audit-v0-1-1.npz").write_bytes(b"junk")
+    (tmp_path / "shard-v0-1-1.npz").write_bytes(b"junk")
     documents, stale = audit.scan_audit_shards(str(tmp_path))
     assert len(documents) == 1 and stale == 1
     merged = audit.merge_audit(documents)
@@ -214,20 +216,24 @@ def test_worker_shard_scan_skips_stale(tmp_path):
 
 
 def test_ensure_worker_lifecycle(tmp_path):
-    inherited = audit.enable(audit.AuditRecorder(policy="full"))
+    inherited = obs.install(obs.Telemetry(obs.TelemetrySpec(audit_policy="full")))
     inherited.pid += 1  # simulate a fork-inherited parent sink
-    assert audit.ensure_worker(None) is None  # audit off drops it
+    assert obs.ensure_worker(obs.TelemetrySpec()) is None  # audit off drops it
     assert audit.get() is None
 
-    fresh = audit.ensure_worker(str(tmp_path), policy="reservoir:8", trace_id="t")
+    inherited = obs.install(obs.Telemetry(obs.TelemetrySpec(audit_policy="full")))
+    inherited.pid += 1
+    spec = obs.TelemetrySpec(audit_policy="reservoir:8", shard_dir=str(tmp_path), trace_id="t")
+    fresh = obs.ensure_worker(spec)
     assert fresh is not None and fresh.pid != inherited.pid
-    assert audit.ensure_worker(str(tmp_path)) is fresh  # idempotent
-    audit.flush_worker()
+    assert audit.get() is fresh.audit and fresh.audit.policy.text == "reservoir:8:0"
+    assert obs.ensure_worker(spec) is fresh  # idempotent
+    obs.flush_worker()
     documents, stale = audit.scan_audit_shards(str(tmp_path))
-    assert documents == [] or documents[0]["runs"] == []  # nothing recorded
+    assert documents[0]["runs"] == []  # nothing recorded
     assert stale == 0
-    audit.disable()
-    audit.flush_worker()  # must be safe with no sink installed
+    obs.uninstall()
+    obs.flush_worker()  # must be safe with no sink installed
 
 
 # ----------------------------------------------------------------------

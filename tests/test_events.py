@@ -41,8 +41,7 @@ EVENTS_SCHEMA = json.loads((SCHEMA_DIR / "events.schema.json").read_text())
 def observability_off_after_test():
     """Never leak a recorder or event log into the next test."""
     yield
-    obs.disable()
-    obs.disable_events()
+    obs.uninstall()
 
 
 # ----------------------------------------------------------------------
@@ -137,8 +136,7 @@ def test_clock_sync_as_dict_round_trips_the_tier():
 # ----------------------------------------------------------------------
 
 def make_shard_doc(tmp_path, span_ts: float):
-    recorder = obs.TelemetryRecorder(process="remote-worker",
-                                     shard_dir=tmp_path)
+    recorder = obs.TelemetryRecorder(process="remote-worker")
     with recorder.span("worker.remote_task", {"experiment": "fig3_4"}):
         recorder.metrics.inc("unit.tasks")
     doc = recorder.snapshot_doc()
@@ -177,23 +175,39 @@ def test_correct_shard_uncorrected_passes_timestamps_through(tmp_path):
     assert "[clock: uncorrected]" in meta[0]["args"]["name"]
 
 
-def test_received_shard_filename_round_trips_through_scan(tmp_path):
-    # the coordinator writes corrected remote shards under the same
-    # naming scheme scan_shards enforces (version + pid consistency)
-    recorder = obs.TelemetryRecorder(process="remote-worker")
-    with recorder.span("worker.remote_task", {}):
-        pass
-    doc = recorder.snapshot_doc()
-    name = obs.tracectx.shard_filename(recorder.pid, 1)
-    (tmp_path / name).write_text(json.dumps(doc))
-    docs, stale = obs.scan_shards(tmp_path)
-    assert len(docs) == 1 and stale == 0
-    # a shard whose filename pid disagrees with its header is stale
-    (tmp_path / obs.tracectx.shard_filename(recorder.pid + 1, 2)).write_text(
-        json.dumps(doc)
-    )
-    docs, stale = obs.scan_shards(tmp_path)
-    assert len(docs) == 1 and stale == 1
+def test_received_remote_shards_reach_trace_clock_corrected_in_memory(
+    tmp_path, monkeypatch
+):
+    # the coordinator's telemetry has no shard directory: what remote
+    # workers returned must reach trace.json without a disk round trip
+    from repro.runtime.backends import RemoteBackend, RemoteOptions
+
+    telemetry = obs.install(obs.Telemetry(obs.TelemetrySpec(metrics=True)))
+    doc = make_shard_doc(tmp_path, span_ts=10_000.0)
+    sync = obs.ClockSync()
+    sync.add_sample(0.0, 7_000.0, 200.0)  # offset ~6900µs
+    backend = RemoteBackend(RemoteOptions(workers=("127.0.0.1:1",)))
+    backend._shards_by_pid = {doc["pid"]: doc}
+    backend._clock_by_pid = {doc["pid"]: sync}
+
+    def no_disk(*args, **kwargs):
+        raise AssertionError("received shards must not be scanned from disk")
+
+    monkeypatch.setattr(obs, "scan_shards", no_disk)
+    backend._receive_worker_shards()
+    merged = telemetry.merge()
+    assert list(tmp_path.iterdir()) == []
+
+    spans = [e for e in merged.trace["traceEvents"]
+             if e["ph"] == "X" and e["name"] == "worker.remote_task"]
+    assert len(spans) == 1
+    assert spans[0]["ts"] == pytest.approx(10_000.0 - sync.offset_us, abs=0.1)
+    lanes = [e["args"]["name"] for e in merged.trace["traceEvents"]
+             if e["ph"] == "M" and e["name"] == "process_name"]
+    assert any("remote-worker" in lane and "[clock: coarse" in lane for lane in lanes)
+    assert merged.metrics["counters"]["clock.shards_corrected"] == 1
+    assert merged.metrics["counters"]["unit.tasks"] == 1
+    assert {p["process"] for p in merged.metrics["processes"]} == {"main", "remote-worker"}
 
 
 # ----------------------------------------------------------------------
@@ -273,22 +287,33 @@ def test_emit_is_a_noop_until_enabled(tmp_path):
     assert not obs.events_enabled()
     obs.emit("run_start", backend="inproc")  # must not raise
     assert obs.recent_events() == ()
-    log = obs.enable_events(obs.EventLog(tmp_path / "events.jsonl"))
+    telemetry = obs.install(obs.Telemetry(
+        obs.TelemetrySpec(events_path=str(tmp_path / "events.jsonl"))
+    ))
+    log = telemetry.events
     obs.emit("scheduled", experiment="fig3_4")
-    assert obs.get_event_log() is log and log.count == 1
+    assert obs.events_enabled() and log.count == 1
     assert any("scheduled" in line for line in obs.recent_events())
-    obs.disable_events()
+    obs.uninstall()
     assert not obs.events_enabled()
     obs.emit("run_end", status="ok")  # off again: dropped
     assert obs.read_events(tmp_path / "events.jsonl") == [log.flight[0]]
 
 
-def test_ensure_worker_events_keeps_inherited_same_path_log(tmp_path):
+def test_ensure_worker_events_append_to_the_run_file(tmp_path):
     path = str(tmp_path / "events.jsonl")
-    inherited = obs.enable_events(obs.EventLog(path))
-    assert obs.ensure_worker_events(path) is inherited  # fork worker
-    # a remote worker (coordinator owns the file) drops the sink
-    assert obs.ensure_worker_events(None) is None
+    spec = obs.TelemetrySpec(events_path=path)
+    inherited = obs.install(obs.Telemetry(spec))
+    obs.emit("run_start", backend="procpool")
+    inherited.pid += 1  # simulate a fork worker
+    worker = obs.ensure_worker(spec)
+    assert worker is not inherited and worker.events.path == path
+    obs.emit("started", experiment="fig3_4")
+    assert [e["kind"] for e in obs.read_events(path)] == ["run_start", "started"]
+    # telemetry that records nothing drops the inherited sink
+    obs.uninstall()
+    obs.install(inherited)
+    assert obs.ensure_worker(obs.TelemetrySpec()) is None
     assert not obs.events_enabled()
 
 
@@ -399,18 +424,14 @@ def test_remote_traced_run_returns_clock_corrected_worker_shards(tmp_path):
     from tests.test_backends import tiny_spec, worker_fleet
 
     trace_id = obs.new_trace_id()
-    obs.enable(obs.TelemetryRecorder(process="main", trace_id=trace_id))
     events_path = tmp_path / "events.jsonl"
-    obs.enable_events(obs.EventLog(events_path, trace_id=trace_id))
-    telemetry_dir = tmp_path / "telemetry"
-    telemetry_dir.mkdir()
-    spec = tiny_spec(
-        tmp_path,
-        telemetry_dir=str(telemetry_dir),
+    telemetry = obs.install(obs.Telemetry(obs.TelemetrySpec(
+        metrics=True,
+        events_path=str(events_path),
         trace_id=trace_id,
         parent_span_id=obs.new_span_id(),
-        events_path=str(events_path),
-    )
+    )))
+    spec = tiny_spec(tmp_path, telemetry=telemetry.spec)
     with worker_fleet(2) as addresses:
         backend = RemoteBackend(RemoteOptions(
             workers=tuple(addresses), heartbeat_s=0.1,
@@ -419,9 +440,9 @@ def test_remote_traced_run_returns_clock_corrected_worker_shards(tmp_path):
     assert all(outcome.ok for outcome in report.outcomes)
 
     # the workers' telemetry came back over the result frames and was
-    # rebased onto the coordinator timeline before being written out
-    docs, stale = obs.scan_shards(telemetry_dir)
-    assert docs and stale == 0
+    # rebased onto the coordinator timeline, in memory
+    docs = telemetry.received
+    assert docs
     for doc in docs:
         assert doc["process"] == "remote-worker"
         assert doc["clock"]["quality"] in (QUALITY_SYNCED, QUALITY_COARSE)
@@ -434,6 +455,9 @@ def test_remote_traced_run_returns_clock_corrected_worker_shards(tmp_path):
     assert worker_spans
     assert all(e["args"].get("trace_id") == trace_id for e in worker_spans)
     assert all(e["ts"] >= 0 for e in worker_spans)
+    merged = telemetry.merge()
+    merged_spans = [e for e in merged.trace["traceEvents"] if e["ph"] == "X"]
+    assert all(span in merged_spans for span in worker_spans)
 
     # the event stream recorded the full task lifecycle under the run's
     # trace id, and every line conforms to the checked-in schema

@@ -30,7 +30,7 @@ from repro.core.trident.controller import TridentScheme
 from repro.experiments.report import Table
 from repro.obs import dashboard, trends
 from repro.obs.ledger import LEDGER_VERSION, RunLedger, build_record
-from repro.obs.recorder import SHARD_VERSION, TelemetryRecorder
+from repro.obs.recorder import SHARD_VERSION
 from repro.obs.schema import check
 from tests.util import synthetic_error_trace
 
@@ -40,7 +40,7 @@ REPO = Path(__file__).resolve().parent.parent
 @pytest.fixture(autouse=True)
 def telemetry_off_after_test():
     yield
-    obs.disable()
+    obs.uninstall()
 
 
 def make_record(run_id="run", **counters):
@@ -300,7 +300,7 @@ def test_dashboard_renders_empty_ledger():
 
 
 def test_schemes_emit_labelled_domain_counters():
-    recorder = obs.enable(TelemetryRecorder())
+    recorder = obs.install(obs.Telemetry(obs.TelemetrySpec(metrics=True))).recorder
     err_class = np.array([0, 2, 0, 3, 1, 2, 0, 0], dtype=np.int8)
     trace = synthetic_error_trace(err_class)
     schemes = [
@@ -343,12 +343,13 @@ def test_schemes_are_silent_when_telemetry_off():
 
 
 def test_scan_shards_skips_stale_and_counts_them(tmp_path):
-    recorder = TelemetryRecorder(shard_dir=tmp_path)
-    recorder.metrics.inc("experiment.ok")
-    assert recorder.flush() is not None
-    assert recorder.shard_path().name.startswith(f"shard-v{SHARD_VERSION}-")
+    telemetry = obs.Telemetry(obs.TelemetrySpec(metrics=True, shard_dir=str(tmp_path)))
+    telemetry.recorder.metrics.inc("experiment.ok")
+    telemetry.flush()
+    (shard,) = tmp_path.glob("shard-*.json")
+    assert shard.name.startswith(f"shard-v{SHARD_VERSION}-{os.getpid()}-")
 
-    doc = recorder.snapshot_doc()
+    doc = telemetry.recorder.snapshot_doc()
     # legacy unversioned filename from an older schema
     (tmp_path / "shard-4242-1.json").write_text(json.dumps(doc))
     # foreign schema version in the filename
@@ -358,14 +359,12 @@ def test_scan_shards_skips_stale_and_counts_them(tmp_path):
     (tmp_path / f"shard-v{SHARD_VERSION}-{doc['pid']}-2.json").write_text(
         json.dumps(mismatched)
     )
-    # corrupt shard: skipped silently, never counted as stale
+    # corrupt shard (a writer died mid-write): stale under the same rule
     (tmp_path / f"shard-v{SHARD_VERSION}-55-3.json").write_text("{trunc")
 
     docs, stale = obs.scan_shards(tmp_path)
     assert len(docs) == 1 and docs[0]["pid"] == os.getpid()
-    assert stale == 3
-    # the compatibility shim drops the count but not the filtering
-    assert len(obs.load_shards(tmp_path)) == 1
+    assert stale == 4
 
 
 # ----------------------------------------------------------------------

@@ -14,9 +14,11 @@ import multiprocessing
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.obs import audit
 from repro.obs.metrics import MAX_HISTOGRAM_SAMPLES, Histogram, MetricsRegistry
 from repro.obs.schema import check, validate
 
@@ -29,9 +31,14 @@ def load_schema(name: str) -> dict:
 
 @pytest.fixture(autouse=True)
 def telemetry_off_after_test():
-    """Never leak a process-global recorder into the next test."""
+    """Never leak process-global telemetry into the next test."""
     yield
-    obs.disable()
+    obs.uninstall()
+
+
+def install_recorder(**spec) -> obs.TelemetryRecorder:
+    """Install telemetry with the metrics channel on; its recorder."""
+    return obs.install(obs.Telemetry(obs.TelemetrySpec(metrics=True, **spec))).recorder
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +132,7 @@ def test_merge_skips_summary_only_histograms():
 def test_merge_shards_sorts_events_and_processes(tmp_path):
     docs = []
     for pid, process in [(30, "worker"), (10, "main"), (20, "worker")]:
-        recorder = obs.TelemetryRecorder(process=process, shard_dir=tmp_path)
+        recorder = obs.TelemetryRecorder(process=process)
         recorder.pid = pid  # simulate distinct processes in one test
         with recorder.span("unit.phase", {"pid": pid}):
             pass
@@ -142,20 +149,57 @@ def test_merge_shards_sorts_events_and_processes(tmp_path):
 
 
 def test_shard_flush_and_load_round_trip(tmp_path):
-    recorder = obs.TelemetryRecorder(process="worker", shard_dir=tmp_path)
-    with recorder.span("unit.work", {"part": 1}):
-        recorder.metrics.inc("unit.tasks")
-    path = recorder.flush()
-    assert path is not None and path.exists()
+    telemetry = obs.Telemetry(
+        obs.TelemetrySpec(metrics=True, shard_dir=str(tmp_path)), process="worker"
+    )
+    with telemetry.recorder.span("unit.work", {"part": 1}):
+        telemetry.recorder.metrics.inc("unit.tasks")
+    telemetry.flush()
+    (path,) = tmp_path.glob("shard-*.json")
     # flushing again rewrites the same shard (cumulative, idempotent)
-    assert recorder.flush() == path
+    telemetry.flush()
+    assert list(tmp_path.glob("shard-*.json")) == [path]
 
     (tmp_path / "shard-9999-1.json").write_text("{ truncated")  # dead worker
-    docs = obs.load_shards(tmp_path)
-    assert len(docs) == 1  # the corrupt shard is skipped, not fatal
+    docs, stale = obs.scan_shards(tmp_path)
+    assert len(docs) == 1 and stale == 1  # the corrupt shard is skipped, not fatal
     registry, _, _, _ = obs.merge_shards(docs)
     assert registry.counters["unit.tasks"] == 1
     assert registry.histograms["span.unit.work.s"].count == 1
+
+
+def test_truncated_json_and_npz_shards_count_as_stale(tmp_path):
+    telemetry = obs.Telemetry(obs.TelemetrySpec(
+        metrics=True, audit_policy="full", shard_dir=str(tmp_path),
+    ))
+    run = telemetry.audit.begin_run(
+        kind="scheme", scheme="unit", benchmark="b", corner="NTC",
+        base_cycles=8, clock_period=1000.0, hold_constraint=120.0,
+    )
+    run.decision(3, 2, audit.DEC_DETECT, penalty=5)
+    run.finish()
+    telemetry.flush()
+    # one name, both encodings
+    (json_shard,) = tmp_path.glob("shard-*.json")
+    (npz_shard,) = tmp_path.glob("shard-*.npz")
+    assert json_shard.stem == npz_shard.stem
+    # a worker that died mid-write under a current-version name, once
+    # per encoding: unreadable files are stale under one rule
+    name = f"shard-v{obs.SHARD_VERSION}-{telemetry.pid}-1"
+    (tmp_path / f"{name}.json").write_text(json_shard.read_text()[:20])
+    (tmp_path / f"{name}.npz").write_bytes(npz_shard.read_bytes()[:40])
+
+    docs, stale = obs.scan_shards(tmp_path)
+    assert len(docs) == 1 and stale == 1
+    audit_docs, audit_stale = audit.scan_audit_shards(str(tmp_path))
+    assert len(audit_docs) == 1 and audit_stale == 1
+
+    merged = obs.Telemetry(obs.TelemetrySpec(
+        metrics=True, audit_policy="full", shard_dir=str(tmp_path),
+    )).merge()
+    assert merged.stale == 2
+    assert merged.metrics["counters"]["obs.stale_shards_skipped"] == 2
+    assert [r["scheme"] for r in merged.audit_runs] == ["unit"]
 
 
 def test_determinism_view_drops_schedule_dependent_families():
@@ -180,7 +224,7 @@ def test_determinism_view_drops_schedule_dependent_families():
 # ----------------------------------------------------------------------
 
 def test_span_records_event_histogram_and_counter():
-    recorder = obs.enable(obs.TelemetryRecorder(process="main"))
+    recorder = install_recorder()
     with obs.span("unit.step", attempt=1, mode=None):
         obs.inc("unit.seen")
     events = [e for e in recorder.events if e["ph"] == "X"]
@@ -195,7 +239,7 @@ def test_span_records_event_histogram_and_counter():
 
 
 def test_trace_document_conforms_to_checked_in_schema():
-    recorder = obs.enable(obs.TelemetryRecorder(process="main"))
+    recorder = install_recorder()
     with obs.span("unit.outer", label="x"):
         with obs.span("unit.inner"):
             pass
@@ -207,7 +251,7 @@ def test_trace_document_conforms_to_checked_in_schema():
 
 
 def test_metrics_document_conforms_to_checked_in_schema():
-    recorder = obs.enable(obs.TelemetryRecorder(process="main"))
+    recorder = install_recorder()
     with obs.span("unit.step"):
         obs.inc("unit.seen", experiment="fig3_4")
         obs.gauge("unit.peak", 3.5)
@@ -218,9 +262,7 @@ def test_metrics_document_conforms_to_checked_in_schema():
 
 
 def test_profiling_keeps_top_n_outermost_spans():
-    recorder = obs.enable(
-        obs.TelemetryRecorder(process="main", profile=True, profile_top=2)
-    )
+    recorder = install_recorder(profile=True, profile_top=2)
     for duration in (0.03, 0.01, 0.02):
         with obs.span("unit.timed", ms=duration):
             with obs.span("unit.nested"):  # must not be profiled
@@ -233,7 +275,7 @@ def test_profiling_keeps_top_n_outermost_spans():
 
 
 def test_profiling_off_keeps_nothing():
-    recorder = obs.enable(obs.TelemetryRecorder(process="main"))
+    recorder = install_recorder()
     with obs.span("unit.step"):
         pass
     assert recorder.profiles == []
@@ -244,22 +286,24 @@ def test_profiling_off_keeps_nothing():
 # ----------------------------------------------------------------------
 
 def test_ensure_worker_replaces_inherited_recorder(tmp_path):
-    inherited = obs.enable(obs.TelemetryRecorder(process="main"))
+    inherited = obs.install(obs.Telemetry(obs.TelemetrySpec(metrics=True)))
     inherited.pid = inherited.pid + 1  # simulate a fork-inherited parent
-    fresh = obs.ensure_worker(str(tmp_path))
+    spec = obs.TelemetrySpec(metrics=True, audit_policy="full", shard_dir=str(tmp_path))
+    fresh = obs.ensure_worker(spec)
     assert fresh is not inherited
-    assert fresh is obs.get_recorder()
-    assert fresh.process == "worker"
+    assert fresh is obs.active() and fresh.spec == spec
+    assert fresh.recorder.process == "worker"
+    assert obs.enabled() and audit.get() is fresh.audit
     # a second call in the same process is a no-op
-    assert obs.ensure_worker(str(tmp_path)) is fresh
+    assert obs.ensure_worker(spec) is fresh
 
 
 def test_ensure_worker_discards_foreign_recorder_when_off(tmp_path):
-    inherited = obs.enable(obs.TelemetryRecorder(process="main"))
+    inherited = obs.install(obs.Telemetry(obs.TelemetrySpec(metrics=True)))
     inherited.pid = inherited.pid + 1
-    assert obs.ensure_worker(None) is None
-    assert obs.get_recorder() is None
-    obs.flush_worker()  # must be safe with no recorder installed
+    assert obs.ensure_worker(obs.TelemetrySpec()) is None
+    assert obs.active() is None and not obs.enabled()
+    obs.flush_worker()  # must be safe with no telemetry installed
 
 
 # ----------------------------------------------------------------------
@@ -329,23 +373,44 @@ pytest_fork = pytest.mark.skipif(
 
 
 def run_cli_with_telemetry(tmp_path, name, jobs):
+    """One CLI run with all four channels on: metrics, spans, events, audit."""
     from repro.experiments.__main__ import main
 
     metrics = tmp_path / f"metrics-{name}.json"
     trace = tmp_path / f"trace-{name}.json"
+    events = tmp_path / f"events-{name}.jsonl"
+    stream = tmp_path / f"audit-{name}.npz"
     code = main([
         "fig3_4", "tab3_ovh", "tab4_ovh", "--fast", "--cycles", "200",
         "--jobs", str(jobs), "--checkpoint-dir", str(tmp_path / f"ckpt-{name}"),
         "--metrics-out", str(metrics), "--trace-out", str(trace),
+        "--events-out", str(events), "--audit-out", str(stream),
     ])
     assert code == 0
-    return json.loads(metrics.read_text()), json.loads(trace.read_text())
+    # no channel is still installed after main() returns
+    assert obs.active() is None
+    assert not (obs.enabled() or obs.events_enabled() or audit.enabled())
+    return (
+        json.loads(metrics.read_text()),
+        json.loads(trace.read_text()),
+        obs.read_events(events),
+        audit.load_audit(str(stream)),
+    )
+
+
+def result_events(events: list[dict]) -> list[tuple]:
+    """Per-experiment ``result`` events without wall-clock/worker fields."""
+    return sorted((e["experiment"], e["status"]) for e in events if e["kind"] == "result")
 
 
 @pytest_fork
 def test_cli_metrics_are_schedule_invariant_and_schema_valid(tmp_path, capsys):
-    serial_metrics, serial_trace = run_cli_with_telemetry(tmp_path, "serial", 1)
-    fleet_metrics, fleet_trace = run_cli_with_telemetry(tmp_path, "fleet", 4)
+    serial_metrics, serial_trace, serial_events, serial_audit = run_cli_with_telemetry(
+        tmp_path, "serial", 1
+    )
+    fleet_metrics, fleet_trace, fleet_events, fleet_audit = run_cli_with_telemetry(
+        tmp_path, "fleet", 4
+    )
 
     # the documented determinism guarantee: --jobs 1 and --jobs 4 agree
     # on every schedule-invariant counter, bit for bit
@@ -360,6 +425,19 @@ def test_cli_metrics_are_schedule_invariant_and_schema_valid(tmp_path, capsys):
     # the fleet run really merged worker shards: >1 process contributed
     assert len(fleet_metrics["processes"]) > 1
     assert {p["process"] for p in fleet_metrics["processes"]} == {"main", "worker"}
+
+    # the decision stream: same runs, digests and columns on both schedules
+    assert serial_audit["runs"]
+    assert [audit._run_key(r) for r in serial_audit["runs"]] == [
+        audit._run_key(r) for r in fleet_audit["runs"]
+    ]
+    for serial_run, fleet_run in zip(serial_audit["runs"], fleet_audit["runs"]):
+        for column, _dtype in audit.COLUMNS:
+            assert np.array_equal(serial_run["columns"][column], fleet_run["columns"][column])
+
+    # the event stream: one result per experiment, same outcome
+    assert result_events(serial_events) == result_events(fleet_events)
+    assert [e for e, _ in result_events(serial_events)] == ["fig3_4", "tab3_ovh", "tab4_ovh"]
 
     # the terminal summary table rendered for the human
     out = capsys.readouterr().out

@@ -294,3 +294,15 @@ def test_prefetch_fills_store_and_experiments_hit_it(tmp_path):
     assert report.ok
     assert run_stats.hits >= 1  # the experiment resumed from the prefetch
     assert run_stats.stores == 0  # nothing was recomputed
+
+
+def test_default_jobs_counts_usable_cpus(monkeypatch):
+    from repro.runtime import parallel
+
+    # a run pinned to 3 CPUs of a 64-CPU host gets 3 workers, not 64
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+    assert parallel.default_jobs() == 3
+    # platforms without affinity fall back to the CPU count
+    monkeypatch.delattr(parallel.os, "sched_getaffinity")
+    assert parallel.default_jobs() == 64
