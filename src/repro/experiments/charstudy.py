@@ -116,16 +116,14 @@ def collect_choke_events(
     if len(over) > max_tracebacks:
         picks = np.linspace(0, len(over) - 1, max_tracebacks).astype(int)
         order = order[picks]
-    events: list[ChokeEvent] = []
-    for index in over[order]:
-        event = analyze_choke_event(
-            circuit,
-            chip,
-            inputs[:, index],
-            inputs[:, index + 1],
-            nominal_critical,
-            ratio_threshold=ratio_threshold,
-        )
-        if event is not None:
-            events.append(event)
-    return events
+    picks = over[order]
+    # One pair-form propagation times every pick of this (chip, op).
+    events = analyze_choke_event(
+        circuit,
+        chip,
+        inputs[:, picks],
+        inputs[:, picks + 1],
+        nominal_critical,
+        ratio_threshold=ratio_threshold,
+    )
+    return [event for event in events if event is not None]

@@ -122,10 +122,29 @@ def _plru_first_touch(_original):
 
 
 def _drop_choke_event(_original):
-    def analyze_choke_event(*args, **kwargs):
-        return None  # every choke event silently discarded
+    def analyze_choke_event(circuit, chip, vector_prev, *args, **kwargs):
+        # every choke event silently discarded, in either call form
+        if np.ndim(vector_prev) == 2:
+            return [None] * np.shape(vector_prev)[1]
+        return None
 
     return analyze_choke_event
+
+
+def _adjacent_toggles(_original):
+    from repro.timing import dta
+    from repro.timing.logic_eval import evaluate_logic
+
+    def pair_arrivals(circuit, prev, curr, delays):
+        # treats the pairs as a stream: pair k's initialising vector is
+        # taken to be pair k-1's sensitising one
+        stream = np.concatenate([prev[:, :1], curr], axis=1)
+        values = evaluate_logic(circuit, stream)
+        toggled = values[:, 1:] != values[:, :-1]
+        late, early = dta._propagate_arrivals(circuit, toggled, delays)
+        return late, early, toggled
+
+    return pair_arrivals
 
 
 def _load_without_checksum(_original):
@@ -229,6 +248,14 @@ MUTANTS: dict[str, Mutant] = {
             target=("repro.timing.dta", "batch_cycle_timings"),
             build=_batch_drift,
             oracles=("batch_vs_scalar",),
+        ),
+        Mutant(
+            name="pair-adjacent-toggle",
+            description="pair-form DTA toggles between adjacent columns "
+            "instead of within each (prev, curr) pair",
+            target=("repro.timing.dta", "pair_arrivals"),
+            build=_adjacent_toggles,
+            oracles=("pair_vs_single",),
         ),
         Mutant(
             name="classify-drop-ce",

@@ -164,13 +164,32 @@ def _check_dta_vs_reference(case: dict[str, int]) -> list[str]:
     return violations
 
 
+def pair_cycle_timings(circuit, inputs: np.ndarray, delays: np.ndarray) -> dta.CycleTimings:
+    """The exact per-pair comparator of the stream kernel.
+
+    Times a stream as its adjacent pairs through ``dta.pair_arrivals``
+    (no windows, no seams, no chip axis) and reduces over the primary
+    outputs here, independently of ``batch_cycle_timings``.  Exact, not
+    toleranced: every element must match the stream kernel bit for bit.
+    """
+    inputs = np.asarray(inputs, dtype=bool)
+    late, early, toggled = dta.pair_arrivals(circuit, inputs[:, :-1], inputs[:, 1:], delays)
+    out_ids = circuit.output_ids
+    out_late = late[out_ids].max(axis=0)
+    return dta.CycleTimings(
+        t_late=np.where(np.isfinite(out_late), out_late, np.float32(0.0)),
+        t_early=early[out_ids].min(axis=0),
+        output_toggles=toggled[out_ids].sum(axis=0, dtype=np.int32),
+    )
+
+
 def _check_batch_vs_scalar(case: dict[str, int]) -> list[str]:
-    """The population kernel must be *bit-identical* to the scalar path.
+    """The population kernel must be *bit-identical* to the per-pair path.
 
     Stricter than :func:`_check_dta_vs_reference`'s toleranced compare:
     every chip row of ``batch_cycle_timings`` and the thin single-chip
-    view must equal ``scalar_cycle_timings`` (the kept pre-batching
-    implementation) exactly, element for element.
+    view must equal :func:`pair_cycle_timings` (the stream timed as its
+    adjacent pairs) exactly, element for element.
     """
     netlist = _materialize_netlist(case)
     circuit = levelize(netlist)
@@ -190,27 +209,72 @@ def _check_batch_vs_scalar(case: dict[str, int]) -> list[str]:
         ]
     violations: list[str] = []
     for index, delays in enumerate(rows):
-        scalar = dta.scalar_cycle_timings(circuit, inputs, delays, chunk=chunk)
+        pairs = pair_cycle_timings(circuit, inputs, delays)
         row = batch.chip(index)
         for field_name in ("t_late", "t_early", "output_toggles"):
-            if not np.array_equal(
-                getattr(row, field_name), getattr(scalar, field_name)
-            ):
+            if not np.array_equal(getattr(row, field_name), getattr(pairs, field_name)):
                 violations.append(
                     f"chip {index}: batch {field_name} is not bit-identical "
-                    f"to the scalar kernel"
+                    f"to the per-pair path"
                 )
                 break
         thin = dta.cycle_timings(circuit, inputs, delays, chunk=chunk)
         if not (
-            np.array_equal(thin.t_late, scalar.t_late)
-            and np.array_equal(thin.t_early, scalar.t_early)
-            and np.array_equal(thin.output_toggles, scalar.output_toggles)
+            np.array_equal(thin.t_late, pairs.t_late)
+            and np.array_equal(thin.t_early, pairs.t_early)
+            and np.array_equal(thin.output_toggles, pairs.output_toggles)
         ):
             violations.append(
                 f"chip {index}: single-chip view is not bit-identical to "
-                f"the scalar kernel"
+                f"the per-pair path"
             )
+    return violations
+
+
+def _check_pair_vs_single(case: dict[str, int]) -> list[str]:
+    """K independent pairs in one ``pair_arrivals`` call vs K single calls.
+
+    The pairs are drawn from a small vector pool, so they are not
+    adjacent columns of any stream; the last pair is forced to
+    prev == curr and, for K >= 3, the second repeats the first.  Every
+    column must be bit-identical to ``single_transition_arrivals`` on
+    its pair, and column 0 must match the scalar reference (toleranced).
+    """
+    netlist = _materialize_netlist(case)
+    circuit = levelize(netlist)
+    delays = circuits.random_gate_delays(netlist, case_rng(case, "delays"))
+    rng = case_rng(case, "vectors")
+    pool = rng.integers(0, 2, size=(len(netlist.input_ids), case["pool"])).astype(bool)
+    num_pairs = case["num_pairs"]
+    prev_idx = rng.integers(0, case["pool"], size=num_pairs)
+    curr_idx = rng.integers(0, case["pool"], size=num_pairs)
+    curr_idx[-1] = prev_idx[-1]
+    if num_pairs >= 3:
+        prev_idx[1], curr_idx[1] = prev_idx[0], curr_idx[0]
+    prev, curr = pool[:, prev_idx], pool[:, curr_idx]
+
+    late, early, toggled = dta.pair_arrivals(circuit, prev, curr, delays)
+    shape = (netlist.num_nodes, num_pairs)
+    if late.shape != shape or early.shape != shape or toggled.shape != shape:
+        return [f"pair_arrivals shapes {late.shape}/{early.shape}/{toggled.shape} != {shape}"]
+    violations: list[str] = []
+    for column in range(num_pairs):
+        single = dta.single_transition_arrivals(circuit, prev[:, column], curr[:, column], delays)
+        for name, got, want in zip(("late", "early", "toggled"), (late, early, toggled), single):
+            if not np.array_equal(got[:, column], want):
+                violations.append(
+                    f"pair {column} ({int(prev_idx[column])} -> {int(curr_idx[column])}): "
+                    f"{name} is not bit-identical to the single-pair path"
+                )
+    ref_late, ref_early, ref_toggled = reference.reference_transition_arrivals(
+        netlist, prev[:, 0], curr[:, 0], delays
+    )
+    for node_id in range(netlist.num_nodes):
+        same = bool(toggled[node_id, 0]) == ref_toggled[node_id]
+        same = same and _close(float(late[node_id, 0]), ref_late[node_id])
+        if not (same and _close(float(early[node_id, 0]), ref_early[node_id])):
+            violations.append(f"pair 0 node {node_id}: arrivals disagree with the reference")
+            break
     return violations
 
 
@@ -1092,7 +1156,7 @@ ORACLES: dict[str, Oracle] = {
         ),
         Oracle(
             name="batch_vs_scalar",
-            description="population batch kernel bit-identical to the scalar DTA path",
+            description="population batch kernel bit-identical to the per-pair DTA path",
             params={
                 **_NETLIST_PARAMS,
                 "num_vectors": Param(2, 10),
@@ -1101,6 +1165,18 @@ ORACLES: dict[str, Oracle] = {
             },
             check=_check_batch_vs_scalar,
             cost=3.0,
+        ),
+        Oracle(
+            name="pair_vs_single",
+            description="pair-form DTA over K independent pairs bit-identical "
+            "to K single-pair calls",
+            params={
+                **_NETLIST_PARAMS,
+                "pool": Param(2, 6),
+                "num_pairs": Param(2, 12),
+            },
+            check=_check_pair_vs_single,
+            cost=2.5,
         ),
         Oracle(
             name="classify_partition",

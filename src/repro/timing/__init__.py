@@ -4,7 +4,8 @@
   consumed by the vectorised engines,
 * :mod:`repro.timing.logic_eval` -- batch boolean evaluation,
 * :mod:`repro.timing.dta` -- dynamic timing analysis: per-cycle sensitised
-  max/min transition arrival times for vector pairs,
+  max/min transition arrival times for vector streams and independent
+  vector pairs,
 * :mod:`repro.timing.sta` -- static longest/shortest path analysis,
 * :mod:`repro.timing.paths` -- path extraction and trace-back,
 * :mod:`repro.timing.choke` -- choke-point analytics (CDL, CGL, choke
@@ -13,7 +14,12 @@
 
 from repro.timing.levelize import LevelizedCircuit, levelize
 from repro.timing.logic_eval import evaluate_logic
-from repro.timing.dta import CycleTimings, cycle_timings, single_transition_arrivals
+from repro.timing.dta import (
+    CycleTimings,
+    cycle_timings,
+    pair_arrivals,
+    single_transition_arrivals,
+)
 from repro.timing.sta import (
     arrival_times,
     critical_path_delay,
@@ -43,6 +49,7 @@ __all__ = [
     "evaluate_logic",
     "levelize",
     "output_arrivals",
+    "pair_arrivals",
     "shortest_path_delay",
     "single_transition_arrivals",
     "timing_report",

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro import obs
 from repro.pv.chip import ChipSample
-from repro.timing.dta import single_transition_arrivals
+from repro.timing.dta import pair_arrivals
 from repro.timing.levelize import LevelizedCircuit
 from repro.timing.paths import Path, trace_dynamic_path
 
@@ -121,19 +121,53 @@ def analyze_choke_event(
     vector_curr: np.ndarray,
     nominal_critical_delay: float,
     ratio_threshold: float = 1.5,
-) -> ChokeEvent | None:
-    """Analyse one vector pair for a choke event on ``chip``.
+) -> ChokeEvent | None | list[ChokeEvent | None]:
+    """Analyse vector pairs for choke events on ``chip``.
 
-    Runs node-resolved dynamic timing for the transition, and if the
+    Runs node-resolved dynamic timing for each transition, and where the
     sensitised critical delay exceeds the PV-free critical path delay,
-    traces the sensitised path and measures CDL/CGL.  Returns ``None``
-    when no choke path was created.
+    traces the sensitised path and measures CDL/CGL.
+
+    With 1-D vectors this analyses one pair and returns its
+    :class:`ChokeEvent`, or ``None`` when no choke path was created.
+    With ``(num_inputs, K)`` matrices every column is one pair: all K
+    are timed in a single :func:`~repro.timing.dta.pair_arrivals`
+    propagation and the result is a list of K ``ChokeEvent | None``.
     """
     if nominal_critical_delay <= 0:
         raise ValueError("nominal_critical_delay must be positive")
-    late, _early, toggled = single_transition_arrivals(
-        circuit, vector_prev, vector_curr, chip.delays
-    )
+    prev = np.asarray(vector_prev, dtype=bool)
+    curr = np.asarray(vector_curr, dtype=bool)
+    single = prev.ndim == 1
+    if single:
+        prev, curr = prev[:, None], curr[:, None]
+    late, _early, toggled = pair_arrivals(circuit, prev, curr, chip.delays)
+    num_gates = max(circuit.netlist.num_gates, 1)
+    events = [
+        _choke_event(
+            circuit,
+            chip,
+            late[:, column],
+            toggled[:, column],
+            nominal_critical_delay,
+            ratio_threshold,
+            num_gates,
+        )
+        for column in range(late.shape[1])
+    ]
+    return events[0] if single else events
+
+
+def _choke_event(
+    circuit: LevelizedCircuit,
+    chip: ChipSample,
+    late: np.ndarray,
+    toggled: np.ndarray,
+    nominal_critical_delay: float,
+    ratio_threshold: float,
+    num_gates: int,
+) -> ChokeEvent | None:
+    """Trace back one pair's node-resolved arrivals into a choke event."""
     out_ids = circuit.output_ids
     out_late = late[out_ids]
     if not np.isfinite(out_late).any():
@@ -147,15 +181,14 @@ def analyze_choke_event(
     if category is None:
         return None
 
-    netlist = circuit.netlist
-    path = trace_dynamic_path(netlist, late, chip.delays, worst_output, toggled)
+    path = trace_dynamic_path(circuit.netlist, late, chip.delays, worst_output, toggled)
     choke_ids = choke_gates_on_path(path, chip, ratio_threshold)
     if not choke_ids:
         # The excess delay is not attributable to PV-affected gates (e.g.
         # accumulated mild variation); the paper's choke definition
         # requires a dominating affected gate group.
         return None
-    cgl = len(choke_ids) / max(netlist.num_gates, 1) * 100.0
+    cgl = len(choke_ids) / num_gates * 100.0
     if obs.enabled():
         # Per-chip choke histogram: CDL/CGL samples labelled by the
         # chip's fabrication seed, plus a category counter per the

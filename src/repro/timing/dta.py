@@ -28,9 +28,17 @@ chip, and the arrival propagation broadcasts a ``(num_chips, num_nodes)``
 delay matrix over a chip axis: the inner loop is levels x gate-kinds
 (driven by the packed :class:`~repro.timing.levelize.GateTable`), not
 chips x levels x gates.  The single-chip :func:`cycle_timings` is a thin
-view over the batch kernel -- same code path, population of one -- so
-scalar and batched results are bit-identical by construction (and that
-identity is enforced by the ``batch_vs_scalar`` QA oracle).
+view over the batch kernel -- same code path, population of one.
+
+The pair form :func:`pair_arrivals` times K independent (prev, curr)
+vector pairs in one propagation and keeps every node's arrivals; the
+choke trace-back reads its columns.  Both forms share
+:func:`_propagate_arrivals`, which takes toggle masks rather than logic
+values: the stream kernel's toggles are adjacent columns, the pair
+form's are ``curr != prev``.  The ``batch_vs_scalar`` QA oracle holds
+the stream kernel bit-identical to the adjacent-pair case of the pair
+form, and ``pair_vs_single`` holds each pair column bit-identical to a
+K = 1 call.
 """
 
 from __future__ import annotations
@@ -132,22 +140,23 @@ ERR_CE = 3
 
 def _propagate_arrivals(
     circuit: LevelizedCircuit,
-    values: np.ndarray,
+    toggled: np.ndarray,
     delays: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Latest/earliest transition arrivals for each adjacent vector pair.
+    """Latest/earliest transition arrivals for each column of ``toggled``.
 
-    ``values`` is (num_nodes, C).  With a 1-D ``delays`` vector the
-    result matrices are (num_nodes, C-1); with a 2-D ``(num_chips,
-    num_nodes)`` delay matrix they gain a chip axis, (num_nodes,
-    num_chips, C-1).  Column ``t`` describes the vector-t -> vector-t+1
-    transition; non-toggling nodes hold -inf / +inf.  Both modes run
-    the identical element-wise float32 operations, so a population row
-    is bit-identical to the corresponding single-chip run.
+    ``toggled`` is a boolean (num_nodes, T) matrix: column ``t`` marks
+    the nodes whose stable value changes in transition ``t``.  The
+    kernel never looks at logic values, so it serves a vector stream
+    (adjacent columns) and independent vector pairs alike.  With a 1-D
+    ``delays`` vector the result matrices are (num_nodes, T); with a
+    2-D ``(num_chips, num_nodes)`` delay matrix they gain a chip axis,
+    (num_nodes, num_chips, T).  Non-toggling nodes hold -inf / +inf.
+    Both modes run the identical element-wise float32 operations, so a
+    population row is bit-identical to the corresponding single-chip run.
     """
     delays32 = np.asarray(delays).astype(np.float32, copy=False)
     batched = delays32.ndim == 2
-    toggled = values[:, 1:] != values[:, :-1]
     num_nodes, transitions = toggled.shape
     if batched:
         shape: tuple[int, ...] = (num_nodes, delays32.shape[0], transitions)
@@ -262,11 +271,16 @@ def batch_cycle_timings(
                 fresh = evaluate_logic(circuit, inputs[:, start + 1 : stop + 1])
                 values = np.concatenate([boundary, fresh], axis=1)
             boundary = values[:, -1:]
-            late, early = _propagate_arrivals(circuit, values, delays32)
+            # A stream is the adjacent-pair case: vector t -> vector t+1.
+            toggled = values[:, 1:] != values[:, :-1]
+            late, early = _propagate_arrivals(circuit, toggled, delays32)
             # (num_outputs, num_chips, T) -> reduce over the output axis.
             out_late = late[out_ids].max(axis=0)
             out_early = early[out_ids].min(axis=0)
-            out_toggled = (values[out_ids, 1:] != values[out_ids, :-1]).sum(axis=0)
+            out_toggled = toggled[out_ids].sum(axis=0)
+            # Only the output rows outlive the window: free the
+            # node-resolved matrices before the next window allocates.
+            del toggled, late, early
             # No output transition: nothing arrives, so nothing is late and
             # nothing violates hold.
             t_late[:, start:stop] = np.where(np.isfinite(out_late), out_late, 0.0)
@@ -306,46 +320,39 @@ def cycle_timings(
     return batch.chip(0)
 
 
-def scalar_cycle_timings(
+def pair_arrivals(
     circuit: LevelizedCircuit,
-    inputs: np.ndarray,
+    prev: np.ndarray,
+    curr: np.ndarray,
     delays: np.ndarray,
-    chunk: int = 2048,
-) -> CycleTimings:
-    """The pre-batching single-chip implementation, kept as a comparator.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node-resolved arrivals for K independent vector pairs.
 
-    Windows re-run logic evaluation over ``chunk + 1`` columns and the
-    propagation runs without a chip axis.  The ``batch_vs_scalar`` QA
-    oracle and the kernel-parity CI step diff :func:`batch_cycle_timings`
-    against this path; production code should call :func:`cycle_timings`.
+    ``prev`` and ``curr`` have shape (num_primary_inputs, K); column
+    ``k`` is the transition ``prev[:, k] -> curr[:, k]``.  Unlike the
+    stream kernel, toggles come from each (prev, curr) pair, never from
+    adjacent columns, so the pairs need not share vectors (a stream of
+    C vectors is the adjacent-pair case ``pair_arrivals(inputs[:, :-1],
+    inputs[:, 1:])``).  Logic is evaluated once over all 2K vectors and
+    the arrivals of every pair run through one propagation.
+
+    Returns ``(late, early, toggled)``, each (num_nodes, K); column
+    ``k`` is bit-identical to :func:`single_transition_arrivals` on
+    that pair.
     """
-    inputs = np.asarray(inputs, dtype=bool)
-    total = inputs.shape[1]
-    if total < 2:
-        raise ValueError("need at least two input vectors")
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
-
-    out_ids = circuit.output_ids
-    t_late = np.empty(total - 1, dtype=np.float32)
-    t_early = np.empty(total - 1, dtype=np.float32)
-    toggles = np.empty(total - 1, dtype=np.int32)
-
-    start = 0
-    while start < total - 1:
-        stop = min(start + chunk, total - 1)
-        window = inputs[:, start : stop + 1]
-        values = evaluate_logic(circuit, window)
-        late, early = _propagate_arrivals(circuit, values, delays)
-        out_late = late[out_ids].max(axis=0)
-        out_early = early[out_ids].min(axis=0)
-        out_toggled = (values[out_ids, 1:] != values[out_ids, :-1]).sum(axis=0)
-        t_late[start:stop] = np.where(np.isfinite(out_late), out_late, 0.0)
-        t_early[start:stop] = out_early
-        toggles[start:stop] = out_toggled
-        start = stop
-
-    return CycleTimings(t_late=t_late, t_early=t_early, output_toggles=toggles)
+    prev = np.asarray(prev, dtype=bool)
+    curr = np.asarray(curr, dtype=bool)
+    if prev.ndim != 2 or prev.shape != curr.shape:
+        raise ValueError(
+            f"prev/curr must be matching (num_inputs, K) matrices, "
+            f"got {prev.shape} and {curr.shape}"
+        )
+    pairs = prev.shape[1]
+    obs.inc("dta.single_transitions", pairs)
+    values = evaluate_logic(circuit, np.concatenate([prev, curr], axis=1))
+    toggled = values[:, pairs:] != values[:, :pairs]
+    late, early = _propagate_arrivals(circuit, toggled, delays)
+    return late, early, toggled
 
 
 def single_transition_arrivals(
@@ -354,17 +361,15 @@ def single_transition_arrivals(
     vector_curr: np.ndarray,
     delays: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node-resolved arrivals for one vector pair.
+    """Node-resolved arrivals for one vector pair: :func:`pair_arrivals`
+    with K = 1.
 
-    Returns ``(late, early, toggled)`` arrays over all nodes; used by the
-    choke-path trace-back, which needs per-node (not aggregate) timing.
+    Returns ``(late, early, toggled)`` arrays over all nodes.
     """
-    obs.inc("dta.single_transitions")
-    inputs = np.stack(
-        [np.asarray(vector_prev, dtype=bool), np.asarray(vector_curr, dtype=bool)],
-        axis=1,
+    late, early, toggled = pair_arrivals(
+        circuit,
+        np.asarray(vector_prev, dtype=bool)[:, None],
+        np.asarray(vector_curr, dtype=bool)[:, None],
+        delays,
     )
-    values = evaluate_logic(circuit, inputs)
-    late, early = _propagate_arrivals(circuit, values, delays)
-    toggled = values[:, 1] != values[:, 0]
-    return late[:, 0], early[:, 0], toggled
+    return late[:, 0], early[:, 0], toggled[:, 0]

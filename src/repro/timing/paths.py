@@ -87,8 +87,8 @@ def trace_dynamic_path(
 ) -> Path:
     """The sensitised path realising a dynamic late arrival at ``endpoint``.
 
-    ``late_arrivals``/``toggled`` come from
-    :func:`repro.timing.dta.single_transition_arrivals`.
+    ``late_arrivals``/``toggled`` are one column of
+    :func:`repro.timing.dta.pair_arrivals`.
     """
     if not toggled[endpoint]:
         raise ValueError(f"endpoint {endpoint} did not toggle")

@@ -1,8 +1,9 @@
-"""Batched DTA kernel: batch/scalar parity and the shared-memory hand-off.
+"""Batched DTA kernel: batch/per-pair parity and the shared-memory hand-off.
 
 The batch kernel's contract is *bit-identity*: ``batch_cycle_timings``
-row ``i`` must equal the pre-batching scalar path on chip ``i`` exactly,
-for every chunking, population size, and degenerate shape.  The
+row ``i`` must equal the stream timed as its adjacent pairs
+(``pair_cycle_timings``) on chip ``i`` exactly, for every chunking,
+population size, and degenerate shape.  The
 shared-memory tests pin the lifecycle rules: a crashing worker must
 never take the parent's segments down with it, and readers must degrade
 to ``None`` instead of raising when a segment is gone.
@@ -18,8 +19,9 @@ import pytest
 from repro.pv.chip import delay_matrix
 from repro.pv.delaymodel import NTC
 from repro.pv.montecarlo import fabricate_population
+from repro.qa.oracles import pair_cycle_timings
 from repro.runtime.shm import ArraySpec, ShmCatalog, ShmPublisher, ShmReader
-from repro.timing.dta import batch_cycle_timings, cycle_timings, scalar_cycle_timings
+from repro.timing.dta import batch_cycle_timings, cycle_timings
 from repro.timing.levelize import levelize
 from tests.util import chain_circuit as _chain_circuit
 from tests.util import random_gate_delays, random_netlist
@@ -39,7 +41,7 @@ def _assert_chip_equal(batch, index, reference):
 
 
 # ----------------------------------------------------------------------
-# batch vs scalar parity
+# batch vs per-pair parity
 # ----------------------------------------------------------------------
 
 
@@ -55,7 +57,7 @@ def test_batch_matches_scalar_on_random_population(seed):
     assert batch.t_late.shape == (4, 39)
     assert batch.t_early.shape == (4, 39)
     for i, delays in enumerate(rows):
-        _assert_chip_equal(batch, i, scalar_cycle_timings(circuit, inputs, delays))
+        _assert_chip_equal(batch, i, pair_cycle_timings(circuit, inputs, delays))
 
 
 def test_batch_matches_scalar_on_fabricated_population(alu8, alu8_circuit):
@@ -63,19 +65,19 @@ def test_batch_matches_scalar_on_fabricated_population(alu8, alu8_circuit):
     inputs = _random_inputs(alu8.netlist, 25, 7)
     batch = batch_cycle_timings(alu8_circuit, inputs, pop.delay_matrix, chunk=64)
     for i in range(pop.num_chips):
-        reference = scalar_cycle_timings(alu8_circuit, inputs, pop.chip(i).delays)
+        reference = pair_cycle_timings(alu8_circuit, inputs, pop.chip(i).delays)
         _assert_chip_equal(batch, i, reference)
 
 
 def test_single_chip_view_is_batch_kernel():
-    """cycle_timings is a population-of-one view and agrees with scalar."""
+    """cycle_timings is a population-of-one view and agrees with the pairs."""
     netlist = random_netlist(5)
     circuit = levelize(netlist)
     inputs = _random_inputs(netlist, 20, 5)
     delays = random_gate_delays(netlist, 5)
 
     thin = cycle_timings(circuit, inputs, delays, chunk=8)
-    reference = scalar_cycle_timings(circuit, inputs, delays, chunk=8)
+    reference = pair_cycle_timings(circuit, inputs, delays)
     np.testing.assert_array_equal(thin.t_late, reference.t_late)
     np.testing.assert_array_equal(thin.t_early, reference.t_early)
     np.testing.assert_array_equal(thin.output_toggles, reference.output_toggles)

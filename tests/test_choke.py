@@ -133,3 +133,33 @@ def test_real_chip_choke_events_have_valid_structure(alu8, alu8_circuit):
                 assert gate in event.path.nodes
     # with 12 NTC chips and random vectors we expect at least one event
     assert found >= 1
+
+
+def test_batched_analysis_equals_per_pair_calls(alu8, alu8_circuit):
+    """One (num_inputs, K) call returns exactly the K per-pair results."""
+    from repro.pv.chip import fabricate_chip
+    from repro.pv.delaymodel import nominal_gate_delays
+    from repro.timing.sta import critical_path_delay
+
+    critical = critical_path_delay(alu8.netlist, nominal_gate_delays(alu8.netlist, NTC))
+    rng = np.random.default_rng(5)
+    ops = rng.integers(0, 13, size=41)
+    a = rng.integers(0, 256, size=41, dtype=np.uint64)
+    b = rng.integers(0, 256, size=41, dtype=np.uint64)
+    inputs = alu8.encode_batch(ops, a, b)
+    picks = np.array([7, 0, 31, 7, 12, 39, 3, 22])  # unordered, one repeat
+    found = 0
+    for seed in range(6):
+        chip = fabricate_chip(alu8.netlist, NTC, seed=seed)
+        batched = analyze_choke_event(
+            alu8_circuit, chip, inputs[:, picks], inputs[:, picks + 1], critical * 0.9
+        )
+        singles = [
+            analyze_choke_event(
+                alu8_circuit, chip, inputs[:, i], inputs[:, i + 1], critical * 0.9
+            )
+            for i in picks
+        ]
+        assert batched == singles
+        found += sum(event is not None for event in batched)
+    assert found >= 1

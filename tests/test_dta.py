@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.gates.builder import NetlistBuilder
 from repro.timing.dta import (
     ERR_CE,
@@ -11,10 +12,12 @@ from repro.timing.dta import (
     ERR_SE_MIN,
     CycleTimings,
     cycle_timings,
+    pair_arrivals,
     single_transition_arrivals,
 )
 from repro.timing.levelize import levelize
 from tests.util import chain_circuit as _chain_circuit  # canonical builder
+from tests.util import random_gate_delays, random_netlist
 
 
 def test_chain_arrival_time():
@@ -116,6 +119,45 @@ def test_single_transition_matches_batch(alu8, alu8_circuit):
         finite = np.isfinite(late[out])
         expected_late = late[out][finite].max() if finite.any() else 0.0
         assert batch.t_late[t] == pytest.approx(expected_late)
+
+
+def test_pair_arrivals_columns_equal_single_pairs():
+    """Non-adjacent pairs, a no-transition pair and a repeated pair: each
+    column of one pair-form call equals its own single-pair call."""
+    netlist = random_netlist(4, num_inputs=5, num_gates=40, num_outputs=3)
+    circuit = levelize(netlist)
+    delays = random_gate_delays(netlist, 4)
+    pool = np.random.default_rng(4).integers(0, 2, size=(5, 4)).astype(bool)
+    prev = pool[:, [0, 2, 1, 0, 3]]
+    curr = pool[:, [3, 1, 1, 3, 0]]
+    late, early, toggled = pair_arrivals(circuit, prev, curr, delays)
+    assert late.shape == early.shape == toggled.shape == (netlist.num_nodes, 5)
+    assert not toggled[:, 2].any()  # prev == curr: nothing transitions
+    for k in range(5):
+        single = single_transition_arrivals(circuit, prev[:, k], curr[:, k], delays)
+        np.testing.assert_array_equal(late[:, k], single[0])
+        np.testing.assert_array_equal(early[:, k], single[1])
+        np.testing.assert_array_equal(toggled[:, k], single[2])
+
+
+def test_pair_arrivals_counts_one_transition_per_pair():
+    circuit, delays = _chain_circuit(2)
+    recorder = obs.install(obs.Telemetry(obs.TelemetrySpec(metrics=True))).recorder
+    try:
+        pair_arrivals(circuit, np.zeros((1, 5), bool), np.ones((1, 5), bool), delays)
+        single_transition_arrivals(circuit, np.array([0]), np.array([1]), delays)
+        counters = recorder.metrics.snapshot()["counters"]
+    finally:
+        obs.uninstall()
+    assert counters["dta.single_transitions"] == 6
+
+
+def test_pair_arrivals_rejects_mismatched_pairs():
+    circuit, delays = _chain_circuit(2)
+    with pytest.raises(ValueError):
+        pair_arrivals(circuit, np.zeros((1, 3), bool), np.ones((1, 2), bool), delays)
+    with pytest.raises(ValueError):
+        pair_arrivals(circuit, np.zeros(1, bool), np.ones(1, bool), delays)
 
 
 def test_requires_two_vectors(alu8_circuit, alu8):

@@ -238,6 +238,10 @@ def test_mutant_patching_is_scoped_and_reversible():
     original = choke.analyze_choke_event
     with MUTANTS["choke-event-dropped"].applied():
         assert choke.analyze_choke_event is not original
+        # the drop stays silent in both call forms: one pair, or K of them
+        prev = [[0, 1, 0], [1, 1, 0]]
+        assert choke.analyze_choke_event(None, None, prev[0], prev[1], 1.0) is None
+        assert choke.analyze_choke_event(None, None, prev, prev, 1.0) == [None] * 3
     assert choke.analyze_choke_event is original
 
 
