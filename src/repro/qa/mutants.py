@@ -20,7 +20,7 @@ from __future__ import annotations
 import contextlib
 import importlib
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -73,6 +73,19 @@ def _swap_arrivals(original):
     def propagate(*args, **kwargs):
         late, early = original(*args, **kwargs)
         return early, late
+
+    return propagate
+
+
+def _late_second_fanin(original):
+    def propagate(circuit, toggled, delays):
+        # every level's second-fanin suffix starts one gate late, so the
+        # level's first 2-input gate never takes its in1 max/min
+        steps = [
+            step._replace(two=step.two + 1, in1=step.in1[1:]) if len(step.in1) else step
+            for step in circuit.levels
+        ]
+        return original(replace(circuit, levels=steps), toggled, delays)
 
     return propagate
 
@@ -240,6 +253,14 @@ MUTANTS: dict[str, Mutant] = {
             description="DTA propagation returns (early, late) swapped",
             target=("repro.timing.dta", "_propagate_arrivals"),
             build=_swap_arrivals,
+            oracles=("dta_vs_reference",),
+        ),
+        Mutant(
+            name="level-step-arity-offset",
+            description="DTA propagation takes each level's second-fanin suffix "
+            "one gate late",
+            target=("repro.timing.dta", "_propagate_arrivals"),
+            build=_late_second_fanin,
             oracles=("dta_vs_reference",),
         ),
         Mutant(

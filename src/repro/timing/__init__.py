@@ -1,7 +1,7 @@
 """Timing substrate: the paper's "in-house STA tool".
 
-* :mod:`repro.timing.levelize` -- levelised, kind-grouped circuit form
-  consumed by the vectorised engines,
+* :mod:`repro.timing.levelize` -- levelised circuit form, one packed
+  gate step per logic level, consumed by the vectorised engines,
 * :mod:`repro.timing.logic_eval` -- batch boolean evaluation,
 * :mod:`repro.timing.dta` -- dynamic timing analysis: per-cycle sensitised
   max/min transition arrival times for vector streams and independent

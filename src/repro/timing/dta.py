@@ -14,8 +14,8 @@ Modelling notes (documented substitutions):
   hazards from reconvergent fanout are not modelled.  The latest arrival
   is the max over toggling fanins plus the gate delay, the earliest is the
   min -- the standard dynamic-timing approximation.
-* Non-toggling nodes carry -inf (latest) / +inf (earliest), so the
-  propagation needs no explicit sensitisation masks.
+* Non-toggling nodes carry -inf (latest) / +inf (earliest), so a quiet
+  fanin never wins a gate's max / min.
 
 Batched execution model
 -----------------------
@@ -25,10 +25,12 @@ chips x all cycles* of a Monte Carlo population in one call.  Logic
 values depend only on the input vectors -- never on delays -- so one
 :func:`~repro.timing.logic_eval.evaluate_logic` pass is shared by every
 chip, and the arrival propagation broadcasts a ``(num_chips, num_nodes)``
-delay matrix over a chip axis: the inner loop is levels x gate-kinds
-(driven by the packed :class:`~repro.timing.levelize.GateTable`), not
-chips x levels x gates.  The single-chip :func:`cycle_timings` is a thin
-view over the batch kernel -- same code path, population of one.
+delay matrix over a chip axis.  The inner loop is one packed
+:class:`~repro.timing.levelize.LevelStep` per logic level -- one gather
+per fanin slot, in-place max/min over the level's 2- and 3-input
+suffixes, then a clamp by each node's toggle cap -- not chips x levels
+x gates.  The single-chip :func:`cycle_timings` is a thin view over the
+batch kernel -- same code path, population of one.
 
 The pair form :func:`pair_arrivals` times K independent (prev, curr)
 vector pairs in one propagation and keeps every node's arrivals; the
@@ -51,8 +53,7 @@ from repro import obs
 from repro.timing.levelize import LevelizedCircuit
 from repro.timing.logic_eval import evaluate_logic
 
-_NEG = np.float32(-np.inf)
-_POS = np.float32(np.inf)
+_INF_BITS = np.uint32(0x7F800000)
 
 
 @dataclass
@@ -138,6 +139,20 @@ ERR_SE_MAX = 2
 ERR_CE = 3
 
 
+def _signed_inf(shape: tuple[int, ...], negative: np.ndarray) -> np.ndarray:
+    """float32 -inf where ``negative`` is set, +inf elsewhere.
+
+    ``negative`` is (num_nodes, T) and broadcasts over a chip axis.  The
+    values are built on the IEEE bits (sign bit | infinity exponent):
+    several times faster than ``np.where`` over a random mask.
+    """
+    bits = np.empty(shape, dtype=np.uint32)
+    np.copyto(bits, negative if len(shape) == 2 else negative[:, None, :])
+    bits <<= 31
+    bits |= _INF_BITS
+    return bits.view(np.float32)
+
+
 def _propagate_arrivals(
     circuit: LevelizedCircuit,
     toggled: np.ndarray,
@@ -162,47 +177,41 @@ def _propagate_arrivals(
         shape: tuple[int, ...] = (num_nodes, delays32.shape[0], transitions)
     else:
         shape = (num_nodes, transitions)
-    late = np.full(shape, _NEG, dtype=np.float32)
-    early = np.full(shape, _POS, dtype=np.float32)
+    # Every row starts as its node's cap: +inf / -inf (late / early)
+    # where the node toggles, -inf / +inf where it does not.  Clamping a
+    # candidate arrival by the cap leaves a toggling node's value exact
+    # (min(x, +inf) == x) and forces a quiet node to -inf / +inf, so no
+    # sensitisation mask is gathered per level.
+    late = _signed_inf(shape, ~toggled)
+    early = _signed_inf(shape, toggled)
+    # Per-node delays broadcast against a level's (G, [chips,] T) block.
+    node_delays = np.ascontiguousarray(delays32.T)[..., None]
 
     # Primary inputs switch at the launching clock edge (t = 0).
     in_ids = circuit.input_ids
-    in_toggled = toggled[in_ids]
-    if batched:
-        in_toggled = in_toggled[:, None, :]
-    late[in_ids] = np.where(in_toggled, np.float32(0.0), _NEG)
-    early[in_ids] = np.where(in_toggled, np.float32(0.0), _POS)
+    late[in_ids] = np.minimum(late[in_ids], np.float32(0.0))
+    early[in_ids] = np.maximum(early[in_ids], np.float32(0.0))
 
-    table = circuit.gate_table()
-    for g in range(table.num_groups):
-        _kind, span = table.group(g)
-        arity = int(table.arity[g])
-        nodes = table.nodes[span]
-        in0 = table.in0[span]
-        # The gathers allocate (fancy indexing); everything downstream
-        # accumulates in place -- maximum/minimum/add are elementwise
-        # and deterministic, so out= reuse cannot change a single bit,
-        # it only halves the temporary traffic of the hottest loop.
-        cand_late = late[in0]
-        cand_early = early[in0]
-        if arity > 1:
-            in1 = table.in1[span]
-            np.maximum(cand_late, late[in1], out=cand_late)
-            np.minimum(cand_early, early[in1], out=cand_early)
-        if arity > 2:
-            in2 = table.in2[span]
-            np.maximum(cand_late, late[in2], out=cand_late)
-            np.minimum(cand_early, early[in2], out=cand_early)
-        toggles = toggled[nodes]
-        if batched:
-            gate_delay = delays32[:, nodes].T[:, :, None]  # (G, chips, 1)
-            toggles = toggles[:, None, :]  # (G, 1, T)
-        else:
-            gate_delay = delays32[nodes][:, None]  # (G, 1)
-        np.add(cand_late, gate_delay, out=cand_late)
-        np.add(cand_early, gate_delay, out=cand_early)
-        late[nodes] = np.where(toggles, cand_late, _NEG)
-        early[nodes] = np.where(toggles, cand_early, _POS)
+    # One step per logic level, late then early: a gate's latest arrival
+    # folds its fanins with max and is clamped by min, its earliest the
+    # other way round.  The gathers allocate (fancy indexing); everything
+    # downstream accumulates in place on suffix views -- the ufuncs are
+    # elementwise and deterministic, so every gate sees the same float32
+    # ops in the same order (in0, in1, in2, + delay) whatever else shares
+    # its level.  Finishing one matrix before the other keeps a single
+    # level-sized candidate block alive at a time.
+    folds = ((late, np.maximum, np.minimum), (early, np.minimum, np.maximum))
+    for nodes, in0, two, in1, mux, in2, _segments in circuit.levels:
+        gate_delay = node_delays[nodes]
+        for arrivals, fold, clamp in folds:
+            cand = arrivals[in0]
+            if len(in1):
+                fold(cand[two:], arrivals[in1], out=cand[two:])
+            if len(in2):
+                fold(cand[mux:], arrivals[in2], out=cand[mux:])
+            np.add(cand, gate_delay, out=cand)
+            clamp(cand, arrivals[nodes], out=cand)
+            arrivals[nodes] = cand
     return late, early
 
 
@@ -270,9 +279,13 @@ def batch_cycle_timings(
                 # whole circuit for that vector.
                 fresh = evaluate_logic(circuit, inputs[:, start + 1 : stop + 1])
                 values = np.concatenate([boundary, fresh], axis=1)
-            boundary = values[:, -1:]
+                del fresh
+            boundary = values[:, -1:].copy()
             # A stream is the adjacent-pair case: vector t -> vector t+1.
+            # Only the toggles reach the propagation, so the logic values
+            # are freed before its arrival matrices allocate.
             toggled = values[:, 1:] != values[:, :-1]
+            del values
             late, early = _propagate_arrivals(circuit, toggled, delays32)
             # (num_outputs, num_chips, T) -> reduce over the output axis.
             out_late = late[out_ids].max(axis=0)

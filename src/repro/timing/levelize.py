@@ -1,118 +1,50 @@
 """Levelised circuit form for the vectorised logic/timing engines.
 
-Nodes are grouped by (logic level, gate kind) so that each group can be
-evaluated with a handful of numpy operations over all cycles at once.
+Each logic level becomes one :class:`LevelStep`: the level's gates,
+sorted by (arity, kind), with their fanin ids packed so that a kernel
+handles the whole level with one gather per fanin slot.  Sorting by
+arity makes every fanin slot a *suffix* of the level:
 
-Two views of the same ordering coexist:
+* ``in0`` covers all gates of the level;
+* ``in1`` covers the gates from ``two`` on (the 2-input kinds, then
+  MUX2);
+* ``in2`` covers the gates from ``mux`` on (MUX2 only).
 
-* :class:`LevelGroup` / ``LevelizedCircuit.levels`` — the per-object
-  view, convenient for traversal code (STA, choke trace-back).
-* :class:`GateTable` — the packed structure-of-arrays view the hot
-  kernels iterate: every group's node/fanin ids live in one contiguous
-  int32 array, sliced by a ``(num_groups + 1)`` offset table, so the
-  per-level inner loop is plain slicing with no Python object traffic.
+Sorting by kind inside each arity makes every kind one contiguous
+``(kind, start, stop)`` segment, which is all logic evaluation needs
+to pick its boolean op.  The steps are a pure reindexing of the
+netlist -- they carry no per-chip data, which is what lets one
+levelised circuit drive the timing of an entire Monte Carlo population.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.gates.celllib import GateKind, fanin_count
 from repro.gates.netlist import Netlist
 
+_ARITY = np.array([fanin_count(kind) for kind in GateKind], dtype=np.int8)
 
-@dataclass(frozen=True)
-class LevelGroup:
-    """All gates of one kind within one logic level."""
 
-    kind: GateKind
+class LevelStep(NamedTuple):
+    """All gates of one logic level, sorted by (arity, kind, node id)."""
+
     nodes: np.ndarray  # node ids, int32
-    in0: np.ndarray
-    in1: np.ndarray  # empty for 1-input kinds
-    in2: np.ndarray  # empty unless MUX2
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class GateTable:
-    """Packed (level, kind)-grouped gate arrays, shared by a whole population.
-
-    Group ``g`` covers the half-open slice ``offsets[g]:offsets[g + 1]``
-    of the packed arrays.  ``in1``/``in2`` are aligned with ``nodes``
-    and hold ``-1`` where the gate kind has no such fanin, so every
-    packed array has the same length and a group slice is always valid.
-    The table is a pure reindexing of the netlist — it carries no
-    per-chip data, which is what lets one table drive the timing of an
-    entire Monte Carlo population.
-    """
-
-    kinds: tuple[GateKind, ...]  # per group
-    arity: np.ndarray  # per group fanin count, int8
-    levels: np.ndarray  # per group logic level, int32
-    offsets: np.ndarray  # (num_groups + 1,) int32 into the packed arrays
-    nodes: np.ndarray  # packed node ids, level-ordered, int32
-    in0: np.ndarray  # packed fanin 0
-    in1: np.ndarray  # packed fanin 1, -1 where absent
-    in2: np.ndarray  # packed fanin 2 (MUX2 select), -1 where absent
-
-    @property
-    def num_groups(self) -> int:
-        return len(self.kinds)
-
-    @property
-    def num_gates(self) -> int:
-        return len(self.nodes)
-
-    def group(self, g: int) -> tuple[GateKind, slice]:
-        """Gate kind and packed-array slice of group ``g``."""
-        return self.kinds[g], slice(int(self.offsets[g]), int(self.offsets[g + 1]))
-
-
-def pack_gate_table(levels: list[list[LevelGroup]]) -> GateTable:
-    """Flatten per-object level groups into one contiguous :class:`GateTable`."""
-    kinds: list[GateKind] = []
-    group_levels: list[int] = []
-    offsets = [0]
-    nodes: list[np.ndarray] = []
-    in0: list[np.ndarray] = []
-    in1: list[np.ndarray] = []
-    in2: list[np.ndarray] = []
-    for level_index, groups in enumerate(levels, start=1):
-        for group in groups:
-            size = len(group)
-            kinds.append(group.kind)
-            group_levels.append(level_index)
-            offsets.append(offsets[-1] + size)
-            nodes.append(group.nodes)
-            in0.append(group.in0)
-            missing = np.full(size, -1, dtype=np.int32)
-            in1.append(group.in1 if len(group.in1) else missing)
-            in2.append(group.in2 if len(group.in2) else missing)
-
-    def _pack(chunks: list[np.ndarray]) -> np.ndarray:
-        if not chunks:
-            return np.array([], dtype=np.int32)
-        return np.ascontiguousarray(np.concatenate(chunks).astype(np.int32))
-
-    return GateTable(
-        kinds=tuple(kinds),
-        arity=np.array([fanin_count(kind) for kind in kinds], dtype=np.int8),
-        levels=np.array(group_levels, dtype=np.int32),
-        offsets=np.array(offsets, dtype=np.int32),
-        nodes=_pack(nodes),
-        in0=_pack(in0),
-        in1=_pack(in1),
-        in2=_pack(in2),
-    )
+    in0: np.ndarray  # fanin 0 of every gate
+    two: int  # index of the level's first gate with a second fanin
+    in1: np.ndarray  # fanin 1 of gates two:
+    mux: int  # index of the level's first MUX2
+    in2: np.ndarray  # fanin 2 (MUX2 select) of gates mux:
+    segments: tuple[tuple[GateKind, int, int], ...]  # (kind, start, stop)
 
 
 @dataclass
 class LevelizedCircuit:
-    """A netlist reorganised into per-level, per-kind gate groups."""
+    """A netlist reorganised into one packed gate step per logic level."""
 
     netlist: Netlist
     num_nodes: int
@@ -120,75 +52,62 @@ class LevelizedCircuit:
     output_ids: np.ndarray
     const0_ids: np.ndarray
     const1_ids: np.ndarray
-    levels: list[list[LevelGroup]]  # levels[0] is the first *gate* level
+    levels: list[LevelStep]  # levels[0] is the first *gate* level
     node_levels: np.ndarray
-    table: GateTable | None = None
 
     @property
     def depth(self) -> int:
         """Number of gate levels."""
         return len(self.levels)
 
-    def gate_table(self) -> GateTable:
-        """The packed SoA view of the level groups (built once, cached)."""
-        if self.table is None:
-            self.table = pack_gate_table(self.levels)
-        return self.table
+
+def _level_step(nodes: np.ndarray, kinds: np.ndarray, fanins: np.ndarray) -> LevelStep:
+    """Pack one level's gates, already sorted by (arity, kind, id)."""
+    level_kinds = kinds[nodes]
+    arity = _ARITY[level_kinds]
+    two = int(np.searchsorted(arity, 2))
+    mux = int(np.searchsorted(arity, 3))
+    starts = np.flatnonzero(np.diff(level_kinds, prepend=-1))
+    stops = np.append(starts[1:], len(nodes))
+    return LevelStep(
+        nodes=nodes,
+        in0=fanins[nodes, 0],
+        two=two,
+        in1=fanins[nodes[two:], 1],
+        mux=mux,
+        in2=fanins[nodes[mux:], 2],
+        segments=tuple(
+            (GateKind(int(level_kinds[start])), int(start), int(stop))
+            for start, stop in zip(starts, stops)
+        ),
+    )
 
 
 def levelize(netlist: Netlist) -> LevelizedCircuit:
     """Build the levelised form of ``netlist``."""
+    num_nodes = netlist.num_nodes
     node_levels = netlist.levels()
-    kinds = [netlist.kind(node_id) for node_id in range(netlist.num_nodes)]
+    kinds = np.array([netlist.kind(i) for i in range(num_nodes)], dtype=np.int8)
+    fanins = np.full((num_nodes, 3), -1, dtype=np.int32)
+    for node_id, _kind, node_fanins in netlist.iter_nodes():
+        fanins[node_id, : len(node_fanins)] = node_fanins
 
-    input_ids = np.array(netlist.input_ids, dtype=np.int32)
-    const0_ids = np.array(
-        [i for i, kind in enumerate(kinds) if kind is GateKind.CONST0], dtype=np.int32
-    )
-    const1_ids = np.array(
-        [i for i, kind in enumerate(kinds) if kind is GateKind.CONST1], dtype=np.int32
-    )
-
-    max_level = int(node_levels.max()) if netlist.num_nodes else 0
-    levels: list[list[LevelGroup]] = []
-    for level in range(1, max_level + 1):
-        node_ids = np.flatnonzero(node_levels == level)
-        by_kind: dict[GateKind, list[int]] = {}
-        for node_id in node_ids:
-            by_kind.setdefault(kinds[node_id], []).append(int(node_id))
-        groups: list[LevelGroup] = []
-        for kind, members in sorted(by_kind.items()):
-            fanins = [netlist.fanins(node_id) for node_id in members]
-            arity = len(fanins[0])
-            in0 = np.array([f[0] for f in fanins], dtype=np.int32)
-            in1 = (
-                np.array([f[1] for f in fanins], dtype=np.int32)
-                if arity > 1
-                else np.array([], dtype=np.int32)
-            )
-            in2 = (
-                np.array([f[2] for f in fanins], dtype=np.int32)
-                if arity > 2
-                else np.array([], dtype=np.int32)
-            )
-            groups.append(
-                LevelGroup(
-                    kind=kind,
-                    nodes=np.array(members, dtype=np.int32),
-                    in0=in0,
-                    in1=in1,
-                    in2=in2,
-                )
-            )
-        levels.append(groups)
+    # Level-major, then arity, then kind; node id breaks ties.
+    order = np.lexsort((np.arange(num_nodes), kinds, _ARITY[kinds], node_levels))
+    order = order.astype(np.int32)
+    depth = int(node_levels.max(initial=0))
+    bounds = np.searchsorted(node_levels[order], np.arange(1, depth + 2))
+    levels = [
+        _level_step(order[lo:hi], kinds, fanins) for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
     return LevelizedCircuit(
         netlist=netlist,
-        num_nodes=netlist.num_nodes,
-        input_ids=input_ids,
+        num_nodes=num_nodes,
+        input_ids=np.array(netlist.input_ids, dtype=np.int32),
         output_ids=np.array(netlist.output_ids, dtype=np.int32),
-        const0_ids=const0_ids,
-        const1_ids=const1_ids,
+        const0_ids=np.flatnonzero(kinds == GateKind.CONST0).astype(np.int32),
+        const1_ids=np.flatnonzero(kinds == GateKind.CONST1).astype(np.int32),
         levels=levels,
         node_levels=node_levels,
     )

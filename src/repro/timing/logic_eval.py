@@ -10,37 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gates.celllib import GateKind
-from repro.timing.levelize import GateTable, LevelizedCircuit
+from repro.timing.levelize import LevelizedCircuit
 
-
-def _evaluate_table_group(values: np.ndarray, table: GateTable, g: int) -> None:
-    """Compute one packed group's node rows in place from fanin rows."""
-    kind, span = table.group(g)
-    a = values[table.in0[span]]
-    if kind is GateKind.BUF or kind is GateKind.DBUF:
-        result = a
-    elif kind is GateKind.INV:
-        result = ~a
-    else:
-        b = values[table.in1[span]]
-        if kind is GateKind.AND2:
-            result = a & b
-        elif kind is GateKind.OR2:
-            result = a | b
-        elif kind is GateKind.NAND2:
-            result = ~(a & b)
-        elif kind is GateKind.NOR2:
-            result = ~(a | b)
-        elif kind is GateKind.XOR2:
-            result = a ^ b
-        elif kind is GateKind.XNOR2:
-            result = ~(a ^ b)
-        elif kind is GateKind.MUX2:
-            sel = values[table.in2[span]]
-            result = np.where(sel, b, a)
-        else:
-            raise ValueError(f"cannot evaluate kind {kind!r}")
-    values[table.nodes[span]] = result
+#: 2-input kind -> (elementwise op, invert the result)
+_BINARY = {
+    GateKind.AND2: (np.bitwise_and, False),
+    GateKind.OR2: (np.bitwise_or, False),
+    GateKind.NAND2: (np.bitwise_and, True),
+    GateKind.NOR2: (np.bitwise_or, True),
+    GateKind.XOR2: (np.bitwise_xor, False),
+    GateKind.XNOR2: (np.bitwise_xor, True),
+}
 
 
 def evaluate_logic(circuit: LevelizedCircuit, inputs: np.ndarray) -> np.ndarray:
@@ -60,9 +40,29 @@ def evaluate_logic(circuit: LevelizedCircuit, inputs: np.ndarray) -> np.ndarray:
     values[circuit.input_ids] = inputs
     if len(circuit.const1_ids):
         values[circuit.const1_ids] = True
-    table = circuit.gate_table()
-    for g in range(table.num_groups):
-        _evaluate_table_group(values, table, g)
+    # One step per logic level: gather each fanin slot once, compute
+    # every kind segment in place in the level's fanin-0 rows, then
+    # scatter the whole level.
+    for nodes, in0, two, in1, mux, in2, segments in circuit.levels:
+        level = values[in0]
+        b = values[in1]
+        sel = values[in2]
+        for kind, start, stop in segments:
+            out = level[start:stop]
+            if kind is GateKind.BUF or kind is GateKind.DBUF:
+                continue
+            if kind is GateKind.INV:
+                np.invert(out, out=out)
+            elif kind is GateKind.MUX2:
+                np.copyto(out, b[start - two : stop - two], where=sel[start - mux : stop - mux])
+            elif kind in _BINARY:
+                op, invert = _BINARY[kind]
+                op(out, b[start - two : stop - two], out=out)
+                if invert:
+                    np.invert(out, out=out)
+            else:
+                raise ValueError(f"cannot evaluate kind {kind!r}")
+        values[nodes] = level
     return values
 
 

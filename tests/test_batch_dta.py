@@ -9,6 +9,8 @@ never take the parent's segments down with it, and readers must degrade
 to ``None`` instead of raising when a segment is gone.
 """
 
+import hashlib
+import json
 import multiprocessing
 import os
 import signal
@@ -221,3 +223,38 @@ def test_publisher_unlink_is_idempotent():
     reader = ShmReader(catalog)
     assert reader.get("a") is None
     reader.close()
+
+
+#: sha256 of the ``fig3_8 fig4_8 --fast`` JSON report -- 2,000-cycle
+#: error traces through the stream kernel -- and its DTA/etrace counters
+LONG_STREAM_REPORT_SHA256 = (
+    "6d24efcce0f8b5e3e3fbf70b74ee48ece7529b95a7707557cdb84d279db784ca"
+)
+LONG_STREAM_COUNTERS = {
+    "dta.chip_cycles": 23988,
+    "dta.cycles_analyzed": 23988,
+    "dta.evaluations": 12,
+    "etrace.cycles": 23988,
+    "etrace.errors{kind=ce}": 62,
+    "etrace.errors{kind=se_max}": 2545,
+    "etrace.errors{kind=se_min}": 248,
+}
+
+
+def test_long_stream_report_bytes_and_counters_are_pinned(tmp_path):
+    from repro.experiments.__main__ import main
+
+    report = tmp_path / "report.json"
+    metrics = tmp_path / "metrics.json"
+    code = main([
+        "fig3_8", "fig4_8", "--fast", "--jobs", "1",
+        "--out", str(report), "--format", "json", "--metrics-out", str(metrics),
+    ])
+    assert code == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == LONG_STREAM_REPORT_SHA256
+    counters = json.loads(metrics.read_text())["counters"]
+    pinned = {
+        k: v for k, v in counters.items()
+        if k.startswith(("dta.", "etrace.cycles", "etrace.errors"))
+    }
+    assert pinned == LONG_STREAM_COUNTERS
