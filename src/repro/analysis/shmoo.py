@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.arch.trace import InstructionTrace
 from repro.circuits.ex_stage import ExStage
+from repro.timing.dta import DEFAULT_CHUNK
 
 
 @dataclass
@@ -73,7 +74,7 @@ def shmoo_sweep(
     margins=None,
     clean_threshold: float = 0.0,
     hold_fraction: float | None = None,
-    chunk: int = 2048,
+    chunk: int = DEFAULT_CHUNK,
 ) -> ShmooResult:
     """Sweep clock margins over a chip population.
 

@@ -25,7 +25,9 @@ from repro.gates.netlist import Netlist
 from repro.pv.chip import ChipSample, fabricate_chip
 from repro.pv.delaymodel import Corner, NTC, nominal_delay_factor, nominal_gate_delays
 from repro.pv.varius import DEFAULT_PARAMS, VariusParams
-from repro.timing.dta import BatchCycleTimings, CycleTimings, batch_cycle_timings, cycle_timings
+from repro.timing.dta import (
+    DEFAULT_CHUNK, BatchCycleTimings, CycleTimings, batch_cycle_timings, cycle_timings,
+)
 from repro.timing.levelize import LevelizedCircuit, levelize
 from repro.timing.sta import arrival_times
 
@@ -82,13 +84,13 @@ class ExStage:
         )
 
     def timings(
-        self, chip: ChipSample, inputs: np.ndarray, chunk: int = 2048
+        self, chip: ChipSample, inputs: np.ndarray, chunk: int = DEFAULT_CHUNK
     ) -> CycleTimings:
         """Per-cycle dynamic timing of an input-vector stream on ``chip``."""
         return cycle_timings(self.circuit, inputs, chip.delays, chunk=chunk)
 
     def batch_timings(
-        self, delay_matrix: np.ndarray, inputs: np.ndarray, chunk: int = 2048
+        self, delay_matrix: np.ndarray, inputs: np.ndarray, chunk: int = DEFAULT_CHUNK
     ) -> BatchCycleTimings:
         """Population-level timing: one kernel call for all chips.
 

@@ -26,7 +26,7 @@ from repro.obs import audit
 from repro.arch.trace import InstructionTrace
 from repro.circuits.ex_stage import ExStage
 from repro.pv.chip import ChipSample, delay_matrix
-from repro.timing.dta import ERR_CE, ERR_NONE, ERR_SE_MAX, ERR_SE_MIN
+from repro.timing.dta import DEFAULT_CHUNK, ERR_CE, ERR_NONE, ERR_SE_MAX, ERR_SE_MIN
 
 
 @dataclass
@@ -146,7 +146,7 @@ def build_error_trace(
     stage: ExStage,
     chip: ChipSample,
     trace: InstructionTrace,
-    chunk: int = 2048,
+    chunk: int = DEFAULT_CHUNK,
     inputs: np.ndarray | None = None,
 ) -> ErrorTrace:
     """Run DTA of ``trace`` on ``chip`` and classify every cycle.
@@ -175,7 +175,7 @@ def build_error_traces_batch(
     stage: ExStage,
     chips: "list[ChipSample] | tuple[ChipSample, ...]",
     trace: InstructionTrace,
-    chunk: int = 2048,
+    chunk: int = DEFAULT_CHUNK,
     inputs: np.ndarray | None = None,
 ) -> list[ErrorTrace]:
     """Run DTA of ``trace`` on a whole chip population in one kernel call.

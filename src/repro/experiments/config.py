@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.trace import BENCHMARK_ORDER
+from repro.timing.dta import DEFAULT_CHUNK
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,8 @@ class ExperimentConfig:
     characterization_chips: int = 12
     #: random operand vector pairs per (op, chip) in those studies
     characterization_vectors: int = 160
-    chunk: int = 2048
+    #: stream-kernel window (results never depend on it)
+    chunk: int = DEFAULT_CHUNK
 
     def __post_init__(self) -> None:
         if self.width < 4 or self.width & (self.width - 1):

@@ -160,6 +160,20 @@ def _adjacent_toggles(_original):
     return pair_arrivals
 
 
+def _first_occurrence_shift(original):
+    def distinct_transitions(inputs):
+        columns, timed = original(inputs)
+        # a repeated transition reads the sub-stream transition after
+        # its key's first occurrence
+        repeat = np.ones(len(timed), dtype=bool)
+        repeat[np.unique(timed, return_index=True)[1]] = False
+        shifted = timed.copy()
+        shifted[repeat] = np.minimum(timed[repeat] + 1, len(columns) - 2)
+        return columns, shifted
+
+    return distinct_transitions
+
+
 def _load_without_checksum(_original):
     from repro.runtime import checkpoint as ckpt
 
@@ -189,8 +203,8 @@ def _load_without_checksum(_original):
 
 
 def _misalign_etrace(original):
-    def build_error_trace(stage, chip, trace, chunk=2048, **kwargs):
-        etrace = original(stage, chip, trace, chunk=chunk, **kwargs)
+    def build_error_trace(stage, chip, trace, *args, **kwargs):
+        etrace = original(stage, chip, trace, *args, **kwargs)
         etrace.instr_init = etrace.instr_sens.copy()  # one-cycle misalignment
         return etrace
 
@@ -269,6 +283,14 @@ MUTANTS: dict[str, Mutant] = {
             target=("repro.timing.dta", "batch_cycle_timings"),
             build=_batch_drift,
             oracles=("batch_vs_scalar",),
+        ),
+        Mutant(
+            name="dedup-first-occurrence-shift",
+            description="stream kernel's repeated transitions read the timed "
+            "transition after their first occurrence",
+            target=("repro.timing.dta", "_distinct_transitions"),
+            build=_first_occurrence_shift,
+            oracles=("stream_repeats_vs_pairs",),
         ),
         Mutant(
             name="pair-adjacent-toggle",

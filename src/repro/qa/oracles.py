@@ -183,19 +183,11 @@ def pair_cycle_timings(circuit, inputs: np.ndarray, delays: np.ndarray) -> dta.C
     )
 
 
-def _check_batch_vs_scalar(case: dict[str, int]) -> list[str]:
-    """The population kernel must be *bit-identical* to the per-pair path.
-
-    Stricter than :func:`_check_dta_vs_reference`'s toleranced compare:
-    every chip row of ``batch_cycle_timings`` and the thin single-chip
-    view must equal :func:`pair_cycle_timings` (the stream timed as its
-    adjacent pairs) exactly, element for element.
-    """
-    netlist = _materialize_netlist(case)
+def _stream_parity(netlist, inputs: np.ndarray, case: dict[str, int]) -> list[str]:
+    """Every chip row of the stream kernel, and the single-chip view,
+    bit-identical to :func:`pair_cycle_timings` on ``inputs``."""
     circuit = levelize(netlist)
-    rng = case_rng(case, "vectors")
-    num_vectors = case["num_vectors"]
-    inputs = rng.integers(0, 2, size=(len(netlist.input_ids), num_vectors)).astype(bool)
+    num_vectors = inputs.shape[1]
     delay_rng = case_rng(case, "delays")
     num_chips = case["num_chips"]
     rows = [circuits.random_gate_delays(netlist, delay_rng) for _ in range(num_chips)]
@@ -228,6 +220,47 @@ def _check_batch_vs_scalar(case: dict[str, int]) -> list[str]:
                 f"chip {index}: single-chip view is not bit-identical to "
                 f"the per-pair path"
             )
+    return violations
+
+
+def _check_batch_vs_scalar(case: dict[str, int]) -> list[str]:
+    """The population kernel must be *bit-identical* to the per-pair path.
+
+    Stricter than :func:`_check_dta_vs_reference`'s toleranced compare:
+    every chip row of ``batch_cycle_timings`` and the thin single-chip
+    view must equal :func:`pair_cycle_timings` (the stream timed as its
+    adjacent pairs) exactly, element for element.
+    """
+    netlist = _materialize_netlist(case)
+    rng = case_rng(case, "vectors")
+    num_vectors = case["num_vectors"]
+    inputs = rng.integers(0, 2, size=(len(netlist.input_ids), num_vectors)).astype(bool)
+    return _stream_parity(netlist, inputs, case)
+
+
+def _check_stream_repeats_vs_pairs(case: dict[str, int]) -> list[str]:
+    """Streams full of repeated transitions, bit-identical to the pairs.
+
+    The vectors are drawn from a pool of 1-4, so transitions repeat,
+    runs of first occurrences form, and the run-compressed sub-stream
+    has seams.  The all-equal stream of the pool's first vector is
+    checked too.  Beyond :func:`_stream_parity`, the pooled stream may
+    time at most C - 1 transitions and the all-equal stream exactly one.
+    """
+    netlist = _materialize_netlist(case)
+    rng = case_rng(case, "vectors")
+    pool = rng.integers(0, 2, size=(len(netlist.input_ids), case["pool"])).astype(bool)
+    num_vectors = case["num_vectors"]
+    streams = {
+        "pooled": (pool[:, rng.integers(0, case["pool"], size=num_vectors)], num_vectors - 1),
+        "all-equal": (pool[:, np.zeros(num_vectors, dtype=int)], 1),
+    }
+    violations: list[str] = []
+    for label, (inputs, limit) in streams.items():
+        violations += [f"{label}: {v}" for v in _stream_parity(netlist, inputs, case)]
+        timed = len(dta._distinct_transitions(inputs)[0]) - 1
+        if timed > limit:
+            violations.append(f"{label}: {timed} transitions timed, at most {limit} allowed")
     return violations
 
 
@@ -1164,6 +1197,20 @@ ORACLES: dict[str, Oracle] = {
                 "chunk": Param(1, 16),
             },
             check=_check_batch_vs_scalar,
+            cost=3.0,
+        ),
+        Oracle(
+            name="stream_repeats_vs_pairs",
+            description="run-compressed stream kernel over repeated transitions "
+            "bit-identical to the per-pair DTA path",
+            params={
+                **_NETLIST_PARAMS,
+                "pool": Param(1, 4),
+                "num_vectors": Param(2, 24),
+                "num_chips": Param(1, 6),
+                "chunk": Param(1, 16),
+            },
+            check=_check_stream_repeats_vs_pairs,
             cost=3.0,
         ),
         Oracle(

@@ -41,6 +41,26 @@ form's are ``curr != prev``.  The ``batch_vs_scalar`` QA oracle holds
 the stream kernel bit-identical to the adjacent-pair case of the pair
 form, and ``pair_vs_single`` holds each pair column bit-identical to a
 K = 1 call.
+
+Repeated transitions
+--------------------
+
+A transition's arrivals are a pure function of its (prev, curr) vector
+pair and the chip, and instruction streams reuse operands, so many
+transitions repeat.  :func:`batch_cycle_timings` times each distinct
+transition once: it keys each transition by the packed bits of its
+two vectors, finds each key's first occurrence, and keeps only the
+columns those first occurrences touch (``first`` and ``first + 1``).  The kept
+columns form a sub-stream that runs through the same windowed kernel;
+every transition then reads its key's first occurrence back.  Where
+two kept columns are not adjacent, the sub-stream times a junk *seam*
+transition between them, which nothing reads.  The sub-stream never
+has more than C columns, so at most C - 1 transitions are timed: a
+seam is only ever timed in place of a repeated transition it skipped.
+With no repeats the sub-stream is the stream itself.  The pair form
+stays uncompressed, so it remains an independent reference; the
+``stream_repeats_vs_pairs`` oracle holds the stream kernel
+bit-identical to it on streams drawn from small vector pools.
 """
 
 from __future__ import annotations
@@ -54,6 +74,9 @@ from repro.timing.levelize import LevelizedCircuit
 from repro.timing.logic_eval import evaluate_logic
 
 _INF_BITS = np.uint32(0x7F800000)
+
+#: Transitions per window of the stream kernel, shared by every caller.
+DEFAULT_CHUNK = 1024
 
 
 @dataclass
@@ -215,11 +238,42 @@ def _propagate_arrivals(
     return late, early
 
 
+def _distinct_transitions(inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run-compress a (num_inputs, C) stream to its distinct transitions.
+
+    Returns ``(columns, timed)``: the ascending vector columns of the
+    sub-stream to time, and for each of the C - 1 transitions the index
+    of the sub-stream transition that times it -- its key's first
+    occurrence.  Sub-stream transitions between non-adjacent columns
+    are seams that no entry of ``timed`` points at.
+    """
+    # A transition's key is the packed bits of its two vectors, as
+    # uint64 words.  lexsort is stable, so each run of equal keys in
+    # sorted order starts at the key's first occurrence.
+    packed = np.packbits(inputs, axis=0)
+    total = inputs.shape[1]
+    words = np.zeros((total, -(-len(packed) // 8) * 8), dtype=np.uint8)
+    words[:, : len(packed)] = packed.T
+    words = words.view(np.uint64)
+    keys = np.concatenate([words[:-1], words[1:]], axis=1)
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    fresh = np.ones(total - 1, dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = order[fresh]
+    first_of = np.empty(total - 1, dtype=np.intp)
+    first_of[order] = first[np.cumsum(fresh) - 1]
+    keep = np.zeros(total, dtype=bool)
+    keep[first] = True
+    keep[first + 1] = True
+    return np.flatnonzero(keep), (np.cumsum(keep) - 1)[first_of]
+
+
 def batch_cycle_timings(
     circuit: LevelizedCircuit,
     inputs: np.ndarray,
     delay_matrix: np.ndarray,
-    chunk: int = 2048,
+    chunk: int = DEFAULT_CHUNK,
 ) -> BatchCycleTimings:
     """Time a whole chip population against one input-vector stream.
 
@@ -228,12 +282,16 @@ def batch_cycle_timings(
     fabricated chip.  The result covers the C-1 vector-to-vector
     transitions for every chip.
 
-    Work proceeds in windows of roughly ``chunk / num_chips``
-    transitions so the population's working set stays close to the
-    single-chip kernel's; chunking never changes results (each
-    transition's arrivals are a pure function of its two vectors).
-    Logic evaluation is shared across the population and the seam
-    column of each window is carried over, never re-evaluated.
+    Each distinct (prev, curr) transition is timed once, over the
+    run-compressed sub-stream of :func:`_distinct_transitions`, and
+    read back by every transition that repeats it.  Work proceeds in
+    windows of roughly ``chunk / num_chips`` sub-stream transitions so
+    the population's working set stays close to the single-chip
+    kernel's; neither the compression nor the chunking changes results
+    (each transition's arrivals are a pure function of its two
+    vectors).  Logic evaluation is shared across the population and
+    the boundary column of each window is carried over, never
+    re-evaluated.
     """
     inputs = np.asarray(inputs, dtype=bool)
     delay_matrix = np.asarray(delay_matrix)
@@ -257,27 +315,32 @@ def batch_cycle_timings(
         obs.inc("dta.cycles_analyzed", total - 1)
         obs.inc("dta.chip_cycles", num_chips * (total - 1))
 
+        columns, timed = _distinct_transitions(inputs)
+        stream = inputs[:, columns]
+        count = len(columns) - 1
+        obs.inc("dta.transitions_timed", count)
+
         # The delay-matrix float32 view is computed once per call, not
         # once per window (the old per-call astype copy, hoisted).
         delays32 = delay_matrix.astype(np.float32, copy=False)
         window = max(1, chunk // num_chips)
 
         out_ids = circuit.output_ids
-        t_late = np.empty((num_chips, total - 1), dtype=np.float32)
-        t_early = np.empty((num_chips, total - 1), dtype=np.float32)
-        toggles = np.empty(total - 1, dtype=np.int32)
+        t_late = np.empty((num_chips, count), dtype=np.float32)
+        t_early = np.empty((num_chips, count), dtype=np.float32)
+        toggles = np.empty(count, dtype=np.int32)
 
         boundary: np.ndarray | None = None
         start = 0
-        while start < total - 1:
-            stop = min(start + window, total - 1)
+        while start < count:
+            stop = min(start + window, count)
             if boundary is None:
-                values = evaluate_logic(circuit, inputs[:, start : stop + 1])
+                values = evaluate_logic(circuit, stream[:, start : stop + 1])
             else:
-                # Chunk seam: the window's first column was the previous
-                # window's last -- reuse it instead of re-evaluating the
-                # whole circuit for that vector.
-                fresh = evaluate_logic(circuit, inputs[:, start + 1 : stop + 1])
+                # Window boundary: the window's first column was the
+                # previous window's last -- reuse it instead of
+                # re-evaluating the whole circuit for that vector.
+                fresh = evaluate_logic(circuit, stream[:, start + 1 : stop + 1])
                 values = np.concatenate([boundary, fresh], axis=1)
                 del fresh
             boundary = values[:, -1:].copy()
@@ -301,6 +364,11 @@ def batch_cycle_timings(
             toggles[start:stop] = out_toggled
             start = stop
 
+        # Every transition reads its key's first occurrence; seams drop.
+        t_late = t_late[:, timed]
+        t_early = t_early[:, timed]
+        toggles = toggles[timed]
+
         if obs.enabled():
             # Arrival-time extremes of this evaluation: the late tail is
             # where setup violations (and choke paths) live, the early
@@ -318,7 +386,7 @@ def cycle_timings(
     circuit: LevelizedCircuit,
     inputs: np.ndarray,
     delays: np.ndarray,
-    chunk: int = 2048,
+    chunk: int = DEFAULT_CHUNK,
 ) -> CycleTimings:
     """Compute per-cycle aggregate output timing for an input-vector stream.
 

@@ -3,7 +3,8 @@
 The batch kernel's contract is *bit-identity*: ``batch_cycle_timings``
 row ``i`` must equal the stream timed as its adjacent pairs
 (``pair_cycle_timings``) on chip ``i`` exactly, for every chunking,
-population size, and degenerate shape.  The
+population size, degenerate shape and pattern of repeated transitions
+(the kernel times each distinct transition once).  The
 shared-memory tests pin the lifecycle rules: a crashing worker must
 never take the parent's segments down with it, and readers must degrade
 to ``None`` instead of raising when a segment is gone.
@@ -18,6 +19,9 @@ import signal
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.arch.trace import BENCHMARKS, generate_trace
+from repro.experiments.config import FAST_CONFIG
 from repro.pv.chip import delay_matrix
 from repro.pv.delaymodel import NTC
 from repro.pv.montecarlo import fabricate_population
@@ -142,6 +146,68 @@ def test_chunk_boundaries_never_change_results(chunk):
 
 
 # ----------------------------------------------------------------------
+# repeated transitions: each distinct transition timed once
+# ----------------------------------------------------------------------
+
+
+def _timed_transitions(circuit, inputs, matrix, chunk=16):
+    """The batch result and its ``dta.transitions_timed`` count."""
+    recorder = obs.install(obs.Telemetry(obs.TelemetrySpec(metrics=True))).recorder
+    try:
+        batch = batch_cycle_timings(circuit, inputs, matrix, chunk=chunk)
+        counters = recorder.metrics.snapshot()["counters"]
+    finally:
+        obs.uninstall()
+    return batch, counters["dta.transitions_timed"]
+
+
+def test_stream_without_repeats_times_every_transition():
+    netlist = random_netlist(3, num_inputs=6, num_gates=30, num_outputs=3)
+    circuit = levelize(netlist)
+    # 40 distinct vectors (a binary count): no transition can repeat
+    inputs = ((np.arange(40)[None, :] >> np.arange(6)[:, None]) & 1).astype(bool)
+    delays = random_gate_delays(netlist, 3)
+    batch, timed = _timed_transitions(circuit, inputs, delays[None, :])
+    assert timed == 39
+    _assert_chip_equal(batch, 0, pair_cycle_timings(circuit, inputs, delays))
+
+
+def test_constant_stream_times_one_transition():
+    circuit, delays = _chain_circuit(3)
+    inputs = np.ones((1, 50), dtype=bool)
+    batch, timed = _timed_transitions(circuit, inputs, np.stack([delays, delays * 2]))
+    assert timed == 1
+    assert np.all(batch.t_late == 0.0)
+    assert np.all(np.isposinf(batch.t_early))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pooled_streams_never_time_more_than_the_stream(seed):
+    netlist = random_netlist(seed, num_inputs=4, num_gates=25, num_outputs=2)
+    circuit = levelize(netlist)
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 2, size=(4, 1 + seed % 4)).astype(bool)
+    inputs = pool[:, rng.integers(0, pool.shape[1], size=30)]
+    rows = [random_gate_delays(netlist, 50 + seed + i) for i in range(3)]
+    batch, timed = _timed_transitions(circuit, inputs, np.stack(rows), chunk=1 + seed)
+    assert 1 <= timed <= 29
+    for i, delays in enumerate(rows):
+        _assert_chip_equal(batch, i, pair_cycle_timings(circuit, inputs, delays))
+
+
+@pytest.mark.parametrize("name", FAST_CONFIG.benchmarks)
+def test_benchmark_traces_match_the_pairs(name, stage16_ntc, chip16):
+    trace = generate_trace(BENCHMARKS[name], FAST_CONFIG.cycles, width=16)
+    inputs = trace.encode_inputs(stage16_ntc.alu)
+    batch, timed = _timed_transitions(
+        stage16_ntc.circuit, inputs, chip16.delays[None, :], chunk=1024
+    )
+    assert timed <= FAST_CONFIG.cycles - 1
+    reference = pair_cycle_timings(stage16_ntc.circuit, inputs, chip16.delays)
+    _assert_chip_equal(batch, 0, reference)
+
+
+# ----------------------------------------------------------------------
 # shared-memory hand-off lifecycle
 # ----------------------------------------------------------------------
 
@@ -234,6 +300,7 @@ LONG_STREAM_COUNTERS = {
     "dta.chip_cycles": 23988,
     "dta.cycles_analyzed": 23988,
     "dta.evaluations": 12,
+    "dta.transitions_timed": 21066,
     "etrace.cycles": 23988,
     "etrace.errors{kind=ce}": 62,
     "etrace.errors{kind=se_max}": 2545,

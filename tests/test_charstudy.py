@@ -146,6 +146,7 @@ CHOKE_STUDIES_COUNTERS = {
     "dta.cycles_analyzed": 31388,
     "dta.evaluations": 532,
     "dta.single_transitions": 2053,
+    "dta.transitions_timed": 31388,
 }
 
 
