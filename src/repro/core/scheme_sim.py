@@ -147,22 +147,13 @@ def build_error_trace(
     chip: ChipSample,
     trace: InstructionTrace,
     chunk: int = DEFAULT_CHUNK,
-    inputs: np.ndarray | None = None,
 ) -> ErrorTrace:
-    """Run DTA of ``trace`` on ``chip`` and classify every cycle.
-
-    ``inputs`` optionally supplies the pre-encoded primary-input matrix
-    (it must equal ``trace.encode_inputs(stage.alu)`` — e.g. a
-    shared-memory view published by the fleet parent); encoding is
-    deterministic, so supplying it never changes results.
-    """
+    """Run DTA of ``trace`` on ``chip`` and classify every cycle."""
     if trace.width != stage.width:
         raise ValueError(
             f"trace width {trace.width} does not match stage width {stage.width}"
         )
-    if inputs is None:
-        inputs = trace.encode_inputs(stage.alu)
-    timings = stage.timings(chip, inputs, chunk=chunk)
+    timings = stage.timings(chip, trace.encode_inputs(stage.alu), chunk=chunk)
 
     owm = owm_flag(trace.a_values, trace.b_values, trace.width)
     size_a = operand_size_class(trace.a_values, trace.width)
@@ -176,7 +167,6 @@ def build_error_traces_batch(
     chips: "list[ChipSample] | tuple[ChipSample, ...]",
     trace: InstructionTrace,
     chunk: int = DEFAULT_CHUNK,
-    inputs: np.ndarray | None = None,
 ) -> list[ErrorTrace]:
     """Run DTA of ``trace`` on a whole chip population in one kernel call.
 
@@ -193,9 +183,9 @@ def build_error_traces_batch(
         raise ValueError(
             f"trace width {trace.width} does not match stage width {stage.width}"
         )
-    if inputs is None:
-        inputs = trace.encode_inputs(stage.alu)
-    batch = stage.batch_timings(delay_matrix(chips), inputs, chunk=chunk)
+    batch = stage.batch_timings(
+        delay_matrix(chips), trace.encode_inputs(stage.alu), chunk=chunk
+    )
 
     owm = owm_flag(trace.a_values, trace.b_values, trace.width)
     size_a = operand_size_class(trace.a_values, trace.width)

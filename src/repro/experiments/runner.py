@@ -40,10 +40,6 @@ def _population_key(kind: str, corner: str, buffered: bool) -> str:
     return f"pop/{kind}/{corner}/{int(buffered)}"
 
 
-def _inputs_key(benchmark: str, cycles: int, width: int) -> str:
-    return f"inputs/{benchmark}/{cycles}/{width}"
-
-
 class ExperimentContext:
     """Memoised factory for stages, chips, traces, and error traces."""
 
@@ -110,18 +106,6 @@ class ExperimentContext:
             nominal_delays=nominal,
             affected_ids=affected[int(offsets[index]) : int(offsets[index + 1])],
         )
-
-    def _shared_inputs(self, benchmark: str, stage: ExStage) -> np.ndarray | None:
-        """The parent-published encoded input stream for ``benchmark``."""
-        if self.shared is None:
-            return None
-        inputs = self.shared.get(
-            _inputs_key(benchmark, self.config.cycles, self.config.width)
-        )
-        if inputs is None or inputs.shape[0] != stage.alu.num_inputs:
-            return None
-        obs.inc("runner.inputs_shared")
-        return inputs
 
     def stage(self, corner: str = "NTC", buffered: bool = True) -> ExStage:
         key = (corner, buffered, self.config.width)
@@ -203,8 +187,7 @@ class ExperimentContext:
                     stage = self.stage(corner, buffered)
                     chip = self.chip(chip_seed, corner, buffered)
                     return build_error_trace(
-                        stage, chip, self.trace(benchmark), chunk=self.config.chunk,
-                        inputs=self._shared_inputs(benchmark, stage),
+                        stage, chip, self.trace(benchmark), chunk=self.config.chunk
                     )
 
             self._error_traces[key] = self._checkpointed("etrace", key, compute)
@@ -249,8 +232,7 @@ class ExperimentContext:
             ):
                 obs.inc("runner.error_traces_computed", len(missing))
                 traces = build_error_traces_batch(
-                    stage, chips, self.trace(benchmark), chunk=self.config.chunk,
-                    inputs=self._shared_inputs(benchmark, stage),
+                    stage, chips, self.trace(benchmark), chunk=self.config.chunk
                 )
             for seed, trace in zip(missing, traces):
                 self._error_traces[keys[seed]] = self._checkpointed(
@@ -356,25 +338,29 @@ def group_trace_specs(
 def build_shared_artefacts(
     config: ExperimentConfig, experiment_ids
 ) -> tuple[ShmCatalog | None, ShmPublisher | None]:
-    """Publish population artefacts to shared memory for a fleet run.
+    """Publish the run's chip populations to shared memory for a fleet run.
 
     Fabricates every chip the :func:`prefetch_plan` names as one
     population per (kind, corner, buffered) group — bit-identical per
-    seed to on-demand fabrication — plus the encoded input-vector stream
-    of every benchmark the plan's error traces need, and copies them
-    into :mod:`multiprocessing.shared_memory` segments.  Returns the
+    seed to on-demand fabrication — and copies them into
+    :mod:`multiprocessing.shared_memory` segments.  Returns the
     picklable catalog (to ship inside the ``WorkerSpec``) and the
     publisher that owns the segments; the caller must ``unlink()`` it
     when the run finishes.  Returns ``(None, None)`` when the plan needs
-    nothing.
+    no chip.
+
+    Instruction traces and their encoded input streams are not shared:
+    the workers that build error traces need the trace itself, and
+    encoding one costs well under a millisecond, so the coordinator
+    generates no trace.
     """
-    chips, traces = prefetch_plan(config, experiment_ids)
-    if not chips and not traces:
+    chips, _ = prefetch_plan(config, experiment_ids)
+    if not chips:
         return None, None
     ctx = ExperimentContext(config)
     publisher = ShmPublisher()
     try:
-        with obs.span("runner.build_shared", chips=len(chips), traces=len(traces)):
+        with obs.span("runner.build_shared", chips=len(chips)):
             groups: dict[tuple[str, str, bool], list[int]] = {}
             for kind, seed, corner, buffered in chips:
                 # alu_chip ignores ``buffered``; normalise its group key.
@@ -404,13 +390,6 @@ def build_shared_artefacts(
                 publisher.put(f"{group}/affected", packed.astype(np.int64))
                 publisher.put(f"{group}/aff_offsets", offsets)
                 publisher.put_meta(group, tuple(seeds))
-
-            alu, _ = ctx.bare_alu("NTC")
-            for benchmark in sorted({spec[0] for spec in traces}):
-                inputs = ctx.trace(benchmark).encode_inputs(alu)
-                publisher.put(
-                    _inputs_key(benchmark, config.cycles, config.width), inputs
-                )
     except Exception:
         publisher.unlink()
         raise

@@ -43,11 +43,11 @@ from repro.obs.recorder import SHARD_VERSION
 #: though the science does not.  The run ledger still records the
 #: domain families, in its separate ``domain`` section.  The
 #: shared-memory hand-off families (``shm.``, ``runner.chips_``,
-#: ``runner.inputs_``, ``pv.populations_``) only exist in fleet runs —
-#: serial runs fabricate the chip locally (``runner.chips_computed``)
-#: while fleets publish a population once and attach per worker — so
-#: the *mechanism* counters are schedule-dependent even though the
-#: chips delivered are bit-identical.
+#: ``pv.populations_``) only exist in fleet runs — serial runs
+#: fabricate the chip locally (``runner.chips_computed``) while fleets
+#: publish a population once and attach per worker — so the
+#: *mechanism* counters are schedule-dependent even though the chips
+#: delivered are bit-identical.
 SCHEDULE_DEPENDENT_PREFIXES = (
     "checkpoint.",
     "worker.",
@@ -65,7 +65,6 @@ SCHEDULE_DEPENDENT_PREFIXES = (
     "obs.",
     "shm.",
     "runner.chips_",
-    "runner.inputs_",
     "pv.populations_",
     # RPC frame traffic and event emission scale with heartbeat cadence,
     # steals, and resubmissions — schedule-dependent by definition; clock

@@ -472,37 +472,34 @@ def run_fleet(
     on_outcome: Callable[[RunOutcome], None] | None = None,
     prefetch: bool = True,
     crash_retries: int = 1,
-    share_artefacts: bool = True,
 ) -> tuple[RunReport, StoreStats]:
     """Prefetch shared artefacts, then fan the experiments out.
 
-    The convenience wrapper the CLI uses for ``--jobs > 1``.  With
-    ``share_artefacts`` the parent fabricates the run's chip populations
-    and encoded input streams once, publishes them to shared-memory
-    segments, and ships only the catalog inside the :class:`WorkerSpec`
-    — workers attach zero-copy views instead of pickling or recomputing
-    whole chips.  Publishing is best-effort: on any failure the fleet
-    runs exactly as before, computing artefacts through the store.
+    The convenience wrapper the CLI uses for ``--jobs > 1``.  The parent
+    fabricates the run's chip populations once, publishes them to
+    shared-memory segments, and ships only the catalog inside the
+    :class:`WorkerSpec` — workers attach zero-copy views instead of
+    pickling or recomputing whole chips.  The parent generates no
+    instruction trace: each error-trace worker generates its own.
+    Publishing is best-effort: on any failure the fleet runs exactly as
+    before, computing artefacts through the store.
     """
+    from repro.experiments.runner import build_shared_artefacts
+
     jobs = jobs or default_jobs()
     obs.gauge("parallel.jobs", jobs)
     stats = StoreStats()
     publisher = None
-    if share_artefacts:
-        from repro.experiments.runner import build_shared_artefacts
-
-        try:
-            catalog, publisher = build_shared_artefacts(
-                spec.config, experiment_ids
-            )
-        except Exception as exc:
-            logger.warning(
-                "shared-memory publish failed (%s); workers will compute "
-                "artefacts locally", exc,
-            )
-        else:
-            if catalog is not None and len(catalog):
-                spec = dataclasses.replace(spec, shm_catalog=catalog)
+    try:
+        catalog, publisher = build_shared_artefacts(spec.config, experiment_ids)
+    except Exception as exc:
+        logger.warning(
+            "shared-memory publish failed (%s); workers will compute "
+            "artefacts locally", exc,
+        )
+    else:
+        if catalog is not None and len(catalog):
+            spec = dataclasses.replace(spec, shm_catalog=catalog)
     try:
         if prefetch:
             stats.merge(prefetch_artefacts(spec, experiment_ids, jobs))

@@ -1,15 +1,16 @@
-"""Shared-memory hand-off of population artefacts to fleet workers.
+"""Shared-memory hand-off of chip populations to fleet workers.
 
-Before the batched kernel, every fleet worker received its chips and
-input streams by pickling them through the process boundary (or by
-recomputing them through the checkpoint store).  With populations the
-natural unit is a handful of large read-only arrays — the
-``(num_chips, num_nodes)`` delay/ΔVth matrices and the encoded
-input-vector stream per benchmark — which belong in
-:mod:`multiprocessing.shared_memory`: the parent publishes each array
-into a named segment once, workers attach zero-copy views, and only a
-small picklable :class:`ShmCatalog` of (segment name, shape, dtype)
-travels inside the :class:`~repro.runtime.parallel.WorkerSpec`.
+Before the batched kernel, every fleet worker received its chips by
+pickling them through the process boundary (or by recomputing them
+through the checkpoint store).  With populations the natural unit is a
+handful of large read-only arrays — the ``(num_chips, num_nodes)``
+delay/ΔVth matrices of each (kind, corner, buffered) group — which
+belong in :mod:`multiprocessing.shared_memory`: the parent publishes
+each array into a named segment once, workers attach zero-copy views,
+and only a small picklable :class:`ShmCatalog` of (segment name, shape,
+dtype) travels inside the :class:`~repro.runtime.parallel.WorkerSpec`.
+Instruction traces are not published: a worker that builds an error
+trace needs the trace itself, not only its encoded input stream.
 
 Failure philosophy: the hand-off is strictly an accelerator.  Workers
 that cannot attach a segment (remote machines, exhausted /dev/shm,

@@ -67,6 +67,24 @@ def test_serial_and_parallel_reports_are_identical(tmp_path, capsys):
     assert out.index("fig3_4:") < out.index("tab3_ovh:") < out.index("tab4_ovh:")
 
 
+def test_fleet_generates_each_trace_once_and_shares_only_populations(tmp_path):
+    argv = ["fig3_8", "fig4_8", "--fast", "--cycles", "300"]
+    metrics = tmp_path / "metrics.json"
+    code_s, serial = run_cli([*argv, "--jobs", "1"], tmp_path, "serial")
+    code_p, parallel = run_cli(
+        [*argv, "--jobs", "2", "--metrics-out", str(metrics)], tmp_path, "parallel"
+    )
+    assert code_s == 0 and code_p == 0
+    assert serial == parallel
+    counters = json.loads(metrics.read_text())["counters"]
+    # the coordinator generates no trace: each prefetch unit generates
+    # its benchmark's trace once, for both reference chips
+    assert counters["runner.trace_generated"] == len(FAST_CONFIG.benchmarks)
+    # one chip population of five arrays, and no input stream
+    assert counters["shm.arrays_published"] == 5
+    assert not [name for name in counters if name.startswith("runner.inputs_")]
+
+
 def test_parallel_run_shares_user_checkpoint_store(tmp_path, capsys):
     from repro.experiments.__main__ import main
 
