@@ -26,7 +26,7 @@ from repro.timing.sta import arrival_times
 def main() -> None:
     width = 16
     alu = build_alu(width)
-    circuit = levelize(alu.netlist)
+    circuit = levelize(alu.netlist, alu.select_rows)
     nominal = nominal_gate_delays(alu.netlist, NTC)
     arrivals = arrival_times(alu.netlist, nominal, "max")
     critical = max(float(arrivals[bit]) for bit in alu.output_bits)

@@ -130,6 +130,13 @@ class Alu:
     def num_inputs(self) -> int:
         return len(self.netlist.input_ids)
 
+    @property
+    def select_rows(self) -> list[int]:
+        """Input rows of the one-hot operation selects, in :attr:`ops`
+        order: the controls of the ALU's levelised circuit."""
+        rows = {node: row for row, node in enumerate(self.netlist.input_ids)}
+        return [rows[self.sel_bits[op]] for op in self.ops]
+
     def encode(self, op: AluOp, a: int, b: int) -> np.ndarray:
         """Encode one (op, a, b) into a primary-input boolean vector."""
         return self.encode_batch(

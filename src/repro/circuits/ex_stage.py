@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -127,6 +128,7 @@ def build_ex_stage(
     hold_margin: float = 1.4,
     max_headroom: float = 0.97,
     use_lookahead_adder: bool = False,
+    levelizer: Callable[[Netlist, Sequence[int]], LevelizedCircuit] = levelize,
 ) -> ExStage:
     """Plan and build an EX pipestage.
 
@@ -137,6 +139,9 @@ def build_ex_stage(
       ``hold_margin x`` the constraint, as real hold fixing does).
     * ``max_headroom``: padded branches may not push any max path beyond
       this fraction of the clock period.
+    * ``levelizer(netlist, controls)`` builds the stage's levelised
+      circuit, keyed on the ALU's select rows; a caller holding several
+      stages passes a memoised one to share equal netlists' circuits.
     """
     if not 0 < hold_fraction < 1:
         raise ValueError("hold_fraction must be in (0, 1)")
@@ -208,5 +213,5 @@ def build_ex_stage(
         nominal_delays=nominal,
         nominal_critical_delay=critical2,
         nominal_min_delay=min_delay,
-        circuit=levelize(alu.netlist),
+        circuit=levelizer(alu.netlist, alu.select_rows),
     )

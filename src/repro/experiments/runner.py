@@ -17,6 +17,8 @@ recomputation (see the checkpoint module's failure philosophy).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro import obs
@@ -54,6 +56,7 @@ class ExperimentContext:
         self.shared = shared
         self._stages: dict[tuple, ExStage] = {}
         self._alus: dict[tuple, tuple[Alu, LevelizedCircuit]] = {}
+        self._circuits: dict[tuple, LevelizedCircuit] = {}
         self._chips: dict[tuple, ChipSample] = {}
         self._traces: dict[tuple, InstructionTrace] = {}
         self._error_traces: dict[tuple, ErrorTrace] = {}
@@ -107,11 +110,28 @@ class ExperimentContext:
             affected_ids=affected[int(offsets[index]) : int(offsets[index + 1])],
         )
 
+    def _levelized(self, netlist: Netlist, controls: Sequence[int]) -> LevelizedCircuit:
+        """One levelised circuit per distinct netlist structure.
+
+        The bare ALU and the unbuffered stages build equal netlists, and
+        so do the buffered stages at both corners; sharing one circuit
+        also shares its cache of restricted circuits.
+        """
+        in0, in1, in2 = netlist.fanin_arrays()
+        key = (
+            netlist.kinds_array().tobytes(), in0.tobytes(), in1.tobytes(), in2.tobytes(),
+            netlist.input_ids, netlist.output_ids, tuple(controls),
+        )
+        if key not in self._circuits:
+            self._circuits[key] = levelize(netlist, controls)
+        return self._circuits[key]
+
     def stage(self, corner: str = "NTC", buffered: bool = True) -> ExStage:
         key = (corner, buffered, self.config.width)
         if key not in self._stages:
             self._stages[key] = build_ex_stage(
-                self.config.width, self.corner(corner), buffered=buffered
+                self.config.width, self.corner(corner), buffered=buffered,
+                levelizer=self._levelized,
             )
         return self._stages[key]
 
@@ -120,7 +140,7 @@ class ExperimentContext:
         key = ("alu", self.config.width)
         if key not in self._alus:
             alu = build_alu(self.config.width)
-            self._alus[key] = (alu, levelize(alu.netlist))
+            self._alus[key] = (alu, self._levelized(alu.netlist, alu.select_rows))
         return self._alus[key]
 
     def chip(

@@ -73,6 +73,43 @@ def random_netlist(
     return netlist
 
 
+def random_select_netlist(
+    rng: np.random.Generator | int,
+    num_data: int = 4,
+    num_controls: int = 3,
+    num_gates: int = 40,
+    num_outputs: int = 3,
+) -> Netlist:
+    """A random netlist whose outputs pass a one-hot AND-OR result mux.
+
+    The inputs are ``num_data`` data inputs, then ``num_controls``
+    control inputs (input rows ``num_data ..``).  The body is a
+    :func:`random_netlist` over all of them; each output ORs one AND
+    gate per control, gating a random body node with that control --
+    the ALU's result-mux shape, so a control held at 0 silences a whole
+    branch, while the body reads the controls as ordinary inputs too.
+    """
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(int(rng))
+    num_inputs = num_data + num_controls
+    netlist = random_netlist(rng, num_inputs, num_gates, num_outputs=0)
+    controls = netlist.input_ids[num_data:]
+    # branch sources: any input or body gate, never the two constants
+    sources = [*range(num_inputs), *range(num_inputs + 2, netlist.num_nodes)]
+    for i in range(num_outputs):
+        gated = [
+            netlist.add(GateKind.AND2, (control, sources[int(rng.integers(len(sources)))]))
+            for control in controls
+        ]
+        while len(gated) > 1:
+            gated = [
+                netlist.add(GateKind.OR2, (gated[j], gated[j + 1]))
+                for j in range(0, len(gated) - 1, 2)
+            ] + gated[len(gated) - len(gated) % 2 :]
+        netlist.mark_output(f"out{i}", gated[0])
+    return netlist
+
+
 def random_gate_delays(
     netlist: Netlist, rng: np.random.Generator | int, lo: float = 1.0, hi: float = 20.0
 ) -> np.ndarray:

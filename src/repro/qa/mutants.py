@@ -161,17 +161,27 @@ def _adjacent_toggles(_original):
 
 
 def _first_occurrence_shift(original):
-    def distinct_transitions(inputs):
-        columns, timed = original(inputs)
-        # a repeated transition reads the sub-stream transition after
-        # its key's first occurrence
-        repeat = np.ones(len(timed), dtype=bool)
-        repeat[np.unique(timed, return_index=True)[1]] = False
-        shifted = timed.copy()
-        shifted[repeat] = np.minimum(timed[repeat] + 1, len(columns) - 2)
-        return columns, shifted
+    def first_occurrences(inputs):
+        first, first_of = original(inputs)
+        # a repeated transition reads the distinct transition after its
+        # key's first occurrence
+        repeat = np.ones(len(first_of), dtype=bool)
+        repeat[first] = False
+        shifted = first_of.copy()
+        shifted[repeat] = np.minimum(first_of[repeat] + 1, len(first) - 1)
+        return first, shifted
 
-    return distinct_transitions
+    return first_occurrences
+
+
+def _current_op_cone(_original):
+    def window_circuit(circuit, controls, prev, curr):
+        # keyed on the sensitising vectors alone: a control that changes
+        # within a pair (the op changes) is taken to be constant
+        current = controls[:, curr]
+        return circuit.restrict(~current.any(axis=1), current.all(axis=1))
+
+    return window_circuit
 
 
 def _load_without_checksum(_original):
@@ -288,9 +298,17 @@ MUTANTS: dict[str, Mutant] = {
             name="dedup-first-occurrence-shift",
             description="stream kernel's repeated transitions read the timed "
             "transition after their first occurrence",
-            target=("repro.timing.dta", "_distinct_transitions"),
+            target=("repro.timing.dta", "_first_occurrences"),
             build=_first_occurrence_shift,
             oracles=("stream_repeats_vs_pairs",),
+        ),
+        Mutant(
+            name="cone-current-op-only",
+            description="stream kernel prunes each window by the current "
+            "vectors' controls alone, ignoring the initialising ones",
+            target=("repro.timing.dta", "_window_circuit"),
+            build=_current_op_cone,
+            oracles=("cone_vs_full",),
         ),
         Mutant(
             name="pair-adjacent-toggle",

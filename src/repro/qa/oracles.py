@@ -183,10 +183,10 @@ def pair_cycle_timings(circuit, inputs: np.ndarray, delays: np.ndarray) -> dta.C
     )
 
 
-def _stream_parity(netlist, inputs: np.ndarray, case: dict[str, int]) -> list[str]:
+def _stream_parity(circuit, inputs: np.ndarray, case: dict[str, int]) -> list[str]:
     """Every chip row of the stream kernel, and the single-chip view,
     bit-identical to :func:`pair_cycle_timings` on ``inputs``."""
-    circuit = levelize(netlist)
+    netlist = circuit.netlist
     num_vectors = inputs.shape[1]
     delay_rng = case_rng(case, "delays")
     num_chips = case["num_chips"]
@@ -235,19 +235,20 @@ def _check_batch_vs_scalar(case: dict[str, int]) -> list[str]:
     rng = case_rng(case, "vectors")
     num_vectors = case["num_vectors"]
     inputs = rng.integers(0, 2, size=(len(netlist.input_ids), num_vectors)).astype(bool)
-    return _stream_parity(netlist, inputs, case)
+    return _stream_parity(levelize(netlist), inputs, case)
 
 
 def _check_stream_repeats_vs_pairs(case: dict[str, int]) -> list[str]:
     """Streams full of repeated transitions, bit-identical to the pairs.
 
-    The vectors are drawn from a pool of 1-4, so transitions repeat,
-    runs of first occurrences form, and the run-compressed sub-stream
-    has seams.  The all-equal stream of the pool's first vector is
-    checked too.  Beyond :func:`_stream_parity`, the pooled stream may
-    time at most C - 1 transitions and the all-equal stream exactly one.
+    The vectors are drawn from a pool of 1-4, so transitions repeat
+    and the kernel reads most of them back from a first occurrence.
+    The all-equal stream of the pool's first vector is checked too.
+    Beyond :func:`_stream_parity`, the pooled stream may time at most
+    C - 1 transitions and the all-equal stream exactly one.
     """
     netlist = _materialize_netlist(case)
+    circuit = levelize(netlist)
     rng = case_rng(case, "vectors")
     pool = rng.integers(0, 2, size=(len(netlist.input_ids), case["pool"])).astype(bool)
     num_vectors = case["num_vectors"]
@@ -257,10 +258,68 @@ def _check_stream_repeats_vs_pairs(case: dict[str, int]) -> list[str]:
     }
     violations: list[str] = []
     for label, (inputs, limit) in streams.items():
-        violations += [f"{label}: {v}" for v in _stream_parity(netlist, inputs, case)]
-        timed = len(dta._distinct_transitions(inputs)[0]) - 1
-        if timed > limit:
-            violations.append(f"{label}: {timed} transitions timed, at most {limit} allowed")
+        violations += [f"{label}: {v}" for v in _stream_parity(circuit, inputs, case)]
+        timed = len(dta._first_occurrences(inputs)[0])
+        if not 1 <= timed <= limit:
+            violations.append(f"{label}: {timed} transitions timed, 1 to {limit} allowed")
+    return violations
+
+
+def _check_cone_vs_full(case: dict[str, int]) -> list[str]:
+    """The stream kernel on restricted circuits vs the unpruned pairs.
+
+    A random netlist with designated control inputs feeding a one-hot
+    style AND-OR output mux (:func:`circuits.random_select_netlist`);
+    each vector takes its controls from a pool of 2-4 distinct patterns
+    and its data from a pool of 1-6, so the stream mixes classes, repeats
+    transitions, and changes class within pairs.  Every chip row must
+    be bit-identical to :func:`pair_cycle_timings`, which propagates
+    the unpruned circuit.  For every pattern pair, the restriction
+    itself is checked on vectors that match its key: no node it marks
+    constant ever takes the other value (so none toggles), and every
+    row of the restricted circuit -- inputs, cone, constant rows and
+    outputs -- evaluates as the full circuit's node does.
+    """
+    num_data, num_controls = case["num_inputs"], case["num_controls"]
+    netlist = circuits.random_select_netlist(
+        case_rng(case, "netlist"), num_data, num_controls,
+        case["num_gates"], case["num_outputs"],
+    )
+    circuit = levelize(netlist, controls=range(num_data, num_data + num_controls))
+    rng = case_rng(case, "vectors")
+    # distinct control patterns, so at least two classes
+    codes = rng.choice(
+        1 << num_controls, size=min(case["patterns"], 1 << num_controls), replace=False
+    )
+    patterns = ((codes[None, :] >> np.arange(num_controls)[:, None]) & 1).astype(bool)
+    data = rng.integers(0, 2, size=(num_data, case["data_pool"])).astype(bool)
+    num_vectors = case["num_vectors"]
+    inputs = np.concatenate([
+        data[:, rng.integers(0, case["data_pool"], size=num_vectors)],
+        patterns[:, rng.integers(0, len(codes), size=num_vectors)],
+    ])
+    violations = _stream_parity(circuit, inputs, case)
+
+    for p in range(len(codes)):
+        for c in range(len(codes)):
+            pair = patterns[:, [p, c]]
+            known0, known1 = ~pair.any(axis=1), pair.all(axis=1)
+            vectors = np.concatenate([
+                rng.integers(0, 2, size=(num_data, 8)).astype(bool),
+                pair[:, rng.integers(0, 2, size=8)],
+            ])
+            values = evaluate_logic(circuit, vectors)
+            constant = circuit.constant_values(known0, known1)
+            stable = constant < 2
+            if (values[stable] != constant[stable, None]).any():
+                violations.append(f"patterns {p} -> {c}: a node marked constant changes value")
+            restricted = circuit.restrict(known0, known1)
+            if not np.array_equal(
+                evaluate_logic(restricted, vectors), values[restricted.node_ids]
+            ):
+                violations.append(
+                    f"patterns {p} -> {c}: restricted circuit disagrees with the full one"
+                )
     return violations
 
 
@@ -1201,7 +1260,7 @@ ORACLES: dict[str, Oracle] = {
         ),
         Oracle(
             name="stream_repeats_vs_pairs",
-            description="run-compressed stream kernel over repeated transitions "
+            description="deduplicating stream kernel over repeated transitions "
             "bit-identical to the per-pair DTA path",
             params={
                 **_NETLIST_PARAMS,
@@ -1211,6 +1270,22 @@ ORACLES: dict[str, Oracle] = {
                 "chunk": Param(1, 16),
             },
             check=_check_stream_repeats_vs_pairs,
+            cost=3.0,
+        ),
+        Oracle(
+            name="cone_vs_full",
+            description="stream kernel on class-restricted circuits bit-identical "
+            "to the unpruned per-pair DTA path; restriction soundness",
+            params={
+                **_NETLIST_PARAMS,
+                "num_controls": Param(1, 4),
+                "patterns": Param(2, 4),
+                "data_pool": Param(1, 6),
+                "num_vectors": Param(2, 24),
+                "num_chips": Param(1, 4),
+                "chunk": Param(1, 16),
+            },
+            check=_check_cone_vs_full,
             cost=3.0,
         ),
         Oracle(

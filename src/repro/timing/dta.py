@@ -36,31 +36,44 @@ The pair form :func:`pair_arrivals` times K independent (prev, curr)
 vector pairs in one propagation and keeps every node's arrivals; the
 choke trace-back reads its columns.  Both forms share
 :func:`_propagate_arrivals`, which takes toggle masks rather than logic
-values: the stream kernel's toggles are adjacent columns, the pair
-form's are ``curr != prev``.  The ``batch_vs_scalar`` QA oracle holds
-the stream kernel bit-identical to the adjacent-pair case of the pair
-form, and ``pair_vs_single`` holds each pair column bit-identical to a
-K = 1 call.
+values, and both take a pair's toggles as ``curr != prev``.  The
+``batch_vs_scalar`` QA oracle holds the stream kernel bit-identical to
+the adjacent-pair case of the pair form, and ``pair_vs_single`` holds
+each pair column bit-identical to a K = 1 call.
 
-Repeated transitions
---------------------
+Repeated transitions and restricted circuits
+--------------------------------------------
 
 A transition's arrivals are a pure function of its (prev, curr) vector
 pair and the chip, and instruction streams reuse operands, so many
 transitions repeat.  :func:`batch_cycle_timings` times each distinct
-transition once: it keys each transition by the packed bits of its
-two vectors, finds each key's first occurrence, and keeps only the
-columns those first occurrences touch (``first`` and ``first + 1``).  The kept
-columns form a sub-stream that runs through the same windowed kernel;
-every transition then reads its key's first occurrence back.  Where
-two kept columns are not adjacent, the sub-stream times a junk *seam*
-transition between them, which nothing reads.  The sub-stream never
-has more than C columns, so at most C - 1 transitions are timed: a
-seam is only ever timed in place of a repeated transition it skipped.
-With no repeats the sub-stream is the stream itself.  The pair form
-stays uncompressed, so it remains an independent reference; the
-``stream_repeats_vs_pairs`` oracle holds the stream kernel
-bit-identical to it on streams drawn from small vector pools.
+transition once: :func:`_first_occurrences` keys each transition by
+the packed bits of its two vectors and finds each key's first
+occurrence, and every transition reads its key's result back.  At
+most C - 1 transitions are timed, exactly one for a constant stream.
+
+The distinct transitions are timed as vector pairs, so they need not
+stay in stream order.  They are sorted by *class* -- the control bits
+of both vectors (for the ALU, the (prev op, curr op) selects) -- and
+the sorted order is cut into windows of ``chunk // num_chips`` pairs.
+Each window runs on its circuit restricted to the controls constant
+across all of its vectors
+(:meth:`~repro.timing.levelize.LevelizedCircuit.restrict`): for a
+transition from op p to op c every other unit's result-mux AND gate
+holds a stable 0, so only the outputs' cone through non-stable gates
+is evaluated and propagated.  A window that straddles two classes runs
+on their union cone.  Controls are keyed on the initialising vector
+as well as the sensitising one: a unit whose select drops in the
+transition still drives the output's old value.  Windows, not one
+call per class, keep the Python dispatches per call at about what a
+dense stream needs.  ``dta.gate_evals`` counts the work: the gates of
+each window's circuit x its pairs x chips.
+
+The pair form stays unpruned and uncompressed, so it remains an
+independent reference: ``stream_repeats_vs_pairs`` holds the stream
+kernel bit-identical to it on streams drawn from small vector pools,
+and ``cone_vs_full`` on multi-class streams over random netlists with
+designated controls.
 """
 
 from __future__ import annotations
@@ -238,14 +251,13 @@ def _propagate_arrivals(
     return late, early
 
 
-def _distinct_transitions(inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run-compress a (num_inputs, C) stream to its distinct transitions.
+def _first_occurrences(inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct transitions of a (num_inputs, C) stream.
 
-    Returns ``(columns, timed)``: the ascending vector columns of the
-    sub-stream to time, and for each of the C - 1 transitions the index
-    of the sub-stream transition that times it -- its key's first
-    occurrence.  Sub-stream transitions between non-adjacent columns
-    are seams that no entry of ``timed`` points at.
+    Returns ``(first, first_of)``: ``first`` holds the transition index
+    of each distinct (prev, curr) pair's first occurrence, and
+    ``first_of`` maps each of the C - 1 transitions to the entry of
+    ``first`` that times it.
     """
     # A transition's key is the packed bits of its two vectors, as
     # uint64 words.  lexsort is stable, so each run of equal keys in
@@ -260,13 +272,27 @@ def _distinct_transitions(inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ordered = keys[order]
     fresh = np.ones(total - 1, dtype=bool)
     fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    first = order[fresh]
     first_of = np.empty(total - 1, dtype=np.intp)
-    first_of[order] = first[np.cumsum(fresh) - 1]
-    keep = np.zeros(total, dtype=bool)
-    keep[first] = True
-    keep[first + 1] = True
-    return np.flatnonzero(keep), (np.cumsum(keep) - 1)[first_of]
+    first_of[order] = np.cumsum(fresh) - 1
+    return order[fresh], first_of
+
+
+def _class_order(controls: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Order of ``first`` sorted by class: the control bits of each
+    transition's two vectors (``controls`` is the stream's control rows)."""
+    if not len(controls):
+        return np.arange(len(first))
+    bits = np.concatenate([controls[:, first], controls[:, first + 1]])
+    return np.lexsort(np.packbits(bits, axis=0)[::-1])
+
+
+def _window_circuit(
+    circuit: LevelizedCircuit, controls: np.ndarray, prev: np.ndarray, curr: np.ndarray
+) -> LevelizedCircuit:
+    """The circuit restricted to the controls constant over every
+    vector of a window: the prev *and* curr vector of each pair."""
+    both = np.concatenate([controls[:, prev], controls[:, curr]], axis=1)
+    return circuit.restrict(~both.any(axis=1), both.all(axis=1))
 
 
 def batch_cycle_timings(
@@ -282,16 +308,18 @@ def batch_cycle_timings(
     fabricated chip.  The result covers the C-1 vector-to-vector
     transitions for every chip.
 
-    Each distinct (prev, curr) transition is timed once, over the
-    run-compressed sub-stream of :func:`_distinct_transitions`, and
-    read back by every transition that repeats it.  Work proceeds in
-    windows of roughly ``chunk / num_chips`` sub-stream transitions so
-    the population's working set stays close to the single-chip
-    kernel's; neither the compression nor the chunking changes results
-    (each transition's arrivals are a pure function of its two
-    vectors).  Logic evaluation is shared across the population and
-    the boundary column of each window is carried over, never
-    re-evaluated.
+    Each distinct (prev, curr) transition is timed once, as a vector
+    pair, and read back by every transition that repeats it.  The
+    distinct pairs are sorted by class (their control bits) and cut
+    into windows of ``chunk // num_chips`` pairs, so the population's
+    working set stays close to the single-chip kernel's; each window
+    runs on the circuit restricted to the controls constant across
+    it (:meth:`~repro.timing.levelize.LevelizedCircuit.restrict`).
+    Neither the dedup, the order, the windows nor the restriction
+    changes results: each transition's arrivals are a pure function of
+    its two vectors, and the restricted circuit times every output of
+    a matching pair exactly.  Logic evaluation is shared across the
+    population.
     """
     inputs = np.asarray(inputs, dtype=bool)
     delay_matrix = np.asarray(delay_matrix)
@@ -315,42 +343,41 @@ def batch_cycle_timings(
         obs.inc("dta.cycles_analyzed", total - 1)
         obs.inc("dta.chip_cycles", num_chips * (total - 1))
 
-        columns, timed = _distinct_transitions(inputs)
-        stream = inputs[:, columns]
-        count = len(columns) - 1
+        first, first_of = _first_occurrences(inputs)
+        count = len(first)
         obs.inc("dta.transitions_timed", count)
+        controls = inputs[circuit.controls]
+        order = _class_order(controls, first)
 
         # The delay-matrix float32 view is computed once per call, not
         # once per window (the old per-call astype copy, hoisted).
         delays32 = delay_matrix.astype(np.float32, copy=False)
         window = max(1, chunk // num_chips)
 
-        out_ids = circuit.output_ids
         t_late = np.empty((num_chips, count), dtype=np.float32)
         t_early = np.empty((num_chips, count), dtype=np.float32)
         toggles = np.empty(count, dtype=np.int32)
 
-        boundary: np.ndarray | None = None
-        start = 0
-        while start < count:
-            stop = min(start + window, count)
-            if boundary is None:
-                values = evaluate_logic(circuit, stream[:, start : stop + 1])
-            else:
-                # Window boundary: the window's first column was the
-                # previous window's last -- reuse it instead of
-                # re-evaluating the whole circuit for that vector.
-                fresh = evaluate_logic(circuit, stream[:, start + 1 : stop + 1])
-                values = np.concatenate([boundary, fresh], axis=1)
-                del fresh
-            boundary = values[:, -1:].copy()
-            # A stream is the adjacent-pair case: vector t -> vector t+1.
+        gate_evals = 0
+        for start in range(0, count, window):
+            picks = order[start : start + window]
+            prev = first[picks]
+            curr = prev + 1
+            pairs = len(picks)
+            restricted = _window_circuit(circuit, controls, prev, curr)
+            gate_evals += restricted.gate_count * pairs * num_chips
+            values = evaluate_logic(
+                restricted, np.concatenate([inputs[:, prev], inputs[:, curr]], axis=1)
+            )
             # Only the toggles reach the propagation, so the logic values
             # are freed before its arrival matrices allocate.
-            toggled = values[:, 1:] != values[:, :-1]
+            toggled = values[:, pairs:] != values[:, :pairs]
             del values
-            late, early = _propagate_arrivals(circuit, toggled, delays32)
+            late, early = _propagate_arrivals(
+                restricted, toggled, delays32[:, restricted.node_ids]
+            )
             # (num_outputs, num_chips, T) -> reduce over the output axis.
+            out_ids = restricted.output_ids
             out_late = late[out_ids].max(axis=0)
             out_early = early[out_ids].min(axis=0)
             out_toggled = toggled[out_ids].sum(axis=0)
@@ -359,15 +386,15 @@ def batch_cycle_timings(
             del toggled, late, early
             # No output transition: nothing arrives, so nothing is late and
             # nothing violates hold.
-            t_late[:, start:stop] = np.where(np.isfinite(out_late), out_late, 0.0)
-            t_early[:, start:stop] = out_early
-            toggles[start:stop] = out_toggled
-            start = stop
+            t_late[:, picks] = np.where(np.isfinite(out_late), out_late, 0.0)
+            t_early[:, picks] = out_early
+            toggles[picks] = out_toggled
+        obs.inc("dta.gate_evals", gate_evals)
 
-        # Every transition reads its key's first occurrence; seams drop.
-        t_late = t_late[:, timed]
-        t_early = t_early[:, timed]
-        toggles = toggles[timed]
+        # Every transition reads its key's first occurrence.
+        t_late = t_late[:, first_of]
+        t_early = t_early[:, first_of]
+        toggles = toggles[first_of]
 
         if obs.enabled():
             # Arrival-time extremes of this evaluation: the late tail is

@@ -207,6 +207,31 @@ def test_benchmark_traces_match_the_pairs(name, stage16_ntc, chip16):
     _assert_chip_equal(batch, 0, reference)
 
 
+def test_mixed_op_stream_runs_on_restricted_circuits(stage16_ntc, chip16):
+    """A stream that changes op every few cycles: windows straddle
+    classes, pairs change op, and each window runs on its restricted
+    circuit -- still bit-identical to the unpruned pairs, for less work."""
+    alu = stage16_ntc.alu
+    rng = np.random.default_rng(11)
+    ops = np.repeat(rng.choice([int(op) for op in alu.ops], size=60), rng.integers(1, 6, 60))
+    inputs = alu.encode_batch(
+        ops, rng.integers(0, 1 << 16, len(ops)), rng.integers(0, 1 << 16, len(ops))
+    )
+    matrix = np.stack([chip16.delays, chip16.delays * 1.5])
+    recorder = obs.install(obs.Telemetry(obs.TelemetrySpec(metrics=True))).recorder
+    try:
+        batch = batch_cycle_timings(stage16_ntc.circuit, inputs, matrix, chunk=40)
+        counters = recorder.metrics.snapshot()["counters"]
+    finally:
+        obs.uninstall()
+    full_work = stage16_ntc.circuit.gate_count * counters["dta.transitions_timed"] * 2
+    assert 0 < counters["dta.gate_evals"] < full_work / 2
+    for index, delays in enumerate(matrix):
+        _assert_chip_equal(
+            batch, index, pair_cycle_timings(stage16_ntc.circuit, inputs, delays)
+        )
+
+
 # ----------------------------------------------------------------------
 # shared-memory hand-off lifecycle
 # ----------------------------------------------------------------------
@@ -300,7 +325,8 @@ LONG_STREAM_COUNTERS = {
     "dta.chip_cycles": 23988,
     "dta.cycles_analyzed": 23988,
     "dta.evaluations": 12,
-    "dta.transitions_timed": 21066,
+    "dta.gate_evals": 18809210,
+    "dta.transitions_timed": 19576,
     "etrace.cycles": 23988,
     "etrace.errors{kind=ce}": 62,
     "etrace.errors{kind=se_max}": 2545,

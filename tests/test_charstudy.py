@@ -145,6 +145,7 @@ CHOKE_STUDIES_COUNTERS = {
     "dta.chip_cycles": 31388,
     "dta.cycles_analyzed": 31388,
     "dta.evaluations": 532,
+    "dta.gate_evals": 4834932,
     "dta.single_transitions": 2053,
     "dta.transitions_timed": 31388,
 }

@@ -186,3 +186,16 @@ def test_cli_json_and_csv_output(tmp_path):
     csv_file = tmp_path / "r.csv"
     assert main(["tab4_ovh", "--fast", "--out", str(csv_file), "--format", "csv"]) == 0
     assert "Trident" in csv_file.read_text()
+
+
+def test_context_levelizes_each_distinct_netlist_once():
+    # the bare ALU equals the unbuffered stages, and the buffered stages
+    # are equal at both corners: two circuits, restriction caches shared
+    fresh = ExperimentContext(FAST_CONFIG)
+    _alu, bare = fresh.bare_alu()
+    assert fresh.stage("NTC", False).circuit is bare
+    assert fresh.stage("STC", False).circuit is bare
+    buffered = fresh.stage("NTC", True).circuit
+    assert fresh.stage("STC", True).circuit is buffered
+    assert buffered is not bare
+    assert len(buffered.controls) == len(bare.controls) == len(_alu.ops)

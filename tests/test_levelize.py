@@ -1,8 +1,12 @@
 """Unit tests for circuit levelisation into per-level gate steps."""
 
+import numpy as np
+
+from repro.circuits.alu import AluOp
 from repro.gates.builder import NetlistBuilder
 from repro.gates.celllib import GateKind, fanin_count
 from repro.timing.levelize import levelize
+from repro.timing.logic_eval import evaluate_logic
 
 from tests.util import random_netlist
 
@@ -104,3 +108,67 @@ def test_const_ids_extracted():
 def test_depth_matches_logic_depth(alu8):
     circuit = levelize(alu8.netlist)
     assert circuit.depth == max(alu8.netlist.levels())
+
+
+# ----------------------------------------------------------------------
+# control inputs and restricted circuits
+# ----------------------------------------------------------------------
+
+
+def _gated_pair():
+    """``y = (s & a) | (t & b)``: two select-gated branches."""
+    builder = NetlistBuilder()
+    a, b, s, t = (builder.input(name) for name in "abst")
+    left, right = builder.and_(s, builder.not_(a)), builder.and_(t, b)
+    builder.output("y", builder.or_(left, right))
+    return levelize(builder.build(), controls=[2, 3]), left, right
+
+
+def test_levelize_has_no_controls_by_default(rng):
+    circuit = levelize(random_netlist(rng, num_gates=20))
+    assert len(circuit.controls) == 0
+    np.testing.assert_array_equal(circuit.node_ids, np.arange(circuit.num_nodes))
+
+
+def test_constant_values_follow_the_gate_semantics():
+    circuit, left, right = _gated_pair()
+    values = circuit.constant_values([True, False], [False, False])  # s = 0
+    assert values[left] == 0  # AND with a 0 select
+    assert values[right] == 2  # t unknown: X
+    values = circuit.constant_values([False, False], [False, True])  # t = 1
+    assert values[right] == 2  # follows b
+
+
+def test_restrict_drops_the_silenced_branch_and_is_cached():
+    circuit, left, right = _gated_pair()
+    restricted = circuit.restrict([True, False], [False, False])
+    assert circuit.restrict(np.array([True, False]), np.array([False, False])) is restricted
+    kept = set(restricted.node_ids.tolist())
+    assert right in kept and left in kept  # left is read, as a constant row
+    assert restricted.gate_count == 2  # t & b and the OR; not the INV or s & ~a
+    assert restricted.node_ids[restricted.const0_ids].tolist() == [left]
+    vectors = np.array([[0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 0, 0], [1, 1, 1, 1]], dtype=bool)
+    np.testing.assert_array_equal(
+        evaluate_logic(restricted, vectors),
+        evaluate_logic(circuit, vectors)[restricted.node_ids],
+    )
+
+
+def test_restricted_alu_evaluates_one_op_like_the_full_alu(alu8):
+    circuit = levelize(alu8.netlist, controls=alu8.select_rows)
+    rng = np.random.default_rng(3)
+    for op in (AluOp.ADD, AluOp.MULT, AluOp.ROR):
+        known1 = np.array([o is op for o in alu8.ops])
+        restricted = circuit.restrict(~known1, known1)
+        assert restricted.gate_count < circuit.gate_count
+        vectors = alu8.encode_batch(
+            np.full(16, int(op)), rng.integers(0, 256, 16), rng.integers(0, 256, 16)
+        )
+        full = evaluate_logic(circuit, vectors)
+        np.testing.assert_array_equal(
+            evaluate_logic(restricted, vectors), full[restricted.node_ids]
+        )
+        outputs = restricted.output_ids
+        np.testing.assert_array_equal(
+            restricted.node_ids[outputs], circuit.output_ids
+        )
