@@ -185,15 +185,19 @@ def build_ex_stage(
                 if pads > 0:
                     branch_pads[(op, bit_index)] = pads
 
-    alu = build_alu(
-        width,
-        use_lookahead_adder=use_lookahead_adder,
-        branch_pads=branch_pads,
-        sel_pads=sel_pads,
-    )
-    nominal = nominal_gate_delays(alu.netlist, corner)
-    arr_max2 = arrival_times(alu.netlist, nominal, "max")
-    arr_min2 = arrival_times(alu.netlist, nominal, "min")
+    if branch_pads or sel_pads:
+        alu = build_alu(
+            width,
+            use_lookahead_adder=use_lookahead_adder,
+            branch_pads=branch_pads,
+            sel_pads=sel_pads,
+        )
+        nominal = nominal_gate_delays(alu.netlist, corner)
+        arr_max2 = arrival_times(alu.netlist, nominal, "max")
+        arr_min2 = arrival_times(alu.netlist, nominal, "min")
+    else:
+        # Nothing padded: the probe is the final netlist.
+        alu, nominal, arr_max2, arr_min2 = probe, probe_delays, arr_max, arr_min
     critical2 = max(float(arr_max2[bit]) for bit in alu.output_bits)
     min_delay = min(float(arr_min2[bit]) for bit in alu.output_bits)
 

@@ -71,10 +71,22 @@ class Mutant:
 
 def _swap_arrivals(original):
     def propagate(*args, **kwargs):
-        late, early = original(*args, **kwargs)
-        return early, late
+        block = original(*args, **kwargs)
+        # half 0 now holds the earliest arrivals, half 1 the negated latest
+        return -block[:, ::-1]
 
     return propagate
+
+
+def _early_delay_sign(original):
+    def signed_delays(delays32):
+        signed = original(delays32)
+        # the negated-early half adds +d like the late half, so every
+        # gate subtracts its delay from the earliest arrival
+        signed[:, 1] = signed[:, 0]
+        return signed
+
+    return signed_delays
 
 
 def _late_second_fanin(original):
@@ -154,8 +166,8 @@ def _adjacent_toggles(_original):
         stream = np.concatenate([prev[:, :1], curr], axis=1)
         values = evaluate_logic(circuit, stream)
         toggled = values[:, 1:] != values[:, :-1]
-        late, early = dta._propagate_arrivals(circuit, toggled, delays)
-        return late, early, toggled
+        block = dta._propagate_arrivals(circuit, toggled, delays)
+        return block[:, 0], 0.0 - block[:, 1], toggled
 
     return pair_arrivals
 
@@ -224,8 +236,8 @@ def _misalign_etrace(original):
 def _batch_drift(original):
     def batch_cycle_timings(*args, **kwargs):
         batch = original(*args, **kwargs)
-        # Sub-tolerance drift: far inside dta_vs_reference's 1e-2 atol,
-        # so only an exact-equality oracle can notice.
+        # A 0.005 ps drift, below any sensible tolerance: only an
+        # exact-equality oracle can notice.
         batch.t_late = batch.t_late + np.float32(0.005)
         return batch
 
@@ -274,7 +286,8 @@ MUTANTS: dict[str, Mutant] = {
     for mutant in (
         Mutant(
             name="swap-arrival-minmax",
-            description="DTA propagation returns (early, late) swapped",
+            description="DTA propagation returns the earliest arrivals in the "
+            "late half and the latest in the early half",
             target=("repro.timing.dta", "_propagate_arrivals"),
             build=_swap_arrivals,
             oracles=("dta_vs_reference",),
@@ -285,6 +298,14 @@ MUTANTS: dict[str, Mutant] = {
             "one gate late",
             target=("repro.timing.dta", "_propagate_arrivals"),
             build=_late_second_fanin,
+            oracles=("dta_vs_reference",),
+        ),
+        Mutant(
+            name="early-delay-sign",
+            description="DTA propagation adds +d, not -d, to the negated-early "
+            "half, so each gate subtracts its delay from the earliest arrival",
+            target=("repro.timing.dta", "_signed_delays"),
+            build=_early_delay_sign,
             oracles=("dta_vs_reference",),
         ),
         Mutant(

@@ -104,13 +104,20 @@ def _check_logic_vs_reference(case: dict[str, int]) -> list[str]:
     return violations
 
 
-def _close(a: float, b: float, rtol: float = 1e-4, atol: float = 1e-2) -> bool:
+def _close(a: float, b: float, rtol: float, atol: float) -> bool:
     if math.isinf(a) or math.isinf(b):
         return a == b
     return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
 
 
+def _same_bits(a, b) -> bool:
+    """Two float32 values are the same bit pattern (so -0.0 != +0.0)."""
+    return np.float32(a).view(np.uint32) == np.float32(b).view(np.uint32)
+
+
 def _check_dta_vs_reference(case: dict[str, int]) -> list[str]:
+    """The stream kernel and the node-resolved pair form against the
+    float32 scalar reference, bit for bit (sign of zero included)."""
     netlist = _materialize_netlist(case)
     delays = circuits.random_gate_delays(netlist, case_rng(case, "delays"))
     rng = case_rng(case, "vectors")
@@ -125,15 +132,15 @@ def _check_dta_vs_reference(case: dict[str, int]) -> list[str]:
         t_late, t_early, toggles = reference.reference_cycle_timing(
             netlist, inputs[:, t], inputs[:, t + 1], delays
         )
-        if not _close(float(timings.t_late[t]), t_late):
+        if not _same_bits(timings.t_late[t], t_late):
             violations.append(
-                f"transition {t}: t_late engine={float(timings.t_late[t]):.4f} "
-                f"reference={t_late:.4f}"
+                f"transition {t}: t_late engine={float(timings.t_late[t])!r} "
+                f"reference={float(t_late)!r}"
             )
-        if not _close(float(timings.t_early[t]), t_early):
+        if not _same_bits(timings.t_early[t], t_early):
             violations.append(
-                f"transition {t}: t_early engine={float(timings.t_early[t]):.4f} "
-                f"reference={t_early:.4f}"
+                f"transition {t}: t_early engine={float(timings.t_early[t])!r} "
+                f"reference={float(t_early)!r}"
             )
         if int(timings.output_toggles[t]) != toggles:
             violations.append(
@@ -152,13 +159,14 @@ def _check_dta_vs_reference(case: dict[str, int]) -> list[str]:
         if bool(toggled[node_id]) != ref_toggled[node_id]:
             violations.append(f"node {node_id}: toggled disagrees")
             break
-        if not _close(float(late[node_id]), ref_late[node_id]) or not _close(
-            float(early[node_id]), ref_early[node_id]
+        if not (
+            _same_bits(late[node_id], ref_late[node_id])
+            and _same_bits(early[node_id], ref_early[node_id])
         ):
             violations.append(
-                f"node {node_id}: arrivals engine=({float(late[node_id]):.4f}, "
-                f"{float(early[node_id]):.4f}) reference=({ref_late[node_id]:.4f}, "
-                f"{ref_early[node_id]:.4f})"
+                f"node {node_id}: arrivals engine=({float(late[node_id])!r}, "
+                f"{float(early[node_id])!r}) reference=({float(ref_late[node_id])!r}, "
+                f"{float(ref_early[node_id])!r})"
             )
             break
     return violations
@@ -226,9 +234,9 @@ def _stream_parity(circuit, inputs: np.ndarray, case: dict[str, int]) -> list[st
 def _check_batch_vs_scalar(case: dict[str, int]) -> list[str]:
     """The population kernel must be *bit-identical* to the per-pair path.
 
-    Stricter than :func:`_check_dta_vs_reference`'s toleranced compare:
-    every chip row of ``batch_cycle_timings`` and the thin single-chip
-    view must equal :func:`pair_cycle_timings` (the stream timed as its
+    Beyond :func:`_check_dta_vs_reference`'s single chip: every chip
+    row of ``batch_cycle_timings`` and the thin single-chip view must
+    equal :func:`pair_cycle_timings` (the stream timed as its
     adjacent pairs) exactly, element for element.
     """
     netlist = _materialize_netlist(case)
@@ -330,7 +338,8 @@ def _check_pair_vs_single(case: dict[str, int]) -> list[str]:
     adjacent columns of any stream; the last pair is forced to
     prev == curr and, for K >= 3, the second repeats the first.  Every
     column must be bit-identical to ``single_transition_arrivals`` on
-    its pair, and column 0 must match the scalar reference (toleranced).
+    its pair, and column 0 must match the float32 scalar reference bit
+    for bit.
     """
     netlist = _materialize_netlist(case)
     circuit = levelize(netlist)
@@ -363,8 +372,8 @@ def _check_pair_vs_single(case: dict[str, int]) -> list[str]:
     )
     for node_id in range(netlist.num_nodes):
         same = bool(toggled[node_id, 0]) == ref_toggled[node_id]
-        same = same and _close(float(late[node_id, 0]), ref_late[node_id])
-        if not (same and _close(float(early[node_id, 0]), ref_early[node_id])):
+        same = same and _same_bits(late[node_id, 0], ref_late[node_id])
+        if not (same and _same_bits(early[node_id, 0], ref_early[node_id])):
             violations.append(f"pair 0 node {node_id}: arrivals disagree with the reference")
             break
     return violations
@@ -1237,7 +1246,8 @@ ORACLES: dict[str, Oracle] = {
         ),
         Oracle(
             name="dta_vs_reference",
-            description="batch + node-resolved DTA vs the scalar reference",
+            description="batch + node-resolved DTA bit-identical to the float32 "
+            "scalar reference",
             params={
                 **_NETLIST_PARAMS,
                 "num_vectors": Param(2, 10),

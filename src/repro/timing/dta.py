@@ -25,21 +25,39 @@ chips x all cycles* of a Monte Carlo population in one call.  Logic
 values depend only on the input vectors -- never on delays -- so one
 :func:`~repro.timing.logic_eval.evaluate_logic` pass is shared by every
 chip, and the arrival propagation broadcasts a ``(num_chips, num_nodes)``
-delay matrix over a chip axis.  The inner loop is one packed
+delay matrix over a chip axis.
+
+:func:`_propagate_arrivals` keeps the latest arrivals and the *negated*
+earliest arrivals in one float32 ``(num_nodes, 2, [chips,] T)`` block.
+Negated, the earliest arrival's min-fold becomes a max-fold and its
+quiet-node +inf becomes -inf, so both halves share one cap (+inf where
+the node toggles, -inf where it is quiet) and one sequence of
+operations: fold the fanins with max, add a signed delay (+d late, -d
+early), clamp by the cap with min.  Negation commutes with IEEE
+round-to-nearest, so the early half is bit-identical to a min-fold of
+its own; it converts back with ``0.0 - x``, which keeps a toggling
+input's earliest arrival at +0.0.  The inner loop is one packed
 :class:`~repro.timing.levelize.LevelStep` per logic level -- one gather
-per fanin slot, in-place max/min over the level's 2- and 3-input
-suffixes, then a clamp by each node's toggle cap -- not chips x levels
-x gates.  The single-chip :func:`cycle_timings` is a thin view over the
+per fanin slot, in-place max over the level's 2- and 3-input
+suffixes, one add and one clamp -- not chips x levels x gates, nor one
+pass per arrival kind.  On a restricted circuit every level's rows are
+contiguous (:meth:`~repro.timing.levelize.LevelizedCircuit.restrict`),
+so the delay and clamp reads are views and the write-back a slice
+copy.  The single-chip :func:`cycle_timings` is a thin view over the
 batch kernel -- same code path, population of one.
 
 The pair form :func:`pair_arrivals` times K independent (prev, curr)
 vector pairs in one propagation and keeps every node's arrivals; the
-choke trace-back reads its columns.  Both forms share
+choke trace-back reads its columns.  It is the only caller that turns
+the whole early half back into earliest arrivals; the stream kernel
+reduces the output rows straight from the block.  Both forms share
 :func:`_propagate_arrivals`, which takes toggle masks rather than logic
 values, and both take a pair's toggles as ``curr != prev``.  The
 ``batch_vs_scalar`` QA oracle holds the stream kernel bit-identical to
-the adjacent-pair case of the pair form, and ``pair_vs_single`` holds
-each pair column bit-identical to a K = 1 call.
+the adjacent-pair case of the pair form, ``pair_vs_single`` holds
+each pair column bit-identical to a K = 1 call, and ``dta_vs_reference``
+holds both bit-identical to the float32 scalar reference
+(:mod:`repro.timing.reference`), which shares no code with the kernel.
 
 Repeated transitions and restricted circuits
 --------------------------------------------
@@ -68,6 +86,15 @@ transition still drives the output's old value.  Windows, not one
 call per class, keep the Python dispatches per call at about what a
 dense stream needs.  ``dta.gate_evals`` counts the work: the gates of
 each window's circuit x its pairs x chips.
+
+Cutting the windows at every class boundary instead was measured and
+rejected: on the 12-figure ``--fast`` sweep it raised the windows from
+22 to 558, the propagation from 0.12 to 0.30 s, and the restriction
+derivations from 6 to 54 (0.015 to 0.11 s) per fresh experiment
+context, and the round from 0.64 to 1.13 s.  Per-level dispatch, not
+element work, bounds such small windows.  Class cuts can pay only
+where the restrictions are amortised over many more pairs per class,
+as at the paper's scale.
 
 The pair form stays unpruned and uncompressed, so it remains an
 independent reference: ``stream_repeats_vs_pairs`` holds the stream
@@ -178,77 +205,88 @@ ERR_CE = 3
 def _signed_inf(shape: tuple[int, ...], negative: np.ndarray) -> np.ndarray:
     """float32 -inf where ``negative`` is set, +inf elsewhere.
 
-    ``negative`` is (num_nodes, T) and broadcasts over a chip axis.  The
-    values are built on the IEEE bits (sign bit | infinity exponent):
-    several times faster than ``np.where`` over a random mask.
+    ``negative`` is (num_nodes, T) and broadcasts over the middle axes
+    of ``shape`` (the block's half and chip axes).  The values are built
+    on the IEEE bits (sign bit | infinity exponent): several times
+    faster than ``np.where`` over a random mask.
     """
     bits = np.empty(shape, dtype=np.uint32)
-    np.copyto(bits, negative if len(shape) == 2 else negative[:, None, :])
+    np.copyto(bits, negative.reshape((shape[0],) + (1,) * (len(shape) - 2) + (shape[-1],)))
     bits <<= 31
     bits |= _INF_BITS
     return bits.view(np.float32)
+
+
+def _signed_delays(delays32: np.ndarray) -> np.ndarray:
+    """Per-node delays as the block adds them: ``+d`` for the late half,
+    ``-d`` for the negated-early half.
+
+    ``delays32`` is (num_nodes,) or (num_chips, num_nodes); the result
+    is (num_nodes, 2, [num_chips,] 1) and broadcasts against a level's
+    (G, 2, [chips,] T) candidate block.
+    """
+    node_delays = delays32.T[..., None]
+    return np.stack([node_delays, -node_delays], axis=1)
 
 
 def _propagate_arrivals(
     circuit: LevelizedCircuit,
     toggled: np.ndarray,
     delays: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Latest/earliest transition arrivals for each column of ``toggled``.
+) -> np.ndarray:
+    """Late and negated-early transition arrivals for each column of
+    ``toggled``, as one block.
 
     ``toggled`` is a boolean (num_nodes, T) matrix: column ``t`` marks
     the nodes whose stable value changes in transition ``t``.  The
     kernel never looks at logic values, so it serves a vector stream
-    (adjacent columns) and independent vector pairs alike.  With a 1-D
-    ``delays`` vector the result matrices are (num_nodes, T); with a
-    2-D ``(num_chips, num_nodes)`` delay matrix they gain a chip axis,
-    (num_nodes, num_chips, T).  Non-toggling nodes hold -inf / +inf.
-    Both modes run the identical element-wise float32 operations, so a
-    population row is bit-identical to the corresponding single-chip run.
+    (adjacent columns) and independent vector pairs alike.  The result
+    is a float32 ``(num_nodes, 2, T)`` block for a 1-D ``delays``
+    vector and ``(num_nodes, 2, num_chips, T)`` for a 2-D
+    ``(num_chips, num_nodes)`` delay matrix.  Half 0 holds the latest
+    arrivals, -inf at non-toggling nodes; half 1 holds the *negated*
+    earliest arrivals, also -inf at non-toggling nodes, so ``0.0 - x``
+    turns it back into earliest arrivals (+inf where quiet, +0.0 at a
+    toggling primary input).  Both modes run the identical element-wise
+    float32 operations, so a population row is bit-identical to the
+    corresponding single-chip run.
     """
     delays32 = np.asarray(delays).astype(np.float32, copy=False)
-    batched = delays32.ndim == 2
     num_nodes, transitions = toggled.shape
-    if batched:
-        shape: tuple[int, ...] = (num_nodes, delays32.shape[0], transitions)
-    else:
-        shape = (num_nodes, transitions)
-    # Every row starts as its node's cap: +inf / -inf (late / early)
-    # where the node toggles, -inf / +inf where it does not.  Clamping a
-    # candidate arrival by the cap leaves a toggling node's value exact
-    # (min(x, +inf) == x) and forces a quiet node to -inf / +inf, so no
+    shape = (num_nodes, 2) + delays32.shape[:-1] + (transitions,)
+    # Every row starts as its node's cap: +inf where the node toggles,
+    # -inf where it does not, in both halves.  Clamping a candidate
+    # arrival by the cap leaves a toggling node's value exact
+    # (min(x, +inf) == x) and forces a quiet node to -inf, so no
     # sensitisation mask is gathered per level.
-    late = _signed_inf(shape, ~toggled)
-    early = _signed_inf(shape, toggled)
-    # Per-node delays broadcast against a level's (G, [chips,] T) block.
-    node_delays = np.ascontiguousarray(delays32.T)[..., None]
+    block = _signed_inf(shape, ~toggled)
+    signed_delays = _signed_delays(delays32)
 
     # Primary inputs switch at the launching clock edge (t = 0).
     in_ids = circuit.input_ids
-    late[in_ids] = np.minimum(late[in_ids], np.float32(0.0))
-    early[in_ids] = np.maximum(early[in_ids], np.float32(0.0))
+    block[in_ids] = np.minimum(block[in_ids], np.float32(0.0))
 
-    # One step per logic level, late then early: a gate's latest arrival
-    # folds its fanins with max and is clamped by min, its earliest the
-    # other way round.  The gathers allocate (fancy indexing); everything
-    # downstream accumulates in place on suffix views -- the ufuncs are
-    # elementwise and deterministic, so every gate sees the same float32
-    # ops in the same order (in0, in1, in2, + delay) whatever else shares
-    # its level.  Finishing one matrix before the other keeps a single
-    # level-sized candidate block alive at a time.
-    folds = ((late, np.maximum, np.minimum), (early, np.minimum, np.maximum))
-    for nodes, in0, two, in1, mux, in2, _segments in circuit.levels:
-        gate_delay = node_delays[nodes]
-        for arrivals, fold, clamp in folds:
-            cand = arrivals[in0]
-            if len(in1):
-                fold(cand[two:], arrivals[in1], out=cand[two:])
-            if len(in2):
-                fold(cand[mux:], arrivals[in2], out=cand[mux:])
-            np.add(cand, gate_delay, out=cand)
-            clamp(cand, arrivals[nodes], out=cand)
-            arrivals[nodes] = cand
-    return late, early
+    # One step per logic level.  A gate's latest arrival is the max of
+    # its fanins' plus its delay; its earliest is the min plus its
+    # delay, which negated is the max of the negated fanins minus the
+    # delay.  So both halves fold with max, add a signed delay and clamp
+    # with min, in one pass.  Negation and round-to-nearest commute, so
+    # -(a + d) == (-a) + (-d) bit for bit.  The gathers allocate (fancy
+    # indexing); everything downstream accumulates in place on suffix
+    # views -- the ufuncs are elementwise and deterministic, so every
+    # gate sees the same float32 ops in the same order (in0, in1, in2,
+    # + delay) whatever else shares its level.  ``rows`` is a slice on a
+    # restricted circuit, which makes the delay and clamp reads views.
+    for _nodes, in0, two, in1, mux, in2, _segments, rows in circuit.levels:
+        cand = block[in0]
+        if len(in1):
+            np.maximum(cand[two:], block[in1], out=cand[two:])
+        if len(in2):
+            np.maximum(cand[mux:], block[in2], out=cand[mux:])
+        np.add(cand, signed_delays[rows], out=cand)
+        np.minimum(cand, block[rows], out=cand)
+        block[rows] = cand
+    return block
 
 
 def _first_occurrences(inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,17 +411,18 @@ def batch_cycle_timings(
             # are freed before its arrival matrices allocate.
             toggled = values[:, pairs:] != values[:, :pairs]
             del values
-            late, early = _propagate_arrivals(
+            block = _propagate_arrivals(
                 restricted, toggled, delays32[:, restricted.node_ids]
             )
-            # (num_outputs, num_chips, T) -> reduce over the output axis.
+            # (num_outputs, 2, num_chips, T) -> reduce over the output
+            # axis: the max of the negated earliest is the negated min.
             out_ids = restricted.output_ids
-            out_late = late[out_ids].max(axis=0)
-            out_early = early[out_ids].min(axis=0)
+            out_late, out_neg_early = block[out_ids].max(axis=0)
+            out_early = 0.0 - out_neg_early
             out_toggled = toggled[out_ids].sum(axis=0)
             # Only the output rows outlive the window: free the
-            # node-resolved matrices before the next window allocates.
-            del toggled, late, early
+            # node-resolved block before the next window allocates.
+            del toggled, block
             # No output transition: nothing arrives, so nothing is late and
             # nothing violates hold.
             t_late[:, picks] = np.where(np.isfinite(out_late), out_late, 0.0)
@@ -459,8 +498,8 @@ def pair_arrivals(
     obs.inc("dta.single_transitions", pairs)
     values = evaluate_logic(circuit, np.concatenate([prev, curr], axis=1))
     toggled = values[:, pairs:] != values[:, :pairs]
-    late, early = _propagate_arrivals(circuit, toggled, delays)
-    return late, early, toggled
+    block = _propagate_arrivals(circuit, toggled, delays)
+    return block[:, 0], 0.0 - block[:, 1], toggled
 
 
 def single_transition_arrivals(

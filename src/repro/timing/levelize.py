@@ -39,9 +39,21 @@ semantics alone, the circuit that times those pairs exactly:
   the rows are compacted to the cone, the stable nodes it reads (which
   become constant rows), the outputs and the inputs.
 
+The compacted rows come in two blocks: first the non-gate rows (the
+inputs and the constant rows, with any output among them) in netlist
+order, then the cone gates in packing order -- level, arity, kind,
+node id.  Every step of a restricted circuit then covers one
+contiguous row range, and its ``rows`` is a slice: logic evaluation
+and the DTA propagation read and write each level as a view.  A full
+circuit keeps netlist row order (the pair-form DTA, the choke
+analysis and the oracles index its rows by netlist id), so its steps
+keep index arrays wherever their ids do not run consecutively.
+
 :attr:`LevelizedCircuit.node_ids` maps each row of a restricted
-circuit back to its netlist node (it is the identity on a full one),
-so per-node data such as a chip's delays is gathered through it.
+circuit back to its netlist node (it is the identity on a full one;
+on a restricted one it is increasing over the non-gate rows and
+follows the packing order over the gates), so per-node data such as a
+chip's delays is gathered through it.
 Inputs keep their order and controls their rows, so
 :func:`~repro.timing.logic_eval.evaluate_logic` and the DTA
 propagation run on a restricted circuit unchanged.  On vectors that
@@ -74,6 +86,7 @@ class LevelStep(NamedTuple):
     mux: int  # index of the level's first MUX2
     in2: np.ndarray  # fanin 2 (MUX2 select) of gates mux:
     segments: tuple[tuple[GateKind, int, int], ...]  # (kind, start, stop)
+    rows: slice | np.ndarray  # ``nodes`` as a slice when they run consecutively
 
 
 @dataclass
@@ -137,17 +150,21 @@ class LevelizedCircuit:
                 live[fanin[~blocked[fanin]]] = True
         # Rows of the restricted circuit: the cone, every node a cone
         # gate reads (the stable ones become constant rows), the
-        # outputs and the inputs, in node order.
+        # outputs and the inputs.  The non-gate rows come first in node
+        # order, then the cone gates in packing order, so every level
+        # step covers one contiguous row range.
         keep = live.copy()
         keep[self.fanins[live[:-1] & (self.kinds > GateKind.CONST1)]] = True
         keep = keep[:-1]
         keep[self.output_ids] = True
         keep[self.input_ids] = True
-        rows = np.flatnonzero(keep)
-        remap = np.full(self.num_nodes + 1, -1, dtype=np.int32)  # [-1] stays -1
-        remap[rows] = np.arange(len(rows), dtype=np.int32)
         gates = np.concatenate([step.nodes for step in self.levels])
         gates = gates[live[gates]]
+        other = keep.copy()
+        other[gates] = False
+        rows = np.concatenate([np.flatnonzero(other), gates])
+        remap = np.full(self.num_nodes + 1, -1, dtype=np.int32)  # [-1] stays -1
+        remap[rows] = np.arange(len(rows), dtype=np.int32)
         levels = _pack_levels(
             remap[gates], self.node_levels[gates], self.kinds[gates], remap[self.fanins[gates]]
         )
@@ -226,7 +243,10 @@ def _pack_levels(
 
     ``nodes`` are gate ids sorted by (level, arity, kind, id), with
     their ``levels``, ``kinds`` and ``(len(nodes), 3)`` ``fanins``.
-    Every step's arrays are views into one packed array per field.
+    Every step's arrays are views into one packed array per field.  A
+    step whose node ids run consecutively gets its ``rows`` as a slice,
+    so the kernels read and write the level as a view instead of a
+    gather and a scatter; the check is made here, once per packing.
     """
     arity = _ARITY[kinds].astype(np.int64)
     levels = levels.astype(np.int64)
@@ -249,6 +269,14 @@ def _pack_levels(
         kinds[cuts].tolist(),
     ):
         segments[step].append((_KINDS[kind], start, stop))
+    # Level [lo, hi) runs consecutively iff no id step inside it is not +1.
+    breaks = np.concatenate([[0], np.cumsum(np.diff(nodes.astype(np.int64)) != 1)])
+    rows = [
+        slice(int(nodes[lo]), int(nodes[lo]) + hi - lo)
+        if breaks[hi - 1] == breaks[lo]
+        else nodes[lo:hi]
+        for lo, hi in zip(starts.tolist(), stops.tolist())
+    ]
     return [
         LevelStep(
             nodes=nodes[lo:hi],
@@ -258,9 +286,10 @@ def _pack_levels(
             mux=mux - lo,
             in2=in2[mux:hi],
             segments=tuple(level_segments),
+            rows=level_rows,
         )
-        for lo, hi, two, mux, level_segments in zip(
-            starts.tolist(), stops.tolist(), twos.tolist(), muxes.tolist(), segments
+        for lo, hi, two, mux, level_segments, level_rows in zip(
+            starts.tolist(), stops.tolist(), twos.tolist(), muxes.tolist(), segments, rows
         )
     ]
 

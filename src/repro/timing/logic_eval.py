@@ -42,8 +42,8 @@ def evaluate_logic(circuit: LevelizedCircuit, inputs: np.ndarray) -> np.ndarray:
         values[circuit.const1_ids] = True
     # One step per logic level: gather each fanin slot once, compute
     # every kind segment in place in the level's fanin-0 rows, then
-    # scatter the whole level.
-    for nodes, in0, two, in1, mux, in2, segments in circuit.levels:
+    # write the whole level back (a slice on a restricted circuit).
+    for _nodes, in0, two, in1, mux, in2, segments, rows in circuit.levels:
         level = values[in0]
         b = values[in1]
         sel = values[in2]
@@ -62,7 +62,7 @@ def evaluate_logic(circuit: LevelizedCircuit, inputs: np.ndarray) -> np.ndarray:
                     np.invert(out, out=out)
             else:
                 raise ValueError(f"cannot evaluate kind {kind!r}")
-        values[nodes] = level
+        values[rows] = level
     return values
 
 

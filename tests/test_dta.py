@@ -140,6 +140,26 @@ def test_pair_arrivals_columns_equal_single_pairs():
         np.testing.assert_array_equal(toggled[:, k], single[2])
 
 
+def test_pair_arrivals_toggling_inputs_arrive_at_positive_zero():
+    """The early half propagates negated, and converting it back must
+    keep a toggling primary input's earliest arrival at +0.0, not -0.0;
+    quiet inputs arrive at +inf."""
+    netlist = random_netlist(5, num_inputs=6, num_gates=30, num_outputs=3)
+    circuit = levelize(netlist)
+    rng = np.random.default_rng(5)
+    prev = rng.integers(0, 2, size=(6, 8)).astype(bool)
+    curr = rng.integers(0, 2, size=(6, 8)).astype(bool)
+    late, early, toggled = pair_arrivals(circuit, prev, curr, random_gate_delays(netlist, 5))
+    inputs = circuit.input_ids
+    moving = toggled[inputs]
+    assert moving.any() and not moving.all()
+    assert (early[inputs][moving] == 0.0).all()
+    assert not np.signbit(early[inputs][moving]).any()
+    assert (late[inputs][moving] == 0.0).all()
+    assert np.isposinf(early[inputs][~moving]).all()
+    assert np.isneginf(late[inputs][~moving]).all()
+
+
 def test_pair_arrivals_counts_one_transition_per_pair():
     circuit, delays = _chain_circuit(2)
     recorder = obs.install(obs.Telemetry(obs.TelemetrySpec(metrics=True))).recorder

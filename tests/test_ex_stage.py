@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.circuits.alu import AluOp
+from repro.circuits.alu import AluOp, build_alu
 from repro.circuits.ex_stage import build_ex_stage
-from repro.pv.delaymodel import NTC
+from repro.pv.delaymodel import NTC, nominal_gate_delays
 from repro.timing.sta import arrival_times
 
 
@@ -27,6 +27,27 @@ def test_bufferless_stage_violates_hold_nominally(stage16_ntc_bufferless):
     stage = stage16_ntc_bufferless
     assert stage.num_pad_cells == 0
     assert stage.nominal_min_delay < stage.hold_constraint
+
+
+def test_unpadded_stage_equals_a_fresh_double_build(stage16_ntc_bufferless):
+    """An unbuffered stage reuses its probe netlist, delays and STA
+    passes; the result equals probing one ALU and building another."""
+    stage = stage16_ntc_bufferless
+    probe = build_alu(16)
+    probe_delays = nominal_gate_delays(probe.netlist, NTC)
+    critical = max(
+        float(arrival_times(probe.netlist, probe_delays, "max")[bit])
+        for bit in probe.output_bits
+    )
+    fresh = build_alu(16, branch_pads={}, sel_pads={})
+    assert list(stage.netlist.iter_nodes()) == list(fresh.netlist.iter_nodes())
+    assert stage.netlist.input_ids == fresh.netlist.input_ids
+    assert stage.netlist.output_ids == fresh.netlist.output_ids
+    assert stage.clock_period == critical * 1.18
+    assert stage.hold_constraint == 0.12 * stage.clock_period
+    np.testing.assert_array_equal(
+        stage.nominal_delays, nominal_gate_delays(fresh.netlist, NTC)
+    )
 
 
 def test_buffered_stage_has_pad_cells(stage16_ntc):

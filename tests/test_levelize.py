@@ -172,3 +172,24 @@ def test_restricted_alu_evaluates_one_op_like_the_full_alu(alu8):
         np.testing.assert_array_equal(
             restricted.node_ids[outputs], circuit.output_ids
         )
+
+
+def test_restricted_rows_are_level_contiguous(alu8):
+    """A restricted circuit lists its non-gate rows first, in netlist
+    order, then its cone gates level by level, so every step's rows are
+    one slice; the full circuit keeps netlist row order."""
+    circuit = levelize(alu8.netlist, controls=alu8.select_rows)
+    assert not all(isinstance(step.rows, slice) for step in circuit.levels)
+    for step in circuit.levels:
+        np.testing.assert_array_equal(np.arange(circuit.num_nodes)[step.rows], step.nodes)
+    known1 = np.array([o is AluOp.ADD for o in alu8.ops])
+    restricted = circuit.restrict(~known1, known1)
+    first_gate = restricted.num_nodes - restricted.gate_count
+    head = restricted.node_ids[:first_gate]
+    assert (np.diff(head) > 0).all()
+    stop = first_gate
+    for step in restricted.levels:
+        assert step.rows == slice(stop, stop + len(step.nodes))
+        np.testing.assert_array_equal(step.nodes, np.arange(stop, stop + len(step.nodes)))
+        stop += len(step.nodes)
+    assert stop == restricted.num_nodes
