@@ -20,17 +20,49 @@ A program is a set of basic blocks; execution repeatedly picks a block,
 runs it a geometrically-distributed number of times (loop behaviour), and
 moves on.  Every static instruction slot has fixed per-slot operand value
 pools plus an escape probability for fresh values.
+
+Exact replay
+------------
+The traces are those of scalar calls on ``np.random.default_rng(seed)``
+(``random()``, ``integers(...)``, ``choice(..., p=...)``), made one draw
+at a time in a data-dependent order; :mod:`repro.qa.trace_reference`
+keeps that generator.  Each such call costs microseconds of dispatch, so
+:class:`DrawReplay` makes none of them.  It pulls the bit generator's raw
+64-bit words in bulk (``random_raw(n).tolist()``) and recomputes numpy's
+algorithms on them:
+
+* ``random()`` is ``(word >> 11) * 2**-53``;
+* ``integers(low, high)`` is Lemire's method with numpy's rejection
+  threshold: 32-bit up to a range of 2**32, fed by PCG64's buffered
+  32-bit output (a word's low half, then its high half, kept across
+  calls); 64-bit above.  A one-value range draws nothing;
+* ``choice(n, p=w)`` is one ``random()`` looked up with ``bisect_right``
+  in ``cumsum(w) / cumsum(w)[-1]``, numpy's cdf and side.
+
+``dirichlet`` (once per trace) and ``geometric`` (once per block run)
+run on the live generator.  Before each, the replay restores the state
+saved before its raw words, advances it by the words consumed, and
+writes back the buffered half-word; after it, the replay starts afresh
+from the live state.  The arrays are built once, at the end.
+The ``draws_vs_generator`` and ``trace_vs_reference`` QA oracles check
+both levels against numpy and against the reference.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import cycle, islice
+from operator import length_hint
 
 import numpy as np
 
-from repro.arch.isa import INSTRUCTIONS, Instr
+from repro.arch.isa import INSTRUCTIONS, Instr, InstrSpec
 
 _COMMON_CONSTANTS = (0, 1, 2, 3, 4, 8, 16, 0xFF, 0xFFFF)
+#: raw 64-bit words pulled from the bit generator per bulk fill
+_FILL = 512
 
 
 @dataclass(frozen=True)
@@ -80,30 +112,150 @@ class InstructionTrace:
         return alu.encode_batch(self.alu_ops, self.a_values, self.b_values)
 
 
+class DrawReplay:
+    """A numpy ``Generator``'s scalar draws, recomputed from bulk raw words.
+
+    ``random``, ``integers`` and ``choice`` return exactly what the same
+    sequence of scalar calls on ``generator`` (PCG64) returns; ``call``
+    runs any other method of ``generator`` at the replay's position.
+    Raw words are pulled ``_FILL`` at a time from the state ``_saved``;
+    ``_has32``/``_high32`` mirror PCG64's buffered high half-word
+    (``has_uint32``/``uinteger``).
+    """
+
+    __slots__ = (
+        "generator", "_bitgen", "_saved", "_filled", "_words", "_next_word",
+        "_has32", "_high32",
+    )
+
+    def __init__(self, generator: np.random.Generator):
+        self.generator = generator
+        self._bitgen = generator.bit_generator
+        self._restart()
+
+    def _restart(self) -> None:
+        """Take the live generator's state as the origin of the raw words."""
+        self._saved = state = self._bitgen.state
+        self._has32 = state["has_uint32"]
+        self._high32 = state["uinteger"]
+        self._filled = 0
+        self._words = iter(())
+        self._next_word = self._words.__next__
+
+    def _refill(self) -> int:
+        """Pull the next raw words in bulk; return the first."""
+        self._words = iter(self._bitgen.random_raw(_FILL).tolist())
+        self._next_word = self._words.__next__
+        self._filled += _FILL
+        return self._next_word()
+
+    def _sync(self) -> None:
+        """Set the live generator to the replay's position: the saved
+        state advanced by the words consumed, buffered half-word included."""
+        bitgen = self._bitgen
+        bitgen.state = self._saved
+        bitgen.advance(self._filled - length_hint(self._words))  # clears the buffer
+        state = bitgen.state
+        state["has_uint32"] = self._has32
+        state["uinteger"] = self._high32
+        bitgen.state = state
+
+    def _word(self) -> int:
+        try:
+            return self._next_word()
+        except StopIteration:
+            return self._refill()
+
+    def _half_word(self) -> int:
+        """PCG64's 32-bit output: a fresh word's low half, then its high half."""
+        if self._has32:
+            self._has32 = 0
+            return self._high32
+        try:
+            word = self._next_word()
+        except StopIteration:
+            word = self._refill()
+        self._has32 = 1
+        self._high32 = word >> 32
+        return word & 0xFFFF_FFFF
+
+    def random(self) -> float:
+        """``generator.random()``."""
+        try:
+            word = self._next_word()
+        except StopIteration:
+            word = self._refill()
+        return (word >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """``generator.integers(low, high)``: Lemire's method, numpy's threshold."""
+        if high is None:
+            low, high = 0, low
+        span = high - low
+        if span < 1:
+            raise ValueError("high <= low")
+        if span == 1:
+            return low  # a one-value range draws nothing
+        # numpy returns the raw half-word or word for a full 2**32 or
+        # 2**64 range; with exact integers Lemire's step does the same
+        if span <= 1 << 32:
+            m = self._half_word() * span
+            if (m & 0xFFFF_FFFF) < span:
+                threshold = (1 << 32) % span
+                while (m & 0xFFFF_FFFF) < threshold:
+                    m = self._half_word() * span
+            return low + (m >> 32)
+        m = self._word() * span
+        if (m & 0xFFFF_FFFF_FFFF_FFFF) < span:
+            threshold = (1 << 64) % span
+            while (m & 0xFFFF_FFFF_FFFF_FFFF) < threshold:
+                m = self._word() * span
+        return low + (m >> 64)
+
+    def choice(self, cdf: list[float]) -> int:
+        """``generator.choice(len(cdf), p=p)`` for ``cdf = choice_cdf(p)``."""
+        return bisect_right(cdf, self.random())
+
+    def call(self, method, *args):
+        """``method(*args)``, a method of ``generator``, at the replay's position."""
+        self._sync()
+        result = method(*args)
+        self._restart()
+        return result
+
+
+def choice_cdf(p) -> list[float]:
+    """The cdf numpy's ``choice`` searches (right-sided) for probabilities ``p``."""
+    cdf = np.cumsum(p, dtype=float)
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 class _StaticInstr:
     """One static instruction slot: fixed op, fixed operand pools."""
 
-    __slots__ = ("static_id", "instr", "pool_a", "pool_b")
+    __slots__ = ("static_id", "spec", "pool_a", "pool_b")
 
-    def __init__(self, static_id: int, instr: Instr, pool_a: list[int], pool_b: list[int]):
+    def __init__(self, static_id: int, spec: InstrSpec, pool_a: list[int], pool_b: list[int]):
         self.static_id = static_id
-        self.instr = instr
+        self.spec = spec
         self.pool_a = pool_a
         self.pool_b = pool_b
 
 
-def _random_value(rng: np.random.Generator, width: int, p_large: float) -> int:
+def _random_value(draw: DrawReplay, width: int, p_large: float) -> int:
     """One operand value following the benchmark's width profile."""
-    if rng.random() < 0.2:
-        return int(rng.choice(_COMMON_CONSTANTS)) & ((1 << width) - 1)
+    if draw.random() < 0.2:
+        constant = _COMMON_CONSTANTS[draw.integers(len(_COMMON_CONSTANTS))]
+        return constant & ((1 << width) - 1)
     half = width // 2
-    if rng.random() < p_large:
-        return int(rng.integers(1 << half, 1 << width, dtype=np.uint64))
-    return int(rng.integers(0, 1 << half, dtype=np.uint64))
+    if draw.random() < p_large:
+        return draw.integers(1 << half, 1 << width)
+    return draw.integers(0, 1 << half)
 
 
 def _operand_b_pool(
-    rng: np.random.Generator, spec, width: int, p_large: float, pool_size: int
+    draw: DrawReplay, spec: InstrSpec, width: int, p_large: float, pool_size: int
 ) -> list[int]:
     """The operand-b value pool for a static slot, honouring b's role."""
     if spec.instr is Instr.LUI:
@@ -112,14 +264,14 @@ def _operand_b_pool(
     if spec.shift and spec.instr in (Instr.SLL, Instr.SRL, Instr.SRA):
         # Fixed-shift forms encode a constant 5-bit shamt per static
         # instruction.
-        return [int(rng.integers(0, width))]
+        return [draw.integers(0, width)]
     if spec.shift:
         # Variable shifts read a register; small values dominate.
-        return [int(rng.integers(0, width)) for _ in range(pool_size)]
+        return [draw.integers(0, width) for _ in range(pool_size)]
     if spec.immediate:
         # 16-bit immediates are always in the lower half-word.
-        return [int(rng.integers(0, 1 << (width // 2))) for _ in range(pool_size)]
-    return [_random_value(rng, width, p_large) for _ in range(pool_size)]
+        return [draw.integers(0, 1 << (width // 2)) for _ in range(pool_size)]
+    return [_random_value(draw, width, p_large) for _ in range(pool_size)]
 
 
 def generate_trace(
@@ -135,79 +287,75 @@ def generate_trace(
     """
     if num_cycles < 1:
         raise ValueError("num_cycles must be positive")
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    draw = DrawReplay(np.random.default_rng(config.seed if seed is None else seed))
 
     instr_names = list(config.instr_mix)
     weights = np.array([config.instr_mix[i] for i in instr_names], dtype=float)
-    weights = weights / weights.sum()
+    instr_cdf = choice_cdf(weights / weights.sum())
 
     # --- build the static program ---------------------------------------
     blocks: list[list[_StaticInstr]] = []
-    static_id = 0
+    slots: list[_StaticInstr] = []
     for _ in range(config.num_blocks):
-        size = int(rng.integers(config.block_size_min, config.block_size_max + 1))
         block: list[_StaticInstr] = []
-        for _ in range(size):
-            instr = instr_names[rng.choice(len(instr_names), p=weights)]
-            spec = INSTRUCTIONS[instr]
+        for _ in range(draw.integers(config.block_size_min, config.block_size_max + 1)):
+            spec = INSTRUCTIONS[instr_names[draw.choice(instr_cdf)]]
             pool_a = [
-                _random_value(rng, width, config.p_large)
+                _random_value(draw, width, config.p_large)
                 for _ in range(config.value_pool_size)
             ]
             pool_b = _operand_b_pool(
-                rng, spec, width, config.p_large, config.value_pool_size
+                draw, spec, width, config.p_large, config.value_pool_size
             )
-            block.append(_StaticInstr(static_id, instr, pool_a, pool_b))
-            static_id += 1
+            block.append(_StaticInstr(len(slots), spec, pool_a, pool_b))
+            slots.append(block[-1])
         blocks.append(block)
-    block_weights = rng.dirichlet(np.ones(len(blocks)) * 2.0)
+    block_cdf = choice_cdf(
+        draw.call(draw.generator.dirichlet, np.ones(len(blocks)) * 2.0)
+    )
 
     # --- execute ----------------------------------------------------------
-    instrs = np.empty(num_cycles, dtype=np.int16)
-    static_ids = np.empty(num_cycles, dtype=np.int32)
-    alu_ops = np.empty(num_cycles, dtype=np.int16)
-    a_values = np.empty(num_cycles, dtype=np.uint64)
-    b_values = np.empty(num_cycles, dtype=np.uint64)
+    locality = config.value_locality
+    p_large = config.p_large
+    p_repeat = 1.0 / max(config.block_repeat_mean, 1.0)
+    immediate_span = 1 << (width // 2)
+    # 4- and 8-byte C arrays, not lists: a list of ints would hold an
+    # object per value until the end, more than the trace itself
+    static_ids = array("i")
+    a_values = array("Q")
+    b_values = array("Q")
+    while len(static_ids) < num_cycles:
+        block = blocks[draw.choice(block_cdf)]
+        repeats = 1 + int(draw.call(draw.generator.geometric, p_repeat))
+        run = min(repeats * len(block), num_cycles - len(static_ids))
+        for slot in islice(cycle(block), run):
+            spec = slot.spec
+            if draw.random() < locality:
+                a = slot.pool_a[draw.integers(len(slot.pool_a))]
+            else:
+                a = _random_value(draw, width, p_large)
+            if draw.random() < locality or spec.instr is Instr.LUI:
+                b = slot.pool_b[draw.integers(len(slot.pool_b))]
+            elif spec.shift:
+                b = draw.integers(0, width)
+            elif spec.immediate:
+                b = draw.integers(0, immediate_span)
+            else:
+                b = _random_value(draw, width, p_large)
+            static_ids.append(slot.static_id)
+            a_values.append(a)
+            b_values.append(b)
 
-    cycle = 0
-    while cycle < num_cycles:
-        block = blocks[rng.choice(len(blocks), p=block_weights)]
-        repeats = 1 + rng.geometric(1.0 / max(config.block_repeat_mean, 1.0))
-        for _ in range(repeats):
-            for slot in block:
-                if cycle >= num_cycles:
-                    break
-                spec = INSTRUCTIONS[slot.instr]
-                if rng.random() < config.value_locality:
-                    a = slot.pool_a[int(rng.integers(len(slot.pool_a)))]
-                else:
-                    a = _random_value(rng, width, config.p_large)
-                if rng.random() < config.value_locality or spec.instr is Instr.LUI:
-                    b = slot.pool_b[int(rng.integers(len(slot.pool_b)))]
-                elif spec.shift:
-                    b = int(rng.integers(0, width))
-                elif spec.immediate:
-                    b = int(rng.integers(0, 1 << (width // 2)))
-                else:
-                    b = _random_value(rng, width, config.p_large)
-                instrs[cycle] = int(slot.instr)
-                static_ids[cycle] = slot.static_id
-                alu_ops[cycle] = int(spec.alu_op)
-                a_values[cycle] = a
-                b_values[cycle] = b
-                cycle += 1
-            if cycle >= num_cycles:
-                break
-
+    ids = np.array(static_ids, dtype=np.int32)
     return InstructionTrace(
         name=config.name,
         width=width,
-        instrs=instrs,
-        static_ids=static_ids,
-        alu_ops=alu_ops,
-        a_values=a_values,
-        b_values=b_values,
-        num_static=static_id,
+        instrs=np.array([int(s.spec.instr) for s in slots], dtype=np.int16)[ids],
+        static_ids=ids,
+        alu_ops=np.array([int(s.spec.alu_op) for s in slots], dtype=np.int16)[ids],
+        a_values=np.frombuffer(a_values, dtype=np.uint64),
+        b_values=np.frombuffer(b_values, dtype=np.uint64),
+        num_static=len(slots),
     )
 
 

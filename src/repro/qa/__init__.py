@@ -19,6 +19,8 @@ Layout:
   oracles.
 * :mod:`repro.qa.scheme_reference` — the per-cycle DCS/Trident loops the
   event-compressed scheme kernels are checked against.
+* :mod:`repro.qa.trace_reference` — the scalar-call trace generator the
+  draw-replaying one is checked against.
 * :mod:`repro.qa.engine` — budget planning and campaign execution.
 * :mod:`repro.qa.corpus` — replayable JSON failure artifacts + the
   checked-in seed corpus.

@@ -196,6 +196,30 @@ def _current_op_cone(_original):
     return window_circuit
 
 
+def _sync_drops_half_word(_original):
+    from operator import length_hint
+
+    def _sync(self):
+        # the live generator is advanced to the replay's position, but
+        # the replay's buffered high 32 bits are not written back
+        bitgen = self._bitgen
+        bitgen.state = self._saved
+        bitgen.advance(self._filled - length_hint(self._words))
+
+    return _sync
+
+
+def _one_value_draws(original):
+    def integers(self, low, high=None):
+        # a one-value range consumes a half-word, as a Lemire step
+        # without numpy's empty-range shortcut would
+        if (high is None and low == 1) or (high is not None and high - low == 1):
+            self._half_word()
+        return original(self, low, high)
+
+    return integers
+
+
 def _load_without_checksum(_original):
     from repro.runtime import checkpoint as ckpt
 
@@ -338,6 +362,22 @@ MUTANTS: dict[str, Mutant] = {
             target=("repro.timing.dta", "pair_arrivals"),
             build=_adjacent_toggles,
             oracles=("pair_vs_single",),
+        ),
+        Mutant(
+            name="draws-sync-drops-half-word",
+            description="the draw replay's sync to the live generator forgets "
+            "PCG64's buffered high 32 bits",
+            target=("repro.arch.trace", "DrawReplay._sync"),
+            build=_sync_drops_half_word,
+            oracles=("draws_vs_generator", "trace_vs_reference"),
+        ),
+        Mutant(
+            name="draws-one-value-draws",
+            description="the draw replay consumes a half-word for a one-value "
+            "integer range, where numpy draws nothing",
+            target=("repro.arch.trace", "DrawReplay.integers"),
+            build=_one_value_draws,
+            oracles=("draws_vs_generator", "trace_vs_reference"),
         ),
         Mutant(
             name="classify-drop-ce",

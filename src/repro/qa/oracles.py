@@ -31,6 +31,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.arch import trace as trace_mod
+from repro.arch.isa import INSTRUCTIONS
 from repro.arch.trace import BENCHMARK_ORDER, BENCHMARKS, generate_trace
 from repro.core import dcs as dcs_mod
 from repro.core import scheme_sim
@@ -43,7 +45,7 @@ from repro.obs import trends
 from repro.obs.ledger import LEDGER_VERSION
 from repro.pv import chip as chip_mod
 from repro.pv.delaymodel import NTC, STC
-from repro.qa import circuits, scheme_reference
+from repro.qa import circuits, scheme_reference, trace_reference
 from repro.qa.gen import Param, case_rng
 from repro.runtime import checkpoint as ckpt_mod
 from repro.timing import choke as choke_mod
@@ -692,6 +694,127 @@ def _check_scheme_learning(case: dict[str, int]) -> list[str]:
             violations.append(
                 f"trident SE->CE escalation: predicted={trident_result.errors_predicted}"
                 f", want {n - 2}"
+            )
+    return violations
+
+
+# ----------------------------------------------------------------------
+# trace generator: exact draw replay vs numpy and vs the reference
+# ----------------------------------------------------------------------
+
+#: integer ranges the traces rarely or never reach: 32-bit Lemire with
+#: ~25% rejection (3·2**30), the edges of the 32-bit path, exactly 2**32
+#: (the buffered half-word itself), 64-bit Lemire with ~25% rejection
+#: (3·2**62), the widest trace range, and the full 2**64
+_EDGE_SPANS = (
+    1, 2, 3, 9, 3 << 30, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1 << 33,
+    3 << 62, (1 << 64) - (1 << 32), 1 << 64,
+)
+
+
+def _draw_script_step(script: np.random.Generator, sync_pct: int):
+    """One scripted draw: ``(kind, args)``."""
+    if script.random() * 100 < sync_pct:
+        kind = ("geometric", "dirichlet", "live_integers")[int(script.integers(3))]
+        if kind == "geometric":
+            return kind, (float(script.uniform(0.01, 0.99)),)
+        if kind == "dirichlet":
+            return kind, (script.uniform(0.5, 3.0, size=int(script.integers(1, 8))),)
+        return kind, (0, int(script.integers(2, 1 << 20)))
+    kind = ("random", "integers", "choice", "pick")[int(script.integers(4))]
+    if kind == "random":
+        return kind, ()
+    if kind == "integers":
+        if script.random() < 0.5:
+            span = _EDGE_SPANS[int(script.integers(len(_EDGE_SPANS)))]
+        elif script.random() < 0.5:
+            span = int(script.integers(1, 1 << 20))
+        else:
+            span = int(script.integers(1 << 32, 1 << 64, dtype=np.uint64))
+        low = 0 if span > 1 << 62 else int(script.integers(0, 1000))
+        unsigned = low + span > 1 << 63 or bool(script.integers(2))
+        return kind, (low, low + span, np.uint64 if unsigned else np.int64)
+    size = int(script.integers(1, 12))
+    if kind == "choice":
+        weights = script.integers(0, 4, size=size).astype(float)
+        weights[int(script.integers(size))] += 1.0  # never all zero
+        return kind, (weights / weights.sum(),)
+    return kind, (tuple(range(0, 7 * size, 7)),)
+
+
+def _check_draws_vs_generator(case: dict[str, int]) -> list[str]:
+    """Every value of a scripted draw sequence equals a live generator's."""
+    seed = case["seed"]
+    replay = trace_mod.DrawReplay(np.random.default_rng(seed))
+    live = np.random.default_rng(seed)
+    script = case_rng(case, "script")
+    for index in range(case["num_draws"]):
+        kind, args = _draw_script_step(script, case["sync_pct"])
+        if kind == "random":
+            got, want = replay.random(), float(live.random())
+        elif kind == "integers":
+            low, high, dtype = args
+            got, want = replay.integers(low, high), int(live.integers(low, high, dtype=dtype))
+            args = (low, high)
+        elif kind == "choice":
+            (p,) = args
+            got = replay.choice(trace_mod.choice_cdf(p))
+            want = int(live.choice(len(p), p=p))
+        elif kind == "pick":
+            (seq,) = args
+            got, want = seq[replay.integers(len(seq))], int(live.choice(seq))
+        elif kind == "live_integers":
+            got = int(replay.call(replay.generator.integers, *args))
+            want = int(live.integers(*args))
+        else:
+            got = replay.call(getattr(replay.generator, kind), *args)
+            want = getattr(live, kind)(*args)
+        if not np.array_equal(got, want):
+            return [f"draw {index} {kind}{args}: replay={got!r} generator={want!r}"]
+    return []
+
+
+def _random_benchmark(case: dict[str, int]) -> trace_mod.BenchmarkConfig:
+    rng = case_rng(case, "mix")
+    instrs = sorted(INSTRUCTIONS)
+    chosen = rng.choice(len(instrs), size=case["mix_size"], replace=False)
+    return trace_mod.BenchmarkConfig(
+        name="fuzz",
+        instr_mix={instrs[i]: float(rng.integers(1, 30)) for i in sorted(chosen)},
+        num_blocks=case["num_blocks"],
+        block_size_min=case["block_min"],
+        block_size_max=case["block_min"] + case["block_extra"],
+        block_repeat_mean=case["repeat_x4"] / 4.0,
+        value_pool_size=case["pool"],
+        value_locality=case["locality_pct"] / 100.0,
+        p_large=case["p_large_pct"] / 100.0,
+        seed=case["seed"],
+    )
+
+
+_TRACE_ARRAYS = ("instrs", "static_ids", "alu_ops", "a_values", "b_values")
+
+
+def _check_trace_vs_reference(case: dict[str, int]) -> list[str]:
+    """The replaying generator equals the scalar-call reference: all five
+    arrays, their dtypes, and ``num_static``."""
+    config = _random_benchmark(case)
+    args = (config, case["cycles"], case["width"])
+    got = trace_mod.generate_trace(*args)
+    want = trace_reference.generate_trace(*args)
+    violations: list[str] = []
+    if got.num_static != want.num_static:
+        violations.append(f"num_static {got.num_static} != reference {want.num_static}")
+    for name in _TRACE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        if a.dtype != b.dtype:
+            violations.append(f"{name} dtype {a.dtype} != reference {b.dtype}")
+        elif a.shape != b.shape:
+            violations.append(f"{name} shape {a.shape} != reference {b.shape}")
+        elif not np.array_equal(a, b):
+            first = int(np.flatnonzero(a != b)[0])
+            violations.append(
+                f"{name}[{first}] = {a[first]} != reference {b[first]}"
             )
     return violations
 
@@ -1366,6 +1489,38 @@ ORACLES: dict[str, Oracle] = {
             params={"n": Param(3, 60), "scenario": Param(0, 2)},
             check=_check_scheme_learning,
             cost=0.5,
+        ),
+        Oracle(
+            name="draws_vs_generator",
+            description="exact draw replay equals a live numpy Generator "
+            "value for value, through syncs for geometric and dirichlet",
+            params={
+                "seed": Param(0, 999_999),
+                "num_draws": Param(1, 400),
+                "sync_pct": Param(0, 25),
+            },
+            check=_check_draws_vs_generator,
+            cost=0.5,
+        ),
+        Oracle(
+            name="trace_vs_reference",
+            description="replaying trace generator equal to the scalar-call "
+            "reference on random benchmark configs",
+            params={
+                "mix_size": Param(1, len(INSTRUCTIONS)),
+                "num_blocks": Param(1, 40),
+                "block_min": Param(1, 8),
+                "block_extra": Param(0, 8),
+                "repeat_x4": Param(0, 160),
+                "pool": Param(1, 8),
+                "locality_pct": Param(0, 100),
+                "p_large_pct": Param(0, 100),
+                "width": Param(4, 64),
+                "cycles": Param(1, 3000),
+                "seed": Param(0, 999_999),
+            },
+            check=_check_trace_vs_reference,
+            cost=2.0,
         ),
         Oracle(
             name="etrace_consistency",

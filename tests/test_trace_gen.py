@@ -1,10 +1,15 @@
 """Unit tests for the synthetic benchmark trace generators."""
 
+import hashlib
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.arch.isa import INSTRUCTIONS, Instr
 from repro.arch.trace import (
+    _COMMON_CONSTANTS,
     BENCHMARK_ORDER,
     BENCHMARKS,
     BenchmarkConfig,
@@ -139,3 +144,134 @@ def test_zero_cycles_rejected():
 def test_encode_inputs_roundtrip(alu16, mcf_trace16):
     matrix = mcf_trace16.encode_inputs(alu16)
     assert matrix.shape == (alu16.num_inputs, len(mcf_trace16))
+
+
+# ----------------------------------------------------------------------
+# pinned traces: the exact draw replay must not move a single value
+# ----------------------------------------------------------------------
+
+#: sha256 over (dtype, bytes) of the five arrays, for 2,000 cycles, as
+#: generated by the scalar-call generator (repro.qa.trace_reference)
+TRACE_PINS = {
+    (16, "bzip"): "318bc26ccf12f0c4f64f7f5a87dfc9c67613821fc89c250fba39240c5e2723bb",
+    (16, "gap"): "995ad964d6be15df2ff3b0f757e525a2cc83cd0b90e9e4b25439cadc6201f83f",
+    (16, "gzip"): "f3a8cc0b3aa75afedd2eac29165aba8c5e38de71f9e8f0d6653b2c23a0bc23aa",
+    (16, "mcf"): "67077b6e470c8473d7a1b0dba675ab4b9de87a8081d7ed6cce50ceaa48779cc0",
+    (16, "parser"): "8ab814806738cfd130afb95378d715445d35accfccd1e94910a64fa9c7730249",
+    (16, "vortex"): "86ec479e17b0f3975e01bcff6833f6f45d8b4e28305e5cfbd2f645357538132c",
+    (32, "bzip"): "7b6986c5f713e4ae68709ba5ae216340b82cefe28696467493821a6147263952",
+    (32, "gap"): "40e126beefa10b089f74a9b55c58c2627cef69cce92fb43c0de7992c7f59a555",
+    (32, "gzip"): "e851c5eda906787e14fb13d768ea3dd4bebf9ea107b1ffcf4d6b39155eaaad1f",
+    (32, "mcf"): "2220e1566c527154c1512e314764a791d5ea9a8845e77b9255571b2fe64d1388",
+    (32, "parser"): "6db6f2a16352afa290a94389b586c8ed4e7ff94715379a7a264e8bde981e917c",
+    (32, "vortex"): "02165ee1dcd602d698970ad4e891e25a78ef6946723fafde1157a23024141e5d",
+}
+NUM_STATIC = {"bzip": 285, "gap": 346, "gzip": 163, "mcf": 52, "parser": 531, "vortex": 1287}
+
+
+def _trace_digest(trace) -> str:
+    h = hashlib.sha256()
+    for arr in (trace.instrs, trace.static_ids, trace.alu_ops, trace.a_values, trace.b_values):
+        h.update(arr.dtype.str.encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("width,name", sorted(TRACE_PINS))
+def test_trace_pinned(width, name):
+    trace = generate_trace(BENCHMARKS[name], 2000, width=width)
+    assert _trace_digest(trace) == TRACE_PINS[width, name]
+    assert trace.num_static == NUM_STATIC[name]
+
+
+def test_trace_pinned_seed_override():
+    trace = generate_trace(BENCHMARKS["gap"], 2000, width=32, seed=7)
+    assert _trace_digest(trace) == (
+        "3447809974ad46b67a2e8faf19ed570a67fb8cacd32e4e1fb03171b798ba26ac"
+    )
+    assert trace.num_static == 345
+
+
+# ----------------------------------------------------------------------
+# statistical profile (module docstring): every tolerance is a 4-sigma
+# binomial bound derived from the config and the sample size
+# ----------------------------------------------------------------------
+
+PROFILE_CYCLES = 20_000
+Z = 4.0
+
+
+@pytest.fixture(scope="module")
+def profile_traces():
+    return {
+        name: generate_trace(BENCHMARKS[name], PROFILE_CYCLES, width=32)
+        for name in BENCHMARK_ORDER
+    }
+
+
+def _sigma(p: float, n: int) -> float:
+    return math.sqrt(p * (1.0 - p) / n)
+
+
+@pytest.mark.parametrize("name", BENCHMARK_ORDER)
+def test_profile_instruction_mix(profile_traces, name):
+    """Each static slot draws its instruction from the configured weights,
+    so the executed slots' mix is a multinomial sample of them."""
+    config, trace = BENCHMARKS[name], profile_traces[name]
+    _, first = np.unique(trace.static_ids, return_index=True)
+    slot_instrs = trace.instrs[first]
+    n = len(slot_instrs)
+    total = sum(config.instr_mix.values())
+    for instr, weight in config.instr_mix.items():
+        p = weight / total
+        share = np.count_nonzero(slot_instrs == int(instr)) / n
+        assert abs(share - p) <= Z * _sigma(p, n), (instr.name, share, p)
+
+
+def test_profile_static_footprint(profile_traces):
+    sizes = {name: trace.num_static for name, trace in profile_traces.items()}
+    for name, size in sizes.items():
+        config = BENCHMARKS[name]
+        assert config.num_blocks * config.block_size_min <= size
+        assert size <= config.num_blocks * config.block_size_max
+    assert min(sizes, key=sizes.get) == "mcf"
+    assert max(sizes, key=sizes.get) == "vortex"
+
+
+@pytest.mark.parametrize("name", BENCHMARK_ORDER)
+def test_profile_value_locality(profile_traces, name):
+    """Share of cycles whose operand a comes from its slot's value pool.
+
+    A slot's pool is read off as its ``value_pool_size`` most frequent a
+    values, over slots executed at least 50 times.  That count includes
+    every pool hit; it may add misses that drew a common constant (a
+    fifth of all misses) equal to a pooled value.  So the share lies in
+    ``[v, v + 0.2 (1 - v)]`` up to binomial noise.
+    """
+    config, trace = BENCHMARKS[name], profile_traces[name]
+    per_slot: dict[int, Counter] = {}
+    for slot, value in zip(trace.static_ids.tolist(), trace.a_values.tolist()):
+        per_slot.setdefault(slot, Counter())[value] += 1
+    cycles = hits = 0
+    for counts in per_slot.values():
+        if counts.total() >= 50:
+            cycles += counts.total()
+            hits += sum(c for _, c in counts.most_common(config.value_pool_size))
+    v = config.value_locality
+    slack = Z * _sigma(0.5, cycles)
+    assert v - slack <= hits / cycles <= v + 0.2 * (1.0 - v) + slack
+
+
+@pytest.mark.parametrize("name", BENCHMARK_ORDER)
+def test_profile_large_small_balance(profile_traces, name):
+    """Each fresh operand value that is not a common constant is Large
+    (at least half the width) with probability ``p_large``.  The distinct
+    (slot, value) pairs are those draws: pool entries and escapes."""
+    config, trace = BENCHMARKS[name], profile_traces[name]
+    draws = {
+        (slot, value)
+        for slot, value in zip(trace.static_ids.tolist(), trace.a_values.tolist())
+        if value not in _COMMON_CONSTANTS
+    }
+    large = sum(1 for _, value in draws if value >= 1 << 16) / len(draws)
+    assert abs(large - config.p_large) <= Z * _sigma(config.p_large, len(draws))
