@@ -61,8 +61,14 @@ import numpy as np
 from repro.arch.isa import INSTRUCTIONS, Instr, InstrSpec
 
 _COMMON_CONSTANTS = (0, 1, 2, 3, 4, 8, 16, 0xFF, 0xFFFF)
-#: raw 64-bit words pulled from the bit generator per bulk fill
-_FILL = 512
+#: raw 64-bit words pulled from the bit generator per bulk fill.  Each
+#: sync (one per block run) drops the rest of the fill; a block run
+#: consumes a median of 170-196 words (p90 613-779) in the six benchmarks'
+#: traces at 2,000-20,000 cycles.  With ``random_raw(n).tolist()`` at 7.6 us
+#: for 256 words and 14.9 us for 512 (numpy 2.4.6, 2-core x86 host), the
+#: fills for six 20,000-cycle traces cost 28 ms at 256, 27 ms at 128 and
+#: 36 ms at 512, of about 300 ms; at 2,000 cycles 4.8-5.3 ms at 128-512.
+_FILL = 256
 
 
 @dataclass(frozen=True)
@@ -171,21 +177,14 @@ class DrawReplay:
         if self._has32:
             self._has32 = 0
             return self._high32
-        try:
-            word = self._next_word()
-        except StopIteration:
-            word = self._refill()
+        word = self._word()
         self._has32 = 1
         self._high32 = word >> 32
         return word & 0xFFFF_FFFF
 
     def random(self) -> float:
         """``generator.random()``."""
-        try:
-            word = self._next_word()
-        except StopIteration:
-            word = self._refill()
-        return (word >> 11) * 2.0**-53
+        return (self._word() >> 11) * 2.0**-53
 
     def integers(self, low: int, high: int | None = None) -> int:
         """``generator.integers(low, high)``: Lemire's method, numpy's threshold."""
