@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Measure executor-backend overhead: inproc vs procpool vs remote.
+"""Measure executor-backend overhead: inproc vs procpool.
 
 Each backend runs the same experiment set end to end through the CLI in
 a subprocess with a fresh checkpoint directory (no cross-backend
-resume).  The remote level additionally spawns two localhost worker
-processes, so its number includes the full socket/frame/heartbeat tax —
-the quantity the CI gate watches (warn-only) to catch a coordination
+resume): ``--jobs 1`` selects inproc and ``--jobs 2`` procpool.  The
+procpool number includes the pool start-up and fan-out tax — the
+quantity the CI gate watches (warn-only) to catch a coordination
 regression hiding behind a still-green test suite.
 
 Usage::
@@ -34,7 +34,8 @@ SRC = os.path.join(ROOT, "src")
 DEFAULT_EXPERIMENTS = ("fig3_4", "tab3_ovh", "tab4_ovh")
 DEFAULT_CYCLES = 2_000
 
-BACKENDS = ("inproc", "procpool", "remote")
+#: each backend and the ``--jobs`` value that selects it
+BACKENDS = {"inproc": "1", "procpool": "2"}
 
 
 def _env():
@@ -43,46 +44,18 @@ def _env():
     return env
 
 
-def _spawn_workers(count):
-    """``count`` localhost workers; returns (procs, addresses)."""
-    procs, addresses = [], []
-    for _ in range(count):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.experiments", "worker",
-             "--listen", "127.0.0.1:0"],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            text=True, env=_env(),
-        )
-        procs.append(proc)
-    for proc in procs:
-        ready = proc.stdout.readline().split()
-        if not ready or ready[0] != "READY":
-            raise RuntimeError(f"worker failed to start (said {ready!r})")
-        addresses.append(f"127.0.0.1:{ready[1]}")
-    return procs, addresses
-
-
 def run_once(backend, experiments, fast, cycles):
     """Wall-clock seconds for one cold CLI run on the given backend."""
     ckpt = tempfile.mkdtemp(prefix=f"bench-ckpt-{backend}-")
     cmd = [
         sys.executable, "-m", "repro.experiments", *experiments,
-        "--backend", backend, "--checkpoint-dir", ckpt,
+        "--jobs", BACKENDS[backend], "--checkpoint-dir", ckpt,
     ]
-    if backend == "inproc":
-        cmd.extend(["--jobs", "1"])
-    elif backend == "procpool":
-        cmd.extend(["--jobs", "2"])
     if fast:
         cmd.append("--fast")
     if cycles:
         cmd.extend(["--cycles", str(cycles)])
-    procs = []
     try:
-        if backend == "remote":
-            procs, addresses = _spawn_workers(2)
-            for address in addresses:
-                cmd.extend(["--workers", address])
         start = time.perf_counter()
         subprocess.run(
             cmd, check=True, env=_env(),
@@ -90,9 +63,6 @@ def run_once(backend, experiments, fast, cycles):
         )
         return time.perf_counter() - start
     finally:
-        for proc in procs:
-            proc.kill()
-            proc.wait()
         shutil.rmtree(ckpt, ignore_errors=True)
 
 

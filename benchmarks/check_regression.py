@@ -21,11 +21,10 @@ beyond the tolerance fails the job, so CI can opt in per-job.
 With ``--events PATH`` the per-kind event counts of an
 ``events.jsonl`` (written by ``--events-out``) are diffed against the
 baseline's ``events.counts`` section.  Event streams are
-schedule-dependent by design (steal/heartbeat/clock counts vary run to
-run), so this check **never gates** — not even under ``--strict`` — it
-only flags fleets that stopped emitting lifecycle events or started
-emitting fault events (resubmit/partition/crash) on a healthy-run
-baseline.
+schedule-dependent by design (worker assignment varies run to run), so
+this check **never gates** — not even under ``--strict`` — it only
+flags fleets that stopped emitting lifecycle events or started
+emitting fault events (resubmit/crash) on a healthy-run baseline.
 
 With ``--ledger DIR`` the single-baseline compare is replaced by
 trajectory-aware gating: the newest run in the run ledger

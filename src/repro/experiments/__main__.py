@@ -12,14 +12,9 @@ With ``--jobs N`` (default: one per CPU) experiments fan out across a
 process pool: shared artefacts are prefetched in parallel through the
 checkpoint store, outcomes merge deterministically in submission order,
 and a killed worker degrades to a single failure record.  ``--jobs 1``
-forces the serial path.
-
-``--backend`` picks *where* the batch executes: ``inproc`` (serial
-reference), ``procpool`` (local process pool), or ``remote`` (socket
-coordinator driving ``worker`` processes given by ``--workers``, with
-heartbeats, work stealing, resubmission, and procpool fallback).  The
-default ``auto`` maps ``--jobs 1`` to inproc and anything wider to
-procpool.  Whatever the backend, the report is bit-identical.
+forces the serial path on the in-process backend; anything wider runs
+on the process-pool backend.  Whatever the backend, the report is
+bit-identical.
 
 Examples::
 
@@ -34,12 +29,6 @@ Examples::
     python -m repro.experiments all --fast --ledger-dir .ledger  # history
     python -m repro.experiments ledger list --ledger-dir .ledger
     python -m repro.experiments ledger html --ledger-dir .ledger
-    python -m repro.experiments worker --listen 127.0.0.1:7070  # fleet worker
-    python -m repro.experiments all --fast --backend remote \
-        --workers 127.0.0.1:7070 --workers 127.0.0.1:7071 \
-        --checkpoint-dir .ckpt   # distributed fan-out
-    python -m repro.experiments all --fast --backend remote \
-        --workers 127.0.0.1:7070 --chaos-net partition   # fleet self-test
 
 With ``--metrics-out`` / ``--trace-out`` / ``--profile`` the run is
 instrumented end to end (see :mod:`repro.obs`): counters, gauges and
@@ -76,8 +65,7 @@ from repro.runtime import (
     configure_logging,
     default_jobs,
 )
-from repro.runtime.backends import BACKEND_NAMES, RemoteOptions, resolve_backend
-from repro.runtime.chaos import NET_MODES, ChaosNet
+from repro.runtime.backends import backend_for
 from repro.runtime.log import get_logger
 
 logger = get_logger("cli")
@@ -115,34 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for experiment fan-out "
         "(0 = one per CPU, 1 = serial; default: 0)",
-    )
-    runtime.add_argument(
-        "--backend",
-        choices=("auto",) + BACKEND_NAMES,
-        default="auto",
-        help="execution backend (auto: inproc when --jobs 1, else procpool)",
-    )
-    runtime.add_argument(
-        "--workers",
-        action="append",
-        default=[],
-        metavar="HOST:PORT",
-        help="remote worker address for --backend remote (repeatable)",
-    )
-    runtime.add_argument(
-        "--heartbeat-s",
-        type=float,
-        default=0.5,
-        metavar="S",
-        help="remote worker heartbeat period (default: 0.5)",
-    )
-    runtime.add_argument(
-        "--heartbeat-deadline-s",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="silence past this declares a busy remote worker dead "
-        "(default: 5.0)",
     )
     runtime.add_argument(
         "--checkpoint-dir",
@@ -195,14 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="ID",
         help="self-test: kill the worker running this experiment "
-        "(requires a multi-process backend; repeatable)",
-    )
-    runtime.add_argument(
-        "--chaos-net",
-        metavar="MODE[:VICTIM]",
-        help="self-test: inject a network fault into --backend remote "
-        f"(modes: {', '.join(NET_MODES)}; victim is a worker index, "
-        "default 0)",
+        "(requires --jobs >= 2; repeatable)",
     )
     runtime.add_argument(
         "-v", "--verbose",
@@ -277,10 +230,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.qa.cli import qa_main
 
         return qa_main(argv[1:])
-    if argv and argv[0] == "worker":
-        from repro.runtime.backends.worker import worker_main
-
-        return worker_main(argv[1:])
     if argv and argv[0] == "progress":
         from repro.experiments.progress_cli import progress_main
 
@@ -321,27 +270,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--retry-backoff-s must be >= 0")
     if args.claim_stale_s <= 0:
         parser.error("--claim-stale-s must be positive")
-    if args.heartbeat_s <= 0 or args.heartbeat_deadline_s <= 0:
-        parser.error("--heartbeat-s and --heartbeat-deadline-s must be positive")
     if args.profile_top < 1:
         parser.error("--profile-top must be >= 1")
     jobs = args.jobs or default_jobs()
-
-    backend_name = args.backend
-    if backend_name == "auto":
-        backend_name = "inproc" if jobs == 1 else "procpool"
-    if backend_name == "remote" and not args.workers:
-        parser.error("--backend remote requires at least one --workers HOST:PORT")
-    if args.workers and backend_name != "remote":
-        parser.error("--workers only applies to --backend remote")
-    if args.chaos_net and backend_name != "remote":
-        parser.error("--chaos-net only applies to --backend remote")
-    chaos_net = None
-    if args.chaos_net:
-        try:
-            chaos_net = ChaosNet.parse(args.chaos_net)
-        except ValueError as exc:
-            parser.error(str(exc))
 
     ids = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
     for experiment_id in ids:
@@ -353,13 +284,8 @@ def main(argv: list[str] | None = None) -> int:
     for experiment_id in args.chaos_kill:
         if experiment_id not in EXPERIMENTS:
             parser.error(f"unknown --chaos-kill experiment {experiment_id!r}")
-    if args.chaos_kill and (
-        backend_name == "inproc" or (backend_name == "procpool" and jobs < 2)
-    ):
-        parser.error(
-            "--chaos-kill requires --jobs >= 2 or a remote backend "
-            "(it takes a worker down)"
-        )
+    if args.chaos_kill and jobs < 2:
+        parser.error("--chaos-kill requires --jobs >= 2 (it takes a worker down)")
 
     from repro.obs import audit
 
@@ -376,14 +302,14 @@ def main(argv: list[str] | None = None) -> int:
         args.metrics_out or args.trace_out or args.profile or args.ledger_dir
     )
     # Every instrumented run gets a trace id: it stamps spans, rides the
-    # WorkerSpec into every worker (local or remote), tags each
-    # structured event, and lands in the ledger record — one key linking
-    # all the run's artefacts.  Local workers flush their shards into
-    # one directory the merge reads back.
+    # WorkerSpec into every worker, tags each structured event, and
+    # lands in the ledger record — one key linking all the run's
+    # artefacts.  Workers flush their shards into one directory the
+    # merge reads back.
     instrumented = bool(metrics_on or args.events_out or args.audit_out)
     trace_id = obs.new_trace_id() if instrumented else ""
     shard_dir = None
-    if (metrics_on or args.audit_out) and backend_name != "inproc":
+    if (metrics_on or args.audit_out) and jobs != 1:
         shard_dir = tempfile.mkdtemp(prefix="repro-telemetry-")
     telemetry_spec = obs.TelemetrySpec(
         metrics=metrics_on,
@@ -428,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     # backend only persists when the user asked for it.)
     ephemeral_dir = None
     checkpoint_dir = args.checkpoint_dir
-    if not checkpoint_dir and backend_name != "inproc":
+    if not checkpoint_dir and jobs != 1:
         ephemeral_dir = tempfile.mkdtemp(prefix="repro-ckpt-")
         checkpoint_dir = ephemeral_dir
     spec = WorkerSpec(
@@ -444,20 +370,12 @@ def main(argv: list[str] | None = None) -> int:
         claim_stale_s=args.claim_stale_s,
         telemetry=telemetry_spec,
     )
-    remote_options = None
-    if backend_name == "remote":
-        remote_options = RemoteOptions(
-            workers=tuple(args.workers),
-            heartbeat_s=args.heartbeat_s,
-            heartbeat_deadline_s=args.heartbeat_deadline_s,
-            chaos_net=chaos_net,
-        )
-    backend = resolve_backend(backend_name, remote_options=remote_options)
+    backend = backend_for(jobs)
     logger.info(
         "running %d experiment(s) on the %s backend", len(ids), backend.name
     )
     obs.emit(
-        "run_start", backend=backend_name, jobs=jobs, experiments=len(ids)
+        "run_start", backend=backend.name, jobs=jobs, experiments=len(ids)
     )
     merged = obs.MergedTelemetry()
     try:

@@ -1,28 +1,19 @@
 """The ``python -m repro.experiments progress`` live fleet view.
 
-Two complementary data sources:
-
-* ``--events events.jsonl`` — replays the structured event stream a run
-  appends with ``--events-out`` and renders per-experiment completion
-  plus a per-worker health table (last-heartbeat age, in-flight task,
-  completed count, steals, clock-offset tier).  ``--follow`` re-reads
-  the file on an interval, so the same command tails a live run — the
-  stream is append-only JSONL, so a reader never needs coordination
-  with the writer, and a truncated final line (writer mid-append) is
-  skipped exactly as on crash replay.
-* ``--status HOST:PORT`` — asks a live worker directly over the frame
-  protocol (a ``status`` frame, answered with ``status_ok``): uptime,
-  sessions served, tasks served, in-flight experiment ids.
-
-Both are read-only observers: neither perturbs the run being watched
-beyond one extra accept on the worker's listen socket.
+``--events events.jsonl`` replays the structured event stream a run
+appends with ``--events-out`` and renders per-experiment completion
+plus a per-worker health table (age of the worker's last event,
+in-flight task, completed count).  ``--follow`` re-reads the file on an
+interval, so the same command tails a live run — the stream is
+append-only JSONL, so a reader never needs coordination with the
+writer, and a truncated final line (writer mid-append) is skipped
+exactly as on crash replay.  The view is a read-only observer: it never
+perturbs the run being watched.
 """
 
 from __future__ import annotations
 
 import argparse
-import socket
-import sys
 import time
 from typing import Any
 
@@ -32,16 +23,11 @@ from repro.obs.events import format_event, read_events
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments progress",
-        description="Watch a fleet run via its event stream or a live worker.",
+        description="Watch a fleet run via its event stream.",
     )
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument(
-        "--events", metavar="PATH",
+    parser.add_argument(
+        "--events", metavar="PATH", required=True,
         help="events.jsonl written by a run's --events-out",
-    )
-    source.add_argument(
-        "--status", metavar="HOST:PORT",
-        help="query a live worker's status frame instead",
     )
     parser.add_argument(
         "--follow", action="store_true",
@@ -54,10 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tail", type=int, default=0, metavar="N",
         help="also print the last N raw events (default: 0)",
-    )
-    parser.add_argument(
-        "--timeout-s", type=float, default=5.0, metavar="S",
-        help="--status connect/read timeout (default: 5.0)",
     )
     return parser
 
@@ -76,12 +58,6 @@ def summarize_events(events: list[dict[str, Any]]) -> dict[str, Any]:
     experiments: dict[str, dict[str, Any]] = {}
     workers: dict[str, dict[str, Any]] = {}
 
-    def worker_row(label: str) -> dict[str, Any]:
-        return workers.setdefault(label, {
-            "last_ts": 0.0, "inflight": set(), "completed": 0,
-            "steals": 0, "tier": "-",
-        })
-
     for event in events:
         kind = event.get("kind")
         ts = float(event.get("ts", 0.0))
@@ -97,32 +73,25 @@ def summarize_events(events: list[dict[str, Any]]) -> dict[str, Any]:
             run["status"] = event.get("status", "?")
         if eid:
             state = experiments.setdefault(eid, {"status": "scheduled"})
-            if kind in ("scheduled", "claimed", "started"):
-                # lifecycle only moves forward; a resubmitted task's
-                # fresh "claimed" legitimately rewinds it from started
+            if kind in ("scheduled", "started"):
                 state["status"] = kind
             elif kind == "result":
                 state["status"] = str(event.get("status", "done"))
                 state["elapsed_s"] = event.get("elapsed_s")
-            elif kind in ("crash", "partition", "resubmit"):
+            elif kind in ("crash", "resubmit"):
                 state["status"] = kind
         if label:
-            row = worker_row(label)
+            row = workers.setdefault(label, {
+                "last_ts": 0.0, "inflight": set(), "completed": 0,
+            })
             row["last_ts"] = max(row["last_ts"], ts)
-            if kind in ("claimed", "started") and eid:
+            if kind == "started" and eid:
                 row["inflight"].add(eid)
             elif kind == "result" and eid:
                 row["inflight"].discard(eid)
                 row["completed"] += 1
-            elif kind in ("crash", "partition") and eid:
+            elif kind == "crash" and eid:
                 row["inflight"].discard(eid)
-            elif kind == "steal":
-                row["steals"] += 1
-                victim = event.get("victim")
-                if victim and eid:
-                    worker_row(victim)["inflight"].discard(eid)
-            elif kind == "clock":
-                row["tier"] = str(event.get("tier", "-"))
     return {"run": run, "experiments": experiments, "workers": workers}
 
 
@@ -137,7 +106,7 @@ def render_summary(
     now = time.time() if now is None else now
     done = sum(
         1 for s in experiments.values()
-        if s["status"] not in ("scheduled", "claimed", "started", "resubmit")
+        if s["status"] not in ("scheduled", "started", "resubmit")
     )
     lines = []
     header = f"run: {done}/{len(experiments)} experiment(s) finished"
@@ -160,7 +129,7 @@ def render_summary(
     if workers:
         health = Table(
             title="worker health",
-            headers=["worker", "hb_age_s", "inflight", "done", "steals", "clock"],
+            headers=["worker", "age_s", "inflight", "done"],
         )
         for label in sorted(workers):
             row = workers[label]
@@ -170,8 +139,6 @@ def render_summary(
                 round(age, 1) if age != float("inf") else "-",
                 ",".join(sorted(row["inflight"])) or "-",
                 row["completed"],
-                row["steals"],
-                row["tier"],
             )
         lines.append(health.render())
     return "\n\n".join(lines)
@@ -197,49 +164,11 @@ def _cmd_events(args: argparse.Namespace) -> int:
         print()
 
 
-# ----------------------------------------------------------------------
-# live worker probe
-# ----------------------------------------------------------------------
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    from repro.runtime.backends.frames import FrameError, FrameStream
-    from repro.runtime.backends.remote import parse_address
-
-    address = parse_address(args.status)
-    try:
-        sock = socket.create_connection(address, timeout=args.timeout_s)
-    except OSError as exc:
-        print(f"error: cannot reach {address[0]}:{address[1]}: {exc}",
-              file=sys.stderr)
-        return 2
-    stream = FrameStream(sock)
-    try:
-        stream.send({"type": "status"})
-        reply = stream.recv(timeout=args.timeout_s)
-    except (OSError, FrameError, TimeoutError) as exc:
-        print(f"error: status query failed: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        stream.close()
-    if not reply or reply.get("type") != "status_ok":
-        print(f"error: unexpected status reply: {reply!r}", file=sys.stderr)
-        return 2
-    print(f"worker {address[0]}:{address[1]}")
-    for key in ("host", "pid", "protocol", "uptime_s", "sessions_total",
-                "tasks_served", "tracing"):
-        print(f"  {key}: {reply.get(key)}")
-    inflight = reply.get("inflight") or []
-    print(f"  inflight: {', '.join(inflight) if inflight else '(idle)'}")
-    return 0
-
-
 def progress_main(argv: list[str]) -> int:
     args = _build_parser().parse_args(argv)
     if args.interval <= 0:
         args.interval = 1.0
     try:
-        if args.status:
-            return _cmd_status(args)
         return _cmd_events(args)
     except KeyboardInterrupt:
         return 0

@@ -65,18 +65,16 @@ from repro.obs.recorder import (
     Span,
     TelemetryRecorder,
 )
-from repro.obs.telemetry import MergedTelemetry, Telemetry, TelemetrySpec
-from repro.obs.tracectx import (
-    ClockSync,
-    correct_shard,
+from repro.obs.telemetry import (
+    MergedTelemetry,
+    Telemetry,
+    TelemetrySpec,
     new_span_id,
     new_trace_id,
-    timeline_now_us,
 )
 from repro.obs.trends import detect_drift, diff_records, flatten, history, robust_z
 
 __all__ = [
-    "ClockSync",
     "EVENT_KINDS",
     "EVENTS_VERSION",
     "EventLog",
@@ -95,7 +93,6 @@ __all__ = [
     "TelemetrySpec",
     "active",
     "build_record",
-    "correct_shard",
     "determinism_view",
     "detect_drift",
     "diff_records",
@@ -127,7 +124,6 @@ __all__ = [
     "scan_shards",
     "span",
     "summary_table",
-    "timeline_now_us",
     "trace_document",
     "uninstall",
 ]
@@ -210,7 +206,7 @@ def emit(kind: str, **fields: Any) -> None:
 
 
 def recent_events(n: int = 16) -> tuple[str, ...]:
-    """The flight recorder's last ``n`` events (crash/partition context)."""
+    """The flight recorder's last ``n`` events (crash context)."""
     log = _events
     if log is None:
         return ()
@@ -225,8 +221,7 @@ def ensure_worker(spec: TelemetrySpec) -> Telemetry | None:
     """Give a worker process its own telemetry built from ``spec``.
 
     Telemetry installed by this process is kept: a pool worker runs
-    many tasks, and a remote worker installs its session's telemetry
-    before any task.  Telemetry whose pid is not ours was inherited
+    many tasks.  Telemetry whose pid is not ours was inherited
     through fork; recording into it would double-count the parent's
     history into the worker's shard, so it is replaced with a fresh
     object, or dropped when ``spec`` records nothing.

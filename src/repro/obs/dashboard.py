@@ -178,16 +178,16 @@ def _scheme_breakdown(domain: dict[str, float]) -> list[tuple[str, dict[str, flo
 LANE_W, LANE_ROW_H, LANE_PAD = 720, 24, 6
 
 #: event kinds drawn as markers (not bars) on a fleet lane.
-_LANE_MARKS = {"steal": "⇄", "partition": "✕", "crash": "✕", "resubmit": "↻"}
+_LANE_MARKS = {"crash": "✕", "resubmit": "↻"}
 
 
 def _fleet_lanes(events: list[dict[str, Any]]) -> str:
     """Per-worker task-interval timeline from one run's event stream.
 
-    Each worker gets a lane; a bar spans claimed→result for every task
-    it ran (red if the task ended in a crash/partition), with steal /
-    partition / resubmit markers overlaid.  Pure inline SVG with native
-    ``<title>`` tooltips, like the sparklines.
+    Each worker gets a lane; a bar spans started→result for every task
+    it ran (red if the task ended in a crash), with crash / resubmit
+    markers overlaid.  Pure inline SVG with native ``<title>`` tooltips,
+    like the sparklines.
     """
     stamps = [float(e.get("ts", 0.0)) for e in events if e.get("ts")]
     if not stamps:
@@ -204,21 +204,18 @@ def _fleet_lanes(events: list[dict[str, Any]]) -> str:
         label = event.get("worker")
         if not label:
             continue
-        lane = lanes.setdefault(label, {"bars": [], "marks": [], "tier": ""})
+        lane = lanes.setdefault(label, {"bars": [], "marks": []})
         kind = event.get("kind")
         ts = float(event.get("ts", 0.0))
         eid = event.get("experiment") or ""
-        if kind == "claimed" or (kind == "started"
-                                 and (label, eid) not in open_tasks):
+        if kind == "started" and (label, eid) not in open_tasks:
             open_tasks[(label, eid)] = ts
-        elif kind in ("result", "crash", "partition") and (label, eid) in open_tasks:
+        elif kind in ("result", "crash") and (label, eid) in open_tasks:
             start = open_tasks.pop((label, eid))
             status = str(event.get("status", kind))
             lane["bars"].append((start, ts, eid, status))
         if kind in _LANE_MARKS:
             lane["marks"].append((ts, kind, eid))
-        if kind == "clock":
-            lane["tier"] = str(event.get("tier", ""))
     for (label, eid), start in open_tasks.items():  # still running at EOF
         lanes[label]["bars"].append((start, t1, eid, "running"))
 
@@ -229,7 +226,7 @@ def _fleet_lanes(events: list[dict[str, Any]]) -> str:
         bars = []
         for start, end, eid, status in lane["bars"]:
             x, x2 = x_of(start), x_of(end)
-            bad = status in ("crash", "partition", "timeout", "exception")
+            bad = status in ("crash", "timeout", "exception")
             cls = "bad" if bad else ("open" if status == "running" else "")
             title = html.escape(f"{eid}: {status} ({end - start:.2f}s)")
             bars.append(
@@ -244,9 +241,8 @@ def _fleet_lanes(events: list[dict[str, Any]]) -> str:
                 f'<text class="mark" x="{x_of(ts):.1f}" y="{h - 7}">'
                 f"{_LANE_MARKS[kind]}<title>{title}</title></text>"
             )
-        name = label + (f" · {lane['tier']}" if lane["tier"] else "")
         rows.append(
-            f'<tr><td class="metric">{html.escape(name)}</td>'
+            f'<tr><td class="metric">{html.escape(label)}</td>'
             f'<td><svg class="lane" width="{LANE_W}" height="{h}" role="img" '
             f'aria-label="{html.escape(label)} timeline">'
             f'<line x1="{LANE_PAD}" y1="{h - 4}" x2="{LANE_W - LANE_PAD}" '

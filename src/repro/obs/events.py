@@ -1,10 +1,9 @@
 """Structured run/task lifecycle events: crash-safe JSONL + flight recorder.
 
 Metrics answer "how much"; the event stream answers "what happened,
-when, on which worker".  Every scheduling decision the fleet makes —
-scheduling, dispatch, task start, heartbeats, steals, resubmissions,
-partitions, crashes, downgrades, results — becomes one JSON object
-appended to the run's ``--events-out`` file.
+when, on which worker".  Every step of a run's lifecycle — start,
+scheduling, task start, resubmissions, crashes, results, end — becomes
+one JSON object appended to the run's ``--events-out`` file.
 
 Durability follows the run ledger exactly: each event is a single
 ``write()`` of one newline-terminated line on an ``O_APPEND``
@@ -16,16 +15,15 @@ stream, not the artefact of record, and must stay cheap enough to emit
 from scheduling hot paths.
 
 Every :class:`EventLog` also keeps a bounded in-memory **flight
-recorder** of the most recent events.  When the runtime blames a crash
-or partition, the last few events are dumped into the
+recorder** of the most recent events.  When the runtime blames a
+crash, the last few events are dumped into the
 :class:`~repro.runtime.executor.FailureRecord` context — the "what was
 the fleet doing just before it died" answer that aggregate counters
 cannot give.
 
-Events are *schedule-dependent by design* (steal counts, heartbeat
-cadence, worker assignment all vary run to run) and are therefore
-excluded from determinism comparisons, like the ``worker.``/``backend.``
-counter families.
+Events are *schedule-dependent by design* (worker assignment and
+timing vary run to run) and are therefore excluded from determinism
+comparisons, like the ``worker.``/``parallel.`` counter families.
 """
 
 from __future__ import annotations
@@ -44,16 +42,10 @@ EVENTS_VERSION = 1
 EVENT_KINDS = (
     "run_start",
     "scheduled",
-    "claimed",
     "started",
-    "heartbeat",
-    "steal",
     "resubmit",
-    "partition",
     "crash",
-    "downgrade",
     "result",
-    "clock",
     "run_end",
 )
 
@@ -127,7 +119,7 @@ class EventLog:
 def format_event(event: dict[str, Any]) -> str:
     """One event as a compact single line (flight dumps, ``progress``)."""
     parts = [f"{event.get('ts', 0):.3f}", str(event.get("kind", "?"))]
-    for key in ("experiment", "worker", "status", "tier", "reason"):
+    for key in ("experiment", "worker", "status", "reason"):
         value = event.get(key)
         if value is not None:
             parts.append(f"{key}={value}")

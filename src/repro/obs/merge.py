@@ -1,8 +1,7 @@
 """Deterministic shard merging and telemetry document rendering.
 
-A telemetry run produces one in-memory recorder in the parent, the
-shards remote workers returned in memory, and zero or more
-``shard-v<version>-<pid>-<tag>.json`` files written by local workers.
+A telemetry run produces one in-memory recorder in the parent and zero
+or more ``shard-v<version>-<pid>-<tag>.json`` files written by workers.
 This module folds them into the two artefacts the CLI emits:
 
 * ``metrics.json`` — merged counters/gauges/histogram summaries, keys
@@ -53,7 +52,6 @@ SCHEDULE_DEPENDENT_PREFIXES = (
     "worker.",
     "prefetch.",
     "parallel.",
-    "backend.",
     "executor.backoff",
     "span.",
     "sta.",
@@ -66,12 +64,6 @@ SCHEDULE_DEPENDENT_PREFIXES = (
     "shm.",
     "runner.chips_",
     "pv.populations_",
-    # RPC frame traffic and event emission scale with heartbeat cadence,
-    # steals, and resubmissions — schedule-dependent by definition; clock
-    # samples depend on network round trips.
-    "frames.",
-    "events.",
-    "clock.",
     # audit.* counters track how many runs/records the audit sink saw in
     # *this process* — parallel workers re-simulate what a serial run
     # memoises, so the counts are schedule-dependent (the merged audit

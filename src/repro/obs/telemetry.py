@@ -6,13 +6,12 @@ lifecycle events (:class:`~repro.obs.events.EventLog`) and scheme
 decisions (:class:`~repro.obs.audit.AuditRecorder`); a channel whose
 :class:`TelemetrySpec` flag is off is ``None``.
 
-Local workers :meth:`~Telemetry.flush` into the run's one shard
-directory under one name, ``shard-v<SHARD_VERSION>-<pid>-<tag>``:
-``.json`` for metrics and spans, ``.npz`` for the decision columns.
-Remote workers return their metrics shard inside result frames, which
-the coordinator appends to :attr:`Telemetry.received`.
-:meth:`~Telemetry.merge` folds the parent's channels, the received
-shards and the shard directory into the run's documents.
+Workers :meth:`~Telemetry.flush` into the run's one shard directory
+under one name, ``shard-v<SHARD_VERSION>-<pid>-<tag>``: ``.json`` for
+metrics and spans, ``.npz`` for the decision columns.
+:meth:`~Telemetry.merge` folds the parent's channels and the shard
+directory into the run's documents.  Every run is identified by
+:func:`new_trace_id`, which stamps its spans, events and ledger record.
 """
 
 from __future__ import annotations
@@ -26,6 +25,16 @@ from repro import obs
 from repro.obs import audit
 from repro.obs.events import EventLog
 from repro.obs.recorder import SHARD_VERSION, TelemetryRecorder
+
+
+def new_trace_id() -> str:
+    """A 128-bit run-scoped trace id (hex, W3C traceparent sized)."""
+    return os.urandom(16).hex()
+
+
+def new_span_id() -> str:
+    """A 64-bit span id for the run-level parent span."""
+    return os.urandom(8).hex()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,8 +57,8 @@ class TelemetrySpec:
     trace_id: str = ""
     #: the coordinator's run-level span id (parent linkage for workers)
     parent_span_id: str | None = None
-    #: directory local workers flush their shards into (None = the run
-    #: has no local workers, or records nothing that needs merging)
+    #: directory workers flush their shards into (None = the run has no
+    #: workers, or records nothing that needs merging)
     shard_dir: str | None = None
 
     @property
@@ -84,9 +93,6 @@ class Telemetry:
                        if spec.events_path is not None else None)
         self.audit = (audit.AuditRecorder(spec.audit_policy)
                       if spec.audit_policy is not None else None)
-        #: clock-corrected metrics shards remote workers returned; they
-        #: join the merge in memory
-        self.received: list[dict[str, Any]] = []
         #: distinguishes shards when a pid is ever reused across pools
         self._tag = time.time_ns()
 
@@ -113,8 +119,8 @@ class Telemetry:
     def merge(self) -> MergedTelemetry:
         """This process's channels plus every worker's shards, folded.
 
-        The parent's own snapshot and the received remote shards join in
-        memory; only local workers' shards are read from the directory.
+        The parent's own snapshot joins in memory; the workers' shards
+        are read from the directory.
         """
         merged = MergedTelemetry()
         shard_dir = self.spec.shard_dir
@@ -126,7 +132,7 @@ class Telemetry:
                 merged.stale += stale
             merged.audit_runs = audit.merge_audit(docs)
         if self.recorder is not None:
-            docs = [self.recorder.snapshot_doc(), *self.received]
+            docs = [self.recorder.snapshot_doc()]
             if shard_dir is not None:
                 worker_docs, stale = obs.scan_shards(shard_dir)
                 docs.extend(worker_docs)

@@ -1053,94 +1053,6 @@ def _check_parallel_vs_serial(case: dict[str, int]) -> list[str]:
     return violations
 
 
-def _diff_reports(serial, other, label: str) -> list[str]:
-    """Submission-order + bit-identity comparison of two RunReports."""
-    if len(serial.outcomes) != len(other.outcomes):
-        return [
-            f"outcome count serial={len(serial.outcomes)} {label}={len(other.outcomes)}"
-        ]
-    violations: list[str] = []
-    for serial_outcome, other_outcome in zip(serial.outcomes, other.outcomes):
-        if serial_outcome.experiment_id != other_outcome.experiment_id:
-            violations.append(f"{label} merge order diverged from submission order")
-            break
-        if serial_outcome.ok != other_outcome.ok:
-            violations.append(
-                f"{serial_outcome.experiment_id}: ok serial={serial_outcome.ok} "
-                f"{label}={other_outcome.ok}"
-            )
-            continue
-        if serial_outcome.ok:
-            if serial_outcome.result.to_text() != other_outcome.result.to_text():
-                violations.append(
-                    f"{serial_outcome.experiment_id}: {label} report diverges "
-                    f"from the serial report"
-                )
-    return violations
-
-
-def _check_remote_vs_serial(case: dict[str, int]) -> list[str]:
-    """The remote socket fleet must match the serial executor bit for
-    bit — including with a chaos partition taking a worker out."""
-    import subprocess
-    import sys
-    from dataclasses import replace
-
-    import repro
-    from repro.experiments.config import FAST_CONFIG
-    from repro.experiments.runner import ExperimentContext
-    from repro.runtime.backends import RemoteBackend, RemoteOptions
-    from repro.runtime.chaos import ChaosNet
-    from repro.runtime.executor import run_many
-    from repro.runtime.parallel import WorkerSpec
-
-    mask = case["subset_mask"]
-    ids = ("fig3_4",) + tuple(
-        x for i, x in enumerate(_PARALLEL_EXTRAS) if mask >> i & 1
-    )
-    config = replace(FAST_CONFIG, cycles=case["cycles"])
-    chaos = ChaosNet("partition") if case["partition"] else None
-
-    serial = run_many(ids, ExperimentContext(config))
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    procs: list = []
-    try:
-        for _ in range(2):
-            procs.append(
-                subprocess.Popen(
-                    [sys.executable, "-m", "repro.experiments", "worker",
-                     "--listen", "127.0.0.1:0", "--max-sessions", "1"],
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.DEVNULL,
-                    text=True,
-                    env=env,
-                )
-            )
-        addresses = []
-        for proc in procs:
-            ready = proc.stdout.readline().split()
-            if not ready or ready[0] != "READY":
-                return [f"worker failed to start (said {ready!r})"]
-            addresses.append(f"127.0.0.1:{ready[1]}")
-        backend = RemoteBackend(RemoteOptions(
-            workers=tuple(addresses),
-            heartbeat_s=0.1,
-            heartbeat_deadline_s=2.0,
-            chaos_net=chaos,
-        ))
-        with tempfile.TemporaryDirectory(prefix="qa-remote-") as tmp:
-            spec = WorkerSpec(config=config, checkpoint_dir=os.path.join(tmp, "ckpt"))
-            remote, _stats = backend.run(ids, spec)
-    finally:
-        for proc in procs:
-            proc.kill()
-            proc.wait()
-    return _diff_reports(serial, remote, "remote")
-
-
 def _check_service_vs_cli(case: dict[str, int]) -> list[str]:
     """A report fetched through the HTTP service must be byte-identical
     to the CLI path's bytes for the same request — and the dedup cache
@@ -1577,19 +1489,6 @@ ORACLES: dict[str, Oracle] = {
             params={"subset_mask": Param(0, 3), "cycles": Param(300, 800)},
             check=_check_parallel_vs_serial,
             cost=45.0,
-            tier="deep",
-        ),
-        Oracle(
-            name="remote_vs_serial",
-            description="remote socket fleet vs serial executor, with and "
-            "without a chaos partition",
-            params={
-                "subset_mask": Param(0, 3),
-                "cycles": Param(300, 800),
-                "partition": Param(0, 1),
-            },
-            check=_check_remote_vs_serial,
-            cost=60.0,
             tier="deep",
         ),
         Oracle(

@@ -9,13 +9,14 @@ reproduction harness itself:
   expensive artefacts (chips, error traces) enabling checkpoint/resume.
 * :mod:`repro.runtime.parallel` — process-pool fan-out of artefacts and
   experiments with deterministic merge and crash containment.
-* :mod:`repro.runtime.backends` — pluggable executor backends (inproc /
-  procpool / remote socket fleet) behind one bit-identical contract.
+* :mod:`repro.runtime.backends` — the two executor backends (inproc
+  serial reference, procpool fan-out) behind one bit-identical
+  contract, chosen by ``--jobs``.
 * :mod:`repro.runtime.backoff` — exponential backoff with deterministic
-  seeded jitter, shared by retries and fleet reconnects.
-* :mod:`repro.runtime.chaos` — deliberate fault injection (experiment,
-  store, and network faults) so tests can prove the layers above
-  degrade gracefully.
+  seeded jitter for experiment retries.
+* :mod:`repro.runtime.chaos` — deliberate fault injection (experiment
+  and store faults) so tests can prove the layers above degrade
+  gracefully.
 * :mod:`repro.runtime.log` — shared structured logging.
 """
 

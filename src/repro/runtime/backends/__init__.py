@@ -1,63 +1,31 @@
-"""Pluggable executor backends: where a batch of experiments runs.
+"""Executor backends: where a batch of experiments runs.
 
-Three implementations of one contract (:class:`ExecutorBackend`):
+Two implementations of one contract (:class:`ExecutorBackend`):
 
 ========== ============================================================
 ``inproc``   serial, this process — the bit-identical reference
 ``procpool`` local ``ProcessPoolExecutor`` fan-out (crash containment)
-``remote``   socket coordinator + worker fleet (heartbeats, stealing,
-             resubmission, procpool fallback)
 ========== ============================================================
 
-``resolve_backend`` is the CLI's entry point: it turns ``--backend``
-plus its companion flags into a constructed backend instance.
+``--jobs`` decides between them: :func:`backend_for` is the one place
+the CLI and the service turn a job count into a backend.
 """
 
 from __future__ import annotations
 
-from repro.runtime.backends.base import ExecutorBackend, SubmissionOrderMerger
+from repro.runtime.backends.base import ExecutorBackend
 from repro.runtime.backends.inproc import InprocBackend
 from repro.runtime.backends.procpool import ProcpoolBackend
-from repro.runtime.backends.remote import RemoteBackend, RemoteOptions
-
-BACKENDS: dict[str, type[ExecutorBackend]] = {
-    InprocBackend.name: InprocBackend,
-    ProcpoolBackend.name: ProcpoolBackend,
-    RemoteBackend.name: RemoteBackend,
-}
-
-#: the CLI's ``--backend`` choices, in documentation order
-BACKEND_NAMES = tuple(BACKENDS)
 
 
-def resolve_backend(
-    name: str,
-    workers: tuple[str, ...] = (),
-    remote_options: "RemoteOptions | None" = None,
-) -> ExecutorBackend:
-    """Construct the named backend.
-
-    ``remote`` needs worker addresses — either pre-packed in
-    ``remote_options`` or as a bare ``workers`` tuple.
-    """
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r} (known: {', '.join(BACKEND_NAMES)})"
-        )
-    if name == RemoteBackend.name:
-        options = remote_options or RemoteOptions(workers=tuple(workers))
-        return RemoteBackend(options)
-    return BACKENDS[name]()
+def backend_for(jobs: int) -> ExecutorBackend:
+    """The serial reference for one job, the process pool for more."""
+    return InprocBackend() if jobs == 1 else ProcpoolBackend()
 
 
 __all__ = [
-    "BACKENDS",
-    "BACKEND_NAMES",
     "ExecutorBackend",
     "InprocBackend",
     "ProcpoolBackend",
-    "RemoteBackend",
-    "RemoteOptions",
-    "SubmissionOrderMerger",
-    "resolve_backend",
+    "backend_for",
 ]

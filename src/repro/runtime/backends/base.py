@@ -5,9 +5,8 @@ A backend turns an ordered list of experiment ids plus a
 :class:`~repro.runtime.executor.RunReport` whose outcomes are listed in
 submission order — the contract that makes a run's report bit-identical
 whichever backend produced it.  Backends differ only in *where* the
-work happens (this process, a local process pool, remote socket
-workers) and in which failure modes they must contain; they may never
-differ in results.
+work happens (this process or a local process pool) and in which
+failure modes they must contain; they may never differ in results.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ class ExecutorBackend(ABC):
       :class:`FailureRecord`s — never a dead or hung run.
     """
 
-    #: registry key and the CLI's ``--backend`` value
+    #: the label run events and logs carry
     name: str = "?"
 
     @abstractmethod
@@ -48,45 +47,3 @@ class ExecutorBackend(ABC):
     ) -> tuple[RunReport, StoreStats]:
         """Execute the batch; report in submission order plus store stats."""
 
-
-class SubmissionOrderMerger:
-    """Shared submission-order flush logic for out-of-order backends.
-
-    Outcomes arrive keyed by experiment id in any order; ``add`` holds
-    each back until every earlier id has reported, then emits through
-    ``on_outcome`` — so incremental output is byte-comparable with a
-    serial run's no matter how the fleet scheduled the work.
-    """
-
-    def __init__(
-        self,
-        experiment_ids: Sequence[str],
-        on_outcome: Callable[[RunOutcome], None] | None = None,
-    ) -> None:
-        self.ids = list(experiment_ids)
-        self.outcomes: dict[str, RunOutcome] = {}
-        self._on_outcome = on_outcome
-        self._emitted = 0
-
-    def add(self, outcome: RunOutcome) -> None:
-        self.outcomes[outcome.experiment_id] = outcome
-        while self._emitted < len(self.ids) and self.ids[self._emitted] in self.outcomes:
-            if self._on_outcome is not None:
-                self._on_outcome(self.outcomes[self.ids[self._emitted]])
-            self._emitted += 1
-
-    def __contains__(self, experiment_id: str) -> bool:
-        return experiment_id in self.outcomes
-
-    @property
-    def unresolved(self) -> list[str]:
-        return [eid for eid in self.ids if eid not in self.outcomes]
-
-    @property
-    def complete(self) -> bool:
-        return len(self.outcomes) >= len(self.ids)
-
-    def report(self) -> RunReport:
-        report = RunReport()
-        report.outcomes.extend(self.outcomes[eid] for eid in self.ids)
-        return report

@@ -1,9 +1,9 @@
 """The in-process serial backend: the reference the others must match.
 
 Runs every experiment in this process through the supervised serial
-executor, exactly as the CLI's historical ``--jobs 1`` path did.  No
-fan-out, no sockets, no claims — which makes it the ground truth the
-``procpool`` and ``remote`` backends are differentially tested against.
+executor: the CLI's ``--jobs 1`` path.  No fan-out, no claims — which
+makes it the ground truth the ``procpool`` backend is differentially
+tested against.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class InprocBackend(ExecutorBackend):
         ``chaos_fail`` and ``chaos_slow`` are honoured; ``chaos_kill``
         is not — an ``os._exit`` body would take the *coordinating*
         process down, which is why the CLI refuses ``--chaos-kill``
-        without a multi-process backend.
+        below ``--jobs 2``.
         """
         from repro.experiments.registry import get_experiment
         from repro.runtime.chaos import chaos_resolve, slow_run

@@ -2,9 +2,7 @@
 
 A thin adapter over :func:`repro.runtime.parallel.run_fleet` — the
 prefetch + fan-out + crash-containment machinery is unchanged; the
-backend interface just makes it swappable with ``inproc`` and
-``remote``.  This is also the degradation target: the remote backend
-falls back here when its worker pool is unreachable.
+backend interface just makes it swappable with ``inproc``.
 """
 
 from __future__ import annotations
@@ -21,9 +19,6 @@ from repro.runtime.parallel import WorkerSpec, run_fleet
 class ProcpoolBackend(ExecutorBackend):
     name = "procpool"
 
-    def __init__(self, prefetch: bool = True) -> None:
-        self.prefetch = prefetch
-
     def run(
         self,
         experiment_ids: Sequence[str],
@@ -39,6 +34,5 @@ class ProcpoolBackend(ExecutorBackend):
             spec,
             jobs=jobs,
             on_outcome=on_outcome,
-            prefetch=self.prefetch,
             crash_retries=crash_retries,
         )

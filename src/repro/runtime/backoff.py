@@ -8,7 +8,7 @@ telemetry) vary between otherwise identical runs, breaking the
 bit-identical reproducibility the rest of the runtime guarantees.
 
 So the jitter here is *seeded*: a CRC32 of the caller-supplied identity
-parts (experiment id, worker address, attempt number, ...) maps into
+parts (experiment id, attempt number, ...) maps into
 ``[0.5, 1.0)`` of the exponential envelope.  Same inputs, same delays,
 every run, every machine — while distinct tasks still spread out.
 """

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.log import get_logger
@@ -115,85 +114,6 @@ def chaos_resolve(fail_ids: set[str], base: Callable[[str], Callable]) -> Callab
         return base(experiment_id)
 
     return resolve
-
-
-# ----------------------------------------------------------------------
-# network faults (the remote backend's --chaos-net harness)
-# ----------------------------------------------------------------------
-
-#: the modes ``ChaosNet.parse`` accepts (the CLI validates against this)
-NET_MODES = ("drop", "delay", "partition", "half-open")
-
-
-@dataclass
-class ChaosNet:
-    """Deterministic network-fault policy for one remote fleet run.
-
-    The coordinator consults this on every frame it exchanges with the
-    *victim* worker (selected by connection index, default the first),
-    so each mode maps onto a concrete distributed-systems failure:
-
-    ``drop``      inbound heartbeats are discarded — the worker is alive
-                  and computing, but looks dead to the deadline monitor;
-    ``delay``     every inbound frame is held for ``delay_s`` — a slow
-                  or congested link that must NOT trip the deadline;
-    ``partition`` after the victim's first task both directions go dark
-                  (sends are black-holed, receipts discarded) — a
-                  network split with the socket still "open";
-    ``half-open`` after the first task only the *return* path dies —
-                  the coordinator's sends keep succeeding into the
-                  void, the classic half-open TCP failure.
-
-    All decisions are pure functions of (mode, frame, activation
-    state): no randomness, so a chaos run is exactly reproducible.
-    """
-
-    mode: str
-    victim: int = 0
-    delay_s: float = 0.25
-    _active: bool = field(default=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.mode not in NET_MODES:
-            raise ValueError(f"unknown chaos-net mode {self.mode!r} (known: {', '.join(NET_MODES)})")
-
-    @classmethod
-    def parse(cls, text: str) -> "ChaosNet":
-        """``MODE`` or ``MODE:VICTIM_INDEX`` (e.g. ``partition:1``)."""
-        mode, _, victim = text.partition(":")
-        return cls(mode=mode, victim=int(victim) if victim else 0)
-
-    # -- hooks the coordinator calls ------------------------------------
-    def task_sent(self, worker_index: int) -> None:
-        """partition / half-open arm themselves at the first task."""
-        if worker_index == self.victim and self.mode in ("partition", "half-open"):
-            if not self._active:
-                logger.info("chaos-net: %s of worker %d armed", self.mode, worker_index)
-            self._active = True
-
-    def allow_send(self, worker_index: int) -> bool:
-        """False = black-hole the outbound frame (never hits the wire)."""
-        if worker_index != self.victim:
-            return True
-        if self.mode == "partition" and self._active:
-            logger.debug("chaos-net: dropping outbound frame to worker %d", worker_index)
-            return False
-        return True
-
-    def filter_recv(self, worker_index: int, payload: dict[str, Any]) -> dict[str, Any] | None:
-        """The (possibly delayed) inbound frame, or None to discard it."""
-        if worker_index != self.victim:
-            return payload
-        if self.mode == "drop" and payload.get("type") == "heartbeat":
-            logger.debug("chaos-net: dropping heartbeat from worker %d", worker_index)
-            return None
-        if self.mode == "delay":
-            time.sleep(self.delay_s)
-            return payload
-        if self.mode in ("partition", "half-open") and self._active:
-            logger.debug("chaos-net: discarding inbound frame from worker %d", worker_index)
-            return None
-        return payload
 
 
 # ----------------------------------------------------------------------

@@ -262,10 +262,10 @@ class CheckpointStore:
     def _claim_owner_dead(path: Path) -> bool:
         """True iff the claim records a same-host pid that no longer exists.
 
-        The remote backend shares the store across machines, so the
-        claim records ``pid hostname`` and the pid liveness probe only
-        applies to claims from *this* host — a foreign host's pid space
-        says nothing about ours.  Foreign, unreadable, or legacy
+        A store directory can be shared or restored across hosts, so
+        the claim records ``pid hostname`` and the pid liveness probe
+        only applies to claims from *this* host — a foreign host's pid
+        space says nothing about ours.  Foreign, unreadable, or legacy
         pid-only-from-elsewhere claims fall back to the age rule.
         """
         try:

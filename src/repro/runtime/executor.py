@@ -41,7 +41,7 @@ class FailureRecord:
     """Everything needed to triage one failed experiment run."""
 
     experiment_id: str
-    kind: str  # "exception" | "timeout" | "crash" | "partition"
+    kind: str  # "exception" | "timeout" | "crash"
     error_type: str
     message: str
     traceback: str
@@ -49,7 +49,7 @@ class FailureRecord:
     elapsed_s: float
     attempts: int = 1
     #: flight-recorder dump: the last few structured events before a
-    #: crash/partition blame ("what was the fleet doing").  Deliberately
+    #: crash blame ("what was the fleet doing").  Deliberately
     #: excluded from rendered reports — events are schedule-dependent
     #: and reports must stay bit-identical across backends.
     context: tuple[str, ...] = ()

@@ -127,7 +127,7 @@ def _worker_context(spec: WorkerSpec):
         from repro.runtime.shm import ShmReader
 
         # Attach lazily per array; a worker that cannot see the parent's
-        # segments (remote machine, parent gone) computes locally instead.
+        # segments (parent gone, /dev/shm full) computes locally instead.
         shared = ShmReader(spec.shm_catalog)
     return ExperimentContext(spec.config, store=store, shared=shared)
 
@@ -470,7 +470,6 @@ def run_fleet(
     spec: WorkerSpec,
     jobs: int | None = None,
     on_outcome: Callable[[RunOutcome], None] | None = None,
-    prefetch: bool = True,
     crash_retries: int = 1,
 ) -> tuple[RunReport, StoreStats]:
     """Prefetch shared artefacts, then fan the experiments out.
@@ -501,8 +500,7 @@ def run_fleet(
         if catalog is not None and len(catalog):
             spec = dataclasses.replace(spec, shm_catalog=catalog)
     try:
-        if prefetch:
-            stats.merge(prefetch_artefacts(spec, experiment_ids, jobs))
+        stats.merge(prefetch_artefacts(spec, experiment_ids, jobs))
         with obs.span(
             "parallel.fanout", experiments=len(experiment_ids), jobs=jobs
         ):

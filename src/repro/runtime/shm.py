@@ -13,9 +13,9 @@ Instruction traces are not published: a worker that builds an error
 trace needs the trace itself, not only its encoded input stream.
 
 Failure philosophy: the hand-off is strictly an accelerator.  Workers
-that cannot attach a segment (remote machines, exhausted /dev/shm,
-racing cleanup) silently fall back to computing the artefact themselves
-through the claimed checkpoint store — nothing about correctness ever
+that cannot attach a segment (exhausted /dev/shm, racing cleanup)
+silently fall back to computing the artefact themselves through the
+claimed checkpoint store — nothing about correctness ever
 depends on shared memory being available.
 
 Lifecycle: the parent owns the segments and unlinks them when the fleet
@@ -142,8 +142,8 @@ class ShmReader:
     """Worker-side view of a :class:`ShmCatalog`.
 
     ``get`` returns a read-only numpy view into the parent's segment, or
-    ``None`` when the segment cannot be attached (remote machine, the
-    parent already cleaned up) — callers must treat ``None`` as "compute
+    ``None`` when the segment cannot be attached (the parent already
+    cleaned up) — callers must treat ``None`` as "compute
     it yourself".  Attached segments are cached and kept referenced for
     the reader's lifetime so views never outlive their buffer.
     """
@@ -167,7 +167,7 @@ class ShmReader:
         try:
             segment = _attach_untracked(spec.segment)
         except (FileNotFoundError, OSError, ValueError) as exc:
-            # No /dev/shm segment here (remote worker, parent gone):
+            # No /dev/shm segment here (parent gone, /dev/shm full):
             # degrade to local computation, once, quietly.
             self._failed.add(key)
             logger.debug("shm attach failed for %s: %s", key, exc)

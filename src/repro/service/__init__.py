@@ -9,8 +9,9 @@ long-lived process serving experiment requests over HTTP/JSON (stdlib
   of concurrent duplicate submissions, and a crash-safe JSONL journal so
   a restarted server never silently loses a job.
 * :mod:`repro.service.scheduler` — bridges accepted jobs onto the
-  existing :class:`~repro.runtime.backends.base.ExecutorBackend` fleet
-  (inproc/procpool/remote) on a worker thread, off the event loop.
+  existing :class:`~repro.runtime.backends.base.ExecutorBackend`
+  (inproc or procpool, by ``--jobs``) on a worker thread, off the
+  event loop.
 * :mod:`repro.service.server` — the asyncio HTTP server: job lifecycle
   endpoints, an SSE progress stream tailing the run's structured event
   file, and the ledger/dashboard/audit views served live.

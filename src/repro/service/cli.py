@@ -1,9 +1,9 @@
 """The ``serve`` and ``client`` CLI families.
 
 ``python -m repro.experiments serve --state-dir DIR`` boots the service
-and prints ``READY <port>`` on stdout once the listener is bound — the
-same boot handshake the remote fleet workers use, so scripts (and the
-CI job) can grab the ephemeral port without racing the bind.  SIGINT /
+and prints ``READY <port>`` on stdout once the listener is bound, so
+scripts (and the CI job) can grab the ephemeral port without racing
+the bind.  SIGINT /
 SIGTERM shut down gracefully: the running job drains, queued jobs are
 blamed ``kind="shutdown"``, nothing is silently lost.
 
@@ -19,8 +19,6 @@ import argparse
 import asyncio
 import signal
 import sys
-
-from repro.runtime.backends import BACKEND_NAMES
 
 
 # ----------------------------------------------------------------------
@@ -41,13 +39,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
                              "is printed as 'READY <port>')")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker fan-out inside each run (default: 1)")
-    parser.add_argument("--backend", choices=("auto",) + BACKEND_NAMES,
-                        default="auto",
-                        help="execution backend per run (default: auto)")
-    parser.add_argument("--workers", action="append", default=[],
-                        metavar="HOST:PORT",
-                        help="remote worker address for --backend remote "
-                             "(repeatable)")
     parser.add_argument("--retries", type=int, default=0, metavar="N",
                         help="per-experiment retry budget (default: 0)")
     parser.add_argument("--ledger-dir",
@@ -64,13 +55,11 @@ async def _serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         jobs=args.jobs,
-        backend=args.backend,
-        workers=tuple(args.workers),
         retries=args.retries,
         ledger_dir=args.ledger_dir,
     )
     port = await server.start()
-    # the worker-fleet boot handshake: scripts wait for this line
+    # the boot handshake: scripts wait for this line
     print(f"READY {port}", flush=True)
 
     stop = asyncio.Event()
@@ -90,10 +79,6 @@ def serve_main(argv: list[str]) -> int:
     args = _build_serve_parser().parse_args(argv)
     if args.jobs < 0:
         print("serve: --jobs must be >= 0", file=sys.stderr)
-        return 2
-    if args.backend == "remote" and not args.workers:
-        print("serve: --backend remote requires --workers HOST:PORT",
-              file=sys.stderr)
         return 2
     try:
         return asyncio.run(_serve(args))

@@ -4,18 +4,16 @@ One worker thread drains accepted jobs sequentially, off the asyncio
 event loop.  Sequential on purpose: the process's telemetry
 (:func:`repro.obs.install`) is process-global — one events file per
 run — so one run executes at a time while the *inside* of a run fans
-out across the configured backend (``--jobs``/``--backend`` exactly as
-on the CLI, including the remote worker fleet).
+out across the backend ``--jobs`` picks, exactly as on the CLI.
 
 Per executed job the runner:
 
 1. installs fresh per-job telemetry whose one channel is the event
    stream at ``jobs/<id>/events.jsonl`` (the file the SSE endpoint
    tails),
-2. runs the request through
-   :func:`repro.runtime.backends.resolve_backend` with a
-   :class:`~repro.runtime.WorkerSpec` built exactly as the CLI builds
-   one,
+2. runs the request on :func:`repro.runtime.backends.backend_for`'s
+   backend with a :class:`~repro.runtime.WorkerSpec` built exactly as
+   the CLI builds one,
 3. renders the report through the *shared*
    :func:`repro.experiments.reportio.render_report` and atomically
    writes it into the report store — this is the byte-identity
@@ -39,7 +37,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.reportio import atomic_write_text, render_report
 from repro.obs.ledger import RunLedger, build_record
 from repro.runtime import WorkerSpec, default_jobs
-from repro.runtime.backends import RemoteOptions, resolve_backend
+from repro.runtime.backends import backend_for
 from repro.runtime.log import get_logger
 
 from repro.service.jobs import Job, JobTable
@@ -57,20 +55,11 @@ class JobRunner:
         table: JobTable,
         ledger_dir: str | None = None,
         jobs: int = 1,
-        backend: str = "auto",
-        workers: tuple[str, ...] = (),
         retries: int = 0,
     ) -> None:
         self.table = table
         self.ledger = RunLedger(ledger_dir or table.root / "ledger")
         self.jobs = jobs or default_jobs()
-        backend_name = backend
-        if backend_name == "auto":
-            backend_name = "inproc" if self.jobs == 1 else "procpool"
-        if backend_name == "remote" and not workers:
-            raise ValueError("backend 'remote' requires worker addresses")
-        self.backend_name = backend_name
-        self.workers = tuple(workers)
         self.retries = retries
         self._queue: queue.Queue = queue.Queue()
         self._stopping = threading.Event()
@@ -136,13 +125,10 @@ class JobRunner:
             retries=self.retries,
             telemetry=telemetry.spec,
         )
-        remote_options = None
-        if self.backend_name == "remote":
-            remote_options = RemoteOptions(workers=self.workers)
-        backend = resolve_backend(self.backend_name, remote_options=remote_options)
+        backend = backend_for(self.jobs)
         obs.emit(
             "run_start",
-            backend=self.backend_name,
+            backend=backend.name,
             jobs=self.jobs,
             experiments=len(job.experiments),
         )

@@ -436,8 +436,6 @@ def make_service(
     host: str = "127.0.0.1",
     port: int = 0,
     jobs: int = 1,
-    backend: str = "auto",
-    workers: tuple[str, ...] = (),
     retries: int = 0,
     ledger_dir: str | None = None,
 ) -> ServiceServer:
@@ -447,8 +445,6 @@ def make_service(
         table,
         ledger_dir=ledger_dir,
         jobs=jobs,
-        backend=backend,
-        workers=workers,
         retries=retries,
     )
     return ServiceServer(table, runner, host=host, port=port)

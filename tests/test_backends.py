@@ -1,11 +1,6 @@
-"""Tests for the executor backends: frame codec, backoff determinism,
-heartbeat/partition detection, resubmission, blame, and the
-bit-identical-report contract across inproc / procpool / remote.
-
-The remote tests drive real worker subprocesses over localhost sockets
-— the same path the CI fleet smoke exercises — because the failure
-modes under test (EOF on a killed worker, heartbeats crossing a process
-boundary) only exist with real processes on real sockets.
+"""Tests for the executor backends: backoff determinism, cross-host
+claims, the ``--jobs`` backend choice, and the bit-identical-report
+contract between inproc and procpool.
 """
 
 from __future__ import annotations
@@ -16,36 +11,14 @@ import os
 import socket
 import subprocess
 import sys
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
 from repro.experiments import FAST_CONFIG
 from repro.runtime import CheckpointStore, WorkerSpec, backoff_delay, jitter_fraction
-from repro.runtime.backends import (
-    BACKENDS,
-    InprocBackend,
-    ProcpoolBackend,
-    RemoteBackend,
-    RemoteOptions,
-    SubmissionOrderMerger,
-    resolve_backend,
-)
-from repro.runtime.backends.frames import (
-    FrameError,
-    FrameStream,
-    decode_frame,
-    encode_frame,
-    pack_pickle,
-    unpack_pickle,
-)
-from repro.runtime.backends.remote import parse_address
-from repro.runtime.chaos import ChaosNet
-from repro.runtime.executor import RunOutcome
+from repro.runtime.backends import InprocBackend, ProcpoolBackend, backend_for
 
 TINY = replace(FAST_CONFIG, cycles=200)
 
@@ -76,90 +49,6 @@ def report_digest(report) -> str:
             }
         rows.append(row)
     return json.dumps(rows, sort_keys=True)
-
-
-@contextmanager
-def worker_fleet(count: int):
-    """``count`` real worker subprocesses; yields their addresses."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    procs = []
-    try:
-        for _ in range(count):
-            procs.append(
-                subprocess.Popen(
-                    [sys.executable, "-m", "repro.experiments", "worker",
-                     "--listen", "127.0.0.1:0"],
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.DEVNULL,
-                    text=True,
-                    env=env,
-                )
-            )
-        addresses = []
-        for proc in procs:
-            ready = proc.stdout.readline().split()
-            assert ready and ready[0] == "READY", f"worker said {ready!r}"
-            addresses.append(f"127.0.0.1:{ready[1]}")
-        yield addresses
-    finally:
-        for proc in procs:
-            proc.kill()
-            proc.wait()
-
-
-# ----------------------------------------------------------------------
-# frame codec
-# ----------------------------------------------------------------------
-
-def test_frame_round_trip():
-    payload = {"type": "task", "experiment_id": "fig3_4", "n": 7}
-    blob = encode_frame(payload) + b"tail"
-    decoded, rest = decode_frame(blob)
-    assert decoded == payload and rest == b"tail"
-
-
-def test_frame_truncation_is_detected():
-    blob = encode_frame({"type": "result"})
-    for cut in (1, 3, len(blob) - 1):
-        with pytest.raises(FrameError):
-            decode_frame(blob[:cut])
-
-
-def test_frame_rejects_garbage_and_oversize():
-    with pytest.raises(FrameError):
-        decode_frame(b"\x00\x00\x00\x02{]")  # not valid JSON
-    with pytest.raises(FrameError):
-        decode_frame(b"\x00\x00\x00\x04true")  # JSON but not an object
-    with pytest.raises(FrameError):
-        decode_frame(b"\xff\xff\xff\xff")  # absurd length claim
-
-
-def test_pickle_fields_round_trip():
-    spec = tiny_spec()
-    assert unpack_pickle(pack_pickle(spec)) == spec
-
-
-def test_frame_stream_over_socketpair():
-    left, right = socket.socketpair()
-    a, b = FrameStream(left), FrameStream(right)
-    a.send({"type": "hello", "k": 1})
-    assert b.recv(timeout=5.0) == {"type": "hello", "k": 1}
-    with pytest.raises(TimeoutError):
-        b.recv(timeout=0.05)
-    a.close()
-    assert b.recv(timeout=5.0) is None  # clean EOF at a frame boundary
-    b.close()
-
-
-def test_frame_stream_mid_frame_eof_raises():
-    left, right = socket.socketpair()
-    blob = encode_frame({"type": "result", "data": "x" * 64})
-    left.sendall(blob[: len(blob) // 2])
-    left.close()
-    with pytest.raises(FrameError):
-        FrameStream(right).recv(timeout=5.0)
 
 
 # ----------------------------------------------------------------------
@@ -215,44 +104,14 @@ def test_executor_retries_apply_backoff(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# merger + registry
+# backend choice and cross-backend bit-identity
 # ----------------------------------------------------------------------
 
-def test_submission_order_merger_holds_back():
-    emitted = []
-    merger = SubmissionOrderMerger(["a", "b", "c"], emitted.append)
-    merger.add(RunOutcome("b", None, None, 0.0))
-    assert emitted == [] and merger.unresolved == ["a", "c"]
-    merger.add(RunOutcome("a", None, None, 0.0))
-    assert [o.experiment_id for o in emitted] == ["a", "b"]
-    merger.add(RunOutcome("c", None, None, 0.0))
-    assert merger.complete
-    assert [o.experiment_id for o in merger.report().outcomes] == ["a", "b", "c"]
+def test_backend_follows_jobs():
+    assert isinstance(backend_for(1), InprocBackend)
+    for jobs in (2, 4):
+        assert isinstance(backend_for(jobs), ProcpoolBackend)
 
-
-def test_backend_registry():
-    assert set(BACKENDS) == {"inproc", "procpool", "remote"}
-    assert isinstance(resolve_backend("inproc"), InprocBackend)
-    assert isinstance(resolve_backend("procpool"), ProcpoolBackend)
-    assert isinstance(
-        resolve_backend("remote", workers=("127.0.0.1:1",)), RemoteBackend
-    )
-    with pytest.raises(ValueError):
-        resolve_backend("carrier-pigeon")
-    with pytest.raises(ValueError):
-        RemoteBackend(RemoteOptions(workers=()))
-
-
-def test_parse_address():
-    assert parse_address("10.0.0.2:7070") == ("10.0.0.2", 7070)
-    assert parse_address("7070") == ("127.0.0.1", 7070)
-    with pytest.raises(ValueError):
-        parse_address("host:notaport")
-
-
-# ----------------------------------------------------------------------
-# cross-backend bit-identity
-# ----------------------------------------------------------------------
 
 def test_inproc_and_procpool_reports_identical(tmp_path):
     ids = ["fig3_4", "tab3_ovh", "tab4_ovh"]
@@ -261,104 +120,8 @@ def test_inproc_and_procpool_reports_identical(tmp_path):
     assert report_digest(ref) == report_digest(got)
 
 
-def test_remote_report_identical_to_inproc(tmp_path):
-    ids = ["fig3_4", "tab3_ovh", "tab4_ovh"]
-    ref, _ = InprocBackend().run(ids, tiny_spec(tmp_path / "a"))
-    seen = []
-    with worker_fleet(2) as addresses:
-        backend = RemoteBackend(RemoteOptions(
-            workers=tuple(addresses), heartbeat_s=0.1,
-        ))
-        got, stats = backend.run(
-            ids, tiny_spec(tmp_path / "b"),
-            on_outcome=lambda o: seen.append(o.experiment_id),
-        )
-    assert report_digest(ref) == report_digest(got)
-    assert seen == ids  # on_outcome fires in submission order
-    assert stats.stores > 0  # workers really used the shared store
-
-
 # ----------------------------------------------------------------------
-# failure modes: heartbeat loss, partition blame, crash blame, fallback
-# ----------------------------------------------------------------------
-
-def test_dropped_heartbeats_trigger_resubmission(tmp_path):
-    # drop mode discards the victim's heartbeats: the worker is alive
-    # and computing, but looks dead — the deadline must fire and the
-    # task must complete elsewhere with no failure in the report.
-    ids = ["fig3_4", "tab3_ovh"]
-    ref, _ = InprocBackend().run(ids, tiny_spec(tmp_path / "a"))
-    with worker_fleet(2) as addresses:
-        backend = RemoteBackend(RemoteOptions(
-            workers=tuple(addresses),
-            heartbeat_s=0.1,
-            heartbeat_deadline_s=1.0,
-            reconnect_attempts=0,
-            chaos_net=ChaosNet("drop"),
-        ))
-        got, _ = backend.run(ids, tiny_spec(tmp_path / "b"))
-    assert report_digest(ref) == report_digest(got)
-
-
-def test_partition_blamed_when_budget_exhausted(tmp_path):
-    # with crash_retries=0 the first partition must surface as a
-    # FailureRecord(kind="partition") instead of hanging the run
-    with worker_fleet(1) as addresses:
-        backend = RemoteBackend(RemoteOptions(
-            workers=tuple(addresses),
-            heartbeat_s=0.1,
-            heartbeat_deadline_s=1.0,
-            reconnect_attempts=0,
-            chaos_net=ChaosNet("partition"),
-        ))
-        start = time.monotonic()
-        report, _ = backend.run(
-            ["fig3_4"], tiny_spec(tmp_path), crash_retries=0
-        )
-        elapsed = time.monotonic() - start
-    failure = report.outcomes[0].failure
-    assert failure is not None and failure.kind == "partition"
-    assert failure.error_type == "WorkerPartition"
-    assert elapsed < 30.0  # detection bounded by the deadline, not a hang
-
-
-def test_killed_worker_blamed_as_crash(tmp_path):
-    # chaos_kill rides the spec into the remote worker and os._exits it
-    # mid-task; with budget 0 that must blame a kind="crash" record
-    # while the surviving ids complete via the procpool fallback.
-    ids = ["fig3_4", "tab3_ovh"]
-    with worker_fleet(1) as addresses:
-        backend = RemoteBackend(RemoteOptions(
-            workers=tuple(addresses),
-            heartbeat_s=0.1,
-            reconnect_attempts=0,
-        ))
-        report, _ = backend.run(
-            ids, tiny_spec(tmp_path, chaos_kill=("fig3_4",)), crash_retries=0
-        )
-    assert [o.experiment_id for o in report.outcomes] == ids
-    failure = report.outcomes[0].failure
-    assert failure is not None and failure.kind == "crash"
-    assert failure.error_type == "WorkerCrash"
-    assert report.outcomes[1].ok  # fallback finished the rest
-
-
-def test_unreachable_fleet_downgrades_to_procpool(tmp_path):
-    # nothing listens on these ports: the run must still complete,
-    # locally, with a logged downgrade instead of an error
-    ids = ["fig3_4"]
-    ref, _ = InprocBackend().run(ids, tiny_spec(tmp_path / "a"))
-    backend = RemoteBackend(RemoteOptions(
-        workers=("127.0.0.1:9", "127.0.0.1:10"),
-        connect_timeout_s=0.5,
-        connect_attempts=1,
-    ))
-    got, _ = backend.run(ids, tiny_spec(tmp_path / "b"), jobs=2)
-    assert report_digest(ref) == report_digest(got)
-
-
-# ----------------------------------------------------------------------
-# cross-machine claims
+# cross-host claims: a store can be shared or restored across hosts
 # ----------------------------------------------------------------------
 
 def test_claim_records_pid_and_hostname(tmp_path):
@@ -392,28 +155,12 @@ def test_foreign_host_claim_falls_back_to_age_rule(tmp_path):
 # CLI wiring
 # ----------------------------------------------------------------------
 
-def test_cli_backend_flag_validation(capsys):
-    from repro.experiments.__main__ import main
-
-    with pytest.raises(SystemExit):
-        main(["fig3_4", "--fast", "--backend", "remote"])
-    assert "--workers" in capsys.readouterr().err
-    with pytest.raises(SystemExit):
-        main(["fig3_4", "--fast", "--chaos-net", "partition"])
-    assert "--chaos-net" in capsys.readouterr().err
-    with pytest.raises(SystemExit):
-        main(["fig3_4", "--fast", "--backend", "remote",
-              "--workers", "127.0.0.1:1", "--chaos-net", "smoke-signals"])
-    assert "smoke-signals" in capsys.readouterr().err
-
-
 def test_cli_explicit_backend_selection(tmp_path, capsys):
     from repro.experiments.__main__ import main
 
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
     argv = ["fig3_4", "--fast", "--cycles", "200", "--format", "json"]
-    assert main([*argv, "--backend", "inproc", "--out", str(out_a)]) == 0
-    assert main([*argv, "--backend", "procpool", "--jobs", "2",
-                 "--out", str(out_b)]) == 0
+    assert main([*argv, "--jobs", "1", "--out", str(out_a)]) == 0
+    assert main([*argv, "--jobs", "2", "--out", str(out_b)]) == 0
     assert out_a.read_text() == out_b.read_text()

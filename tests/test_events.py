@@ -1,13 +1,10 @@
-"""Tests for distributed tracing and the structured event stream.
+"""Tests for trace-id propagation and the structured event stream.
 
-Covers the contracts PR 8 introduces: NTP-style clock-offset
-estimation with explicit quality tiers (:class:`repro.obs.ClockSync`),
-shard rebasing onto the coordinator timeline
-(:func:`repro.obs.correct_shard`), the crash-safe JSONL event log and
-its bounded flight recorder (:class:`repro.obs.EventLog`), the
-``progress`` CLI's event-stream summarisation, and — end to end — a
-traced remote fleet run whose merged trace carries clock-corrected
-worker spans under one trace id.
+Covers the crash-safe JSONL event log and its bounded flight recorder
+(:class:`repro.obs.EventLog`), the event vocabulary's mirror in the
+checked-in schema, the ``progress`` CLI's event-stream summarisation,
+and — end to end — a traced process-pool run whose merged trace carries
+every worker's spans under the run's one trace id.
 """
 
 from __future__ import annotations
@@ -26,12 +23,6 @@ from repro.experiments.progress_cli import (
     summarize_events,
 )
 from repro.obs.schema import check
-from repro.obs.tracectx import (
-    QUALITY_COARSE,
-    QUALITY_SYNCED,
-    QUALITY_UNCORRECTED,
-    SYNCED_MAX_UNCERTAINTY_US,
-)
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "schemas"
 EVENTS_SCHEMA = json.loads((SCHEMA_DIR / "events.schema.json").read_text())
@@ -45,195 +36,32 @@ def observability_off_after_test():
 
 
 # ----------------------------------------------------------------------
-# ClockSync: the NTP-style offset estimator
-# ----------------------------------------------------------------------
-
-def test_clock_sync_starts_uncorrected_and_identity():
-    sync = obs.ClockSync()
-    assert sync.quality == QUALITY_UNCORRECTED
-    assert sync.correct_ts(123.4) == 123.4  # identity until a sample lands
-    assert sync.describe() == QUALITY_UNCORRECTED
-
-
-def test_clock_sync_zero_rtt_is_the_best_sample():
-    # send and receive at the same instant: uncertainty 0, not an error
-    sync = obs.ClockSync()
-    assert sync.add_sample(1000.0, 400.0, 1000.0)
-    assert sync.samples == 1 and sync.rejected == 0
-    assert sync.offset_us == pytest.approx(-600.0)
-    assert sync.uncertainty_us == 0.0
-    # a later, wider sample must not displace the exact one
-    assert sync.add_sample(2000.0, 1500.0, 2100.0)
-    assert sync.offset_us == pytest.approx(-600.0)
-    assert sync.uncertainty_us == 0.0
-
-
-def test_clock_sync_rejects_negative_rtt():
-    # receive before send is non-causal (chaos replay / clock bug)
-    sync = obs.ClockSync()
-    assert not sync.add_sample(1000.0, 500.0, 999.0)
-    assert sync.samples == 0 and sync.rejected == 1
-    assert sync.quality == QUALITY_UNCORRECTED
-    assert sync.correct_ts(50.0) == 50.0
-
-
-def test_clock_sync_single_sample_is_coarse():
-    sync = obs.ClockSync()
-    sync.add_sample(0.0, 500.0, 100.0)
-    assert sync.quality == QUALITY_COARSE
-    # two tight samples promote to synced
-    sync.add_sample(200.0, 700.0, 300.0)
-    assert sync.quality == QUALITY_SYNCED
-
-
-def test_clock_sync_wide_round_trips_stay_coarse():
-    # many samples, all wider than the synced threshold: never promoted
-    sync = obs.ClockSync()
-    wide = SYNCED_MAX_UNCERTAINTY_US * 4  # rtt/2 = 2x the threshold
-    for start in (0.0, 10_000.0, 20_000.0):
-        sync.add_sample(start, start + 1.0, start + wide)
-    assert sync.samples == 3
-    assert sync.quality == QUALITY_COARSE
-    assert sync.uncertainty_us == pytest.approx(wide / 2)
-
-
-def test_clock_sync_min_rtt_sample_wins():
-    sync = obs.ClockSync()
-    sync.add_sample(0.0, 10_000.0, 8_000.0)     # rtt 8ms, offset 6000
-    sync.add_sample(100.0, 5_300.0, 500.0)      # rtt 400µs, offset 5000
-    sync.add_sample(600.0, 12_000.0, 7_000.0)   # rtt 6.4ms: ignored
-    assert sync.offset_us == pytest.approx(5000.0)
-    assert sync.uncertainty_us == pytest.approx(200.0)
-    assert sync.quality == QUALITY_SYNCED
-    assert sync.describe() == "synced ±0.2ms"
-
-
-def test_clock_sync_corrects_large_skew_and_clamps_at_zero():
-    # a worker whose timeline epoch is ~17 minutes ahead (fresh process
-    # vs long-lived coordinator): spans must land near coordinator time
-    sync = obs.ClockSync()
-    skew = 1e9
-    sync.add_sample(1000.0, skew + 1500.0, 2000.0)
-    assert sync.offset_us == pytest.approx(skew, rel=1e-6)
-    assert sync.correct_ts(skew + 3000.0) == pytest.approx(3000.0, abs=1.0)
-    # sub-uncertainty underflow at run start clamps instead of going
-    # negative (the trace schema rejects negative timestamps)
-    assert sync.correct_ts(skew - 400.0) == 0.0
-
-
-def test_clock_sync_as_dict_round_trips_the_tier():
-    sync = obs.ClockSync()
-    sync.add_sample(0.0, 200.0, 100.0)
-    info = sync.as_dict()
-    assert info["quality"] == QUALITY_COARSE
-    assert info["samples"] == 1 and info["rejected"] == 0
-    assert info["offset_us"] == pytest.approx(150.0)
-    assert info["uncertainty_us"] == pytest.approx(50.0)
-
-
-# ----------------------------------------------------------------------
-# correct_shard: rebasing a worker shard onto the coordinator timeline
-# ----------------------------------------------------------------------
-
-def make_shard_doc(tmp_path, span_ts: float):
-    recorder = obs.TelemetryRecorder(process="remote-worker")
-    with recorder.span("worker.remote_task", {"experiment": "fig3_4"}):
-        recorder.metrics.inc("unit.tasks")
-    doc = recorder.snapshot_doc()
-    for event in doc["trace_events"]:
-        if event["ph"] == "X":
-            event["ts"] = span_ts
-    return doc
-
-
-def test_correct_shard_shifts_spans_and_labels_the_lane(tmp_path):
-    sync = obs.ClockSync()
-    sync.add_sample(0.0, 7_000.0, 200.0)  # offset ~6900µs
-    doc = make_shard_doc(tmp_path, span_ts=10_000.0)
-    corrected = obs.correct_shard(doc, sync)
-
-    spans = [e for e in corrected["trace_events"] if e["ph"] == "X"]
-    assert spans[0]["ts"] == pytest.approx(10_000.0 - sync.offset_us, abs=0.1)
-    meta = [e for e in corrected["trace_events"]
-            if e["ph"] == "M" and e["name"] == "process_name"]
-    assert meta and "[clock: coarse" in meta[0]["args"]["name"]
-    assert corrected["clock"]["quality"] == QUALITY_COARSE
-    # the original document is untouched (correction is a copy)
-    assert doc["trace_events"] != corrected["trace_events"]
-    assert "clock" not in doc
-    # metrics ride through unshifted: durations are offset-free
-    assert corrected["metrics"] == doc["metrics"]
-
-
-def test_correct_shard_uncorrected_passes_timestamps_through(tmp_path):
-    doc = make_shard_doc(tmp_path, span_ts=42.5)
-    corrected = obs.correct_shard(doc, obs.ClockSync())
-    spans = [e for e in corrected["trace_events"] if e["ph"] == "X"]
-    assert spans[0]["ts"] == 42.5
-    meta = [e for e in corrected["trace_events"]
-            if e["ph"] == "M" and e["name"] == "process_name"]
-    assert "[clock: uncorrected]" in meta[0]["args"]["name"]
-
-
-def test_received_remote_shards_reach_trace_clock_corrected_in_memory(
-    tmp_path, monkeypatch
-):
-    # the coordinator's telemetry has no shard directory: what remote
-    # workers returned must reach trace.json without a disk round trip
-    from repro.runtime.backends import RemoteBackend, RemoteOptions
-
-    telemetry = obs.install(obs.Telemetry(obs.TelemetrySpec(metrics=True)))
-    doc = make_shard_doc(tmp_path, span_ts=10_000.0)
-    sync = obs.ClockSync()
-    sync.add_sample(0.0, 7_000.0, 200.0)  # offset ~6900µs
-    backend = RemoteBackend(RemoteOptions(workers=("127.0.0.1:1",)))
-    backend._shards_by_pid = {doc["pid"]: doc}
-    backend._clock_by_pid = {doc["pid"]: sync}
-
-    def no_disk(*args, **kwargs):
-        raise AssertionError("received shards must not be scanned from disk")
-
-    monkeypatch.setattr(obs, "scan_shards", no_disk)
-    backend._receive_worker_shards()
-    merged = telemetry.merge()
-    assert list(tmp_path.iterdir()) == []
-
-    spans = [e for e in merged.trace["traceEvents"]
-             if e["ph"] == "X" and e["name"] == "worker.remote_task"]
-    assert len(spans) == 1
-    assert spans[0]["ts"] == pytest.approx(10_000.0 - sync.offset_us, abs=0.1)
-    lanes = [e["args"]["name"] for e in merged.trace["traceEvents"]
-             if e["ph"] == "M" and e["name"] == "process_name"]
-    assert any("remote-worker" in lane and "[clock: coarse" in lane for lane in lanes)
-    assert merged.metrics["counters"]["clock.shards_corrected"] == 1
-    assert merged.metrics["counters"]["unit.tasks"] == 1
-    assert {p["process"] for p in merged.metrics["processes"]} == {"main", "remote-worker"}
-
-
-# ----------------------------------------------------------------------
 # EventLog: crash-safe JSONL + bounded flight recorder
 # ----------------------------------------------------------------------
 
 def test_event_log_appends_schema_valid_events(tmp_path):
     path = tmp_path / "events.jsonl"
     log = obs.EventLog(path, trace_id="a" * 32)
-    log.emit("run_start", backend="remote", jobs=2, experiments=3)
-    log.emit("scheduled", experiment="fig3_4", worker="w1")
-    log.emit("clock", worker="w1", tier="synced",
-             offset_us=12.5, uncertainty_us=3.0)
-    log.emit("result", experiment="fig3_4", worker="w1",
+    log.emit("run_start", backend="procpool", jobs=2, experiments=3)
+    log.emit("scheduled", experiment="fig3_4", worker="procpool")
+    log.emit("started", experiment="fig3_4", worker="pid:7")
+    log.emit("result", experiment="fig3_4", worker="pid:7",
              status="ok", elapsed_s=0.25)
     log.emit("run_end", status="ok", ok=3, total=3)
     log.close()
 
     events = obs.read_events(path)
     assert [e["kind"] for e in events] == [
-        "run_start", "scheduled", "clock", "result", "run_end",
+        "run_start", "scheduled", "started", "result", "run_end",
     ]
     for index, event in enumerate(events):
         check(event, EVENTS_SCHEMA, label=f"event[{index}]")
         assert event["trace_id"] == "a" * 32
         assert event["v"] == obs.EVENTS_VERSION
+
+
+def test_event_kinds_mirror_the_schema_enum():
+    assert list(obs.EVENT_KINDS) == EVENTS_SCHEMA["properties"]["kind"]["enum"]
 
 
 def test_event_log_drops_none_fields(tmp_path):
@@ -264,12 +92,12 @@ def test_read_events_tolerates_truncated_tail_and_garbage(tmp_path):
 def test_flight_recorder_is_bounded_and_renders_compactly(tmp_path):
     log = obs.EventLog(None, flight_size=4)  # flight-only: no file
     for index in range(10):
-        log.emit("heartbeat", experiment=f"e{index}", worker="w1")
+        log.emit("started", experiment=f"e{index}", worker="w1")
     assert log.count == 10
     assert len(log.flight) == 4
     recent = log.recent(2)
     assert len(recent) == 2
-    assert "heartbeat" in recent[-1] and "experiment=e9" in recent[-1]
+    assert "started" in recent[-1] and "experiment=e9" in recent[-1]
 
 
 def test_event_log_survives_unwritable_path(tmp_path):
@@ -324,7 +152,7 @@ def test_disabled_event_stream_is_near_free():
     iterations = 50_000
     start = time.perf_counter()
     for _ in range(iterations):
-        obs.emit("heartbeat", experiment="fig3_4", worker="w1")
+        obs.emit("started", experiment="fig3_4", worker="w1")
     elapsed = time.perf_counter() - start
     assert elapsed < iterations * 20e-6, f"{elapsed:.3f}s for {iterations} no-ops"
 
@@ -342,43 +170,45 @@ def make_event(kind, ts=0.0, **fields):
 def test_summarize_events_folds_lifecycle_and_worker_health():
     trace_id = "b" * 32
     events = [
-        make_event("run_start", 1.0, backend="remote", experiments=2,
+        make_event("run_start", 1.0, backend="procpool", experiments=3,
                    trace_id=trace_id),
-        make_event("scheduled", 1.1, experiment="fig3_4", worker="w1"),
-        make_event("scheduled", 1.1, experiment="tab3_ovh", worker="w2"),
-        make_event("claimed", 1.2, experiment="fig3_4", worker="w1"),
-        make_event("clock", 1.3, worker="w1", tier="synced"),
-        make_event("started", 1.4, experiment="fig3_4", worker="w1"),
-        make_event("steal", 1.5, experiment="tab3_ovh", worker="w1",
-                   victim="w2"),
-        make_event("claimed", 1.5, experiment="tab3_ovh", worker="w1"),
-        make_event("result", 2.0, experiment="fig3_4", worker="w1",
+        make_event("scheduled", 1.1, experiment="fig3_4", worker="procpool"),
+        make_event("scheduled", 1.1, experiment="tab3_ovh", worker="procpool"),
+        make_event("scheduled", 1.1, experiment="tab4_ovh", worker="procpool"),
+        make_event("started", 1.2, experiment="fig3_4", worker="pid:1"),
+        make_event("started", 1.3, experiment="tab3_ovh", worker="pid:2"),
+        make_event("started", 1.4, experiment="tab4_ovh", worker="pid:1"),
+        make_event("crash", 1.5, experiment="tab4_ovh", worker="pid:1",
+                   reason="worker died"),
+        make_event("resubmit", 1.6, experiment="tab4_ovh",
+                   reason="worker died (1/1)"),
+        make_event("result", 2.0, experiment="fig3_4", worker="pid:1",
                    status="ok", elapsed_s=0.6),
     ]
     summary = summarize_events(events)
     assert summary["run"]["trace_id"] == trace_id
-    assert summary["run"]["backend"] == "remote"
+    assert summary["run"]["backend"] == "procpool"
     assert not summary["run"]["ended"]
     assert summary["experiments"]["fig3_4"]["status"] == "ok"
     assert summary["experiments"]["fig3_4"]["elapsed_s"] == 0.6
-    assert summary["experiments"]["tab3_ovh"]["status"] == "claimed"
-    w1 = summary["workers"]["w1"]
-    assert w1["completed"] == 1 and w1["steals"] == 1
-    assert w1["tier"] == "synced"
-    assert w1["inflight"] == {"tab3_ovh"}
-    # the steal moved the task off the victim's in-flight set
-    assert summary["workers"]["w2"]["inflight"] == set()
+    assert summary["experiments"]["tab3_ovh"]["status"] == "started"
+    assert summary["experiments"]["tab4_ovh"]["status"] == "resubmit"
+    pid1 = summary["workers"]["pid:1"]
+    assert pid1["completed"] == 1 and pid1["last_ts"] == 2.0
+    # the crash took the task off its worker's in-flight set
+    assert pid1["inflight"] == set()
+    assert summary["workers"]["pid:2"]["inflight"] == {"tab3_ovh"}
 
     summary = summarize_events(
-        events + [make_event("run_end", 2.1, status="ok", ok=2, total=2)]
+        events + [make_event("run_end", 2.1, status="ok", ok=2, total=3)]
     )
     assert summary["run"]["ended"] and summary["run"]["status"] == "ok"
 
 
 def test_render_summary_shows_health_table():
     events = [
-        make_event("run_start", 10.0, backend="remote", experiments=1),
-        make_event("claimed", 10.1, experiment="fig3_4", worker="w1"),
+        make_event("run_start", 10.0, backend="procpool", experiments=1),
+        make_event("started", 10.1, experiment="fig3_4", worker="w1"),
         make_event("result", 10.9, experiment="fig3_4", worker="w1",
                    status="ok", elapsed_s=0.8),
         make_event("run_end", 11.0, status="ok", ok=1, total=1),
@@ -387,7 +217,7 @@ def test_render_summary_shows_health_table():
     assert "1/1 experiment(s) finished" in text
     assert "ended (ok)" in text
     assert "worker health" in text
-    assert "w1" in text and "1.1" in text  # hb age = now - last_ts
+    assert "w1" in text and "1.1" in text  # age = now - last_ts
 
 
 def test_progress_cli_renders_an_event_file(tmp_path, capsys):
@@ -409,7 +239,8 @@ def test_progress_cli_renders_an_event_file(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# end to end: a traced remote fleet run, shards rebased, events streamed
+# end to end: a traced process-pool run, worker shards merged under one
+# trace id, events streamed
 # ----------------------------------------------------------------------
 
 pytest_fork = pytest.mark.skipif(
@@ -419,51 +250,39 @@ pytest_fork = pytest.mark.skipif(
 
 
 @pytest_fork
-def test_remote_traced_run_returns_clock_corrected_worker_shards(tmp_path):
-    from repro.runtime.backends import RemoteBackend, RemoteOptions
-    from tests.test_backends import tiny_spec, worker_fleet
+def test_procpool_traced_run_carries_the_trace_id_into_workers(tmp_path):
+    from repro.runtime.backends import ProcpoolBackend
+    from tests.test_backends import tiny_spec
 
     trace_id = obs.new_trace_id()
     events_path = tmp_path / "events.jsonl"
+    shard_dir = tmp_path / "shards"
+    shard_dir.mkdir()
     telemetry = obs.install(obs.Telemetry(obs.TelemetrySpec(
         metrics=True,
         events_path=str(events_path),
         trace_id=trace_id,
         parent_span_id=obs.new_span_id(),
+        shard_dir=str(shard_dir),
     )))
     spec = tiny_spec(tmp_path, telemetry=telemetry.spec)
-    with worker_fleet(2) as addresses:
-        backend = RemoteBackend(RemoteOptions(
-            workers=tuple(addresses), heartbeat_s=0.1,
-        ))
-        report, _ = backend.run(["fig3_4", "tab3_ovh"], spec)
+    report, _ = ProcpoolBackend().run(
+        ["fig3_4", "tab3_ovh", "tab4_ovh"], spec, jobs=2
+    )
     assert all(outcome.ok for outcome in report.outcomes)
 
-    # the workers' telemetry came back over the result frames and was
-    # rebased onto the coordinator timeline, in memory
-    docs = telemetry.received
-    assert docs
-    for doc in docs:
-        assert doc["process"] == "remote-worker"
-        assert doc["clock"]["quality"] in (QUALITY_SYNCED, QUALITY_COARSE)
-    worker_spans = [
-        event
-        for doc in docs
-        for event in doc["trace_events"]
-        if event["ph"] == "X"
-    ]
-    assert worker_spans
-    assert all(e["args"].get("trace_id") == trace_id for e in worker_spans)
-    assert all(e["ts"] >= 0 for e in worker_spans)
+    # the workers' shards joined the parent's in one merged trace, and
+    # every span, the parent's and the workers', carries the run's id
     merged = telemetry.merge()
-    merged_spans = [e for e in merged.trace["traceEvents"] if e["ph"] == "X"]
-    assert all(span in merged_spans for span in worker_spans)
+    assert merged.trace["metadata"]["trace_id"] == trace_id
+    spans = [e for e in merged.trace["traceEvents"] if e["ph"] == "X"]
+    assert len({e["pid"] for e in spans}) > 1
+    assert all(e["args"].get("trace_id") == trace_id for e in spans)
 
-    # the event stream recorded the full task lifecycle under the run's
+    # the event stream recorded the task lifecycle under the run's
     # trace id, and every line conforms to the checked-in schema
     events = obs.read_events(events_path)
-    kinds = {event["kind"] for event in events}
-    assert {"scheduled", "claimed", "started", "result", "clock"} <= kinds
+    assert {"scheduled", "started", "result"} <= {e["kind"] for e in events}
     for index, event in enumerate(events):
         check(event, EVENTS_SCHEMA, label=f"event[{index}]")
         assert event["trace_id"] == trace_id

@@ -351,7 +351,7 @@ def test_broken_machinery_blames_the_job(tmp_path, monkeypatch):
     def explode(*_args, **_kwargs):
         raise RuntimeError("backend resolution broke")
 
-    monkeypatch.setattr(scheduler_mod, "resolve_backend", explode)
+    monkeypatch.setattr(scheduler_mod, "backend_for", explode)
     svc = ServiceThread(str(tmp_path))
     try:
         client = ServiceClient(port=svc.port)
