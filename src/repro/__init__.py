@@ -21,7 +21,29 @@ Quick tour of the public API::
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced table and figure.
+
+Importing the package pins the BLAS/OpenMP thread pools to one thread
+(the variables below are set before numpy loads).  The grid covariance's
+Cholesky factor (:mod:`repro.pv.varius`) differs in its last bits with
+the BLAS thread count, and every fabricated chip's delays with it; one
+thread keeps chips independent of the core count and the environment.  A program that imports
+numpy before ``repro`` keeps whatever pool numpy started with.
 """
+
+import os
+
+os.environ.update(
+    dict.fromkeys(
+        (
+            "OMP_NUM_THREADS",
+            "OPENBLAS_NUM_THREADS",
+            "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS",
+            "VECLIB_MAXIMUM_THREADS",
+        ),
+        "1",
+    )
+)
 
 from repro.analysis import ShmooResult, shmoo_sweep
 from repro.arch.cpu import InOrderPipeline, MitigationKind, run_pipeline

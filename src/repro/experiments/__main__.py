@@ -318,7 +318,6 @@ def main(argv: list[str] | None = None) -> int:
         events_path=args.events_out or None,
         audit_policy=audit_policy if args.audit_out else None,
         trace_id=trace_id,
-        parent_span_id=obs.new_span_id() if instrumented else None,
         shard_dir=shard_dir,
     )
     if args.events_out:

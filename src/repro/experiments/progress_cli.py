@@ -57,6 +57,10 @@ def summarize_events(events: list[dict[str, Any]]) -> dict[str, Any]:
     run: dict[str, Any] = {"trace_id": "", "backend": "", "ended": False}
     experiments: dict[str, dict[str, Any]] = {}
     workers: dict[str, dict[str, Any]] = {}
+    # experiment -> the worker that started it.  The procpool parent
+    # emits ``result``/``crash``/``resubmit`` without a worker, so an
+    # ending event closes its experiment's task wherever it runs.
+    running: dict[str, str] = {}
 
     for event in events:
         kind = event.get("kind")
@@ -87,11 +91,12 @@ def summarize_events(events: list[dict[str, Any]]) -> dict[str, Any]:
             row["last_ts"] = max(row["last_ts"], ts)
             if kind == "started" and eid:
                 row["inflight"].add(eid)
-            elif kind == "result" and eid:
-                row["inflight"].discard(eid)
+                running[eid] = label
+        if kind in ("result", "crash", "resubmit") and eid in running:
+            row = workers[running.pop(eid)]
+            row["inflight"].discard(eid)
+            if kind == "result":
                 row["completed"] += 1
-            elif kind == "crash" and eid:
-                row["inflight"].discard(eid)
     return {"run": run, "experiments": experiments, "workers": workers}
 
 

@@ -69,7 +69,6 @@ from repro.obs.telemetry import (
     MergedTelemetry,
     Telemetry,
     TelemetrySpec,
-    new_span_id,
     new_trace_id,
 )
 from repro.obs.trends import detect_drift, diff_records, flatten, history, robust_z
@@ -112,7 +111,6 @@ __all__ = [
     "labelled",
     "merge_shards",
     "metrics_document",
-    "new_span_id",
     "new_trace_id",
     "observe",
     "profile_report",

@@ -199,24 +199,27 @@ def _fleet_lanes(events: list[dict[str, Any]]) -> str:
         return LANE_PAD + (ts - t0) / span * (LANE_W - 2 * LANE_PAD)
 
     lanes: dict[str, dict[str, Any]] = {}
-    open_tasks: dict[tuple[str, str], float] = {}
+    # experiment -> (worker, start) of its open task.  The procpool
+    # parent emits ``result``/``crash``/``resubmit`` without a worker,
+    # so an ending event closes its experiment's task on whichever lane
+    # started it.
+    open_tasks: dict[str, tuple[str, float]] = {}
     for event in events:
-        label = event.get("worker")
-        if not label:
-            continue
-        lane = lanes.setdefault(label, {"bars": [], "marks": []})
         kind = event.get("kind")
         ts = float(event.get("ts", 0.0))
         eid = event.get("experiment") or ""
-        if kind == "started" and (label, eid) not in open_tasks:
-            open_tasks[(label, eid)] = ts
-        elif kind in ("result", "crash") and (label, eid) in open_tasks:
-            start = open_tasks.pop((label, eid))
+        label = event.get("worker")
+        if label:
+            lanes.setdefault(label, {"bars": [], "marks": []})
+            if kind == "started" and eid not in open_tasks:
+                open_tasks[eid] = (label, ts)
+        if kind in ("result", "crash", "resubmit") and eid in open_tasks:
+            label, start = open_tasks.pop(eid)  # the lane that started it
             status = str(event.get("status", kind))
-            lane["bars"].append((start, ts, eid, status))
-        if kind in _LANE_MARKS:
-            lane["marks"].append((ts, kind, eid))
-    for (label, eid), start in open_tasks.items():  # still running at EOF
+            lanes[label]["bars"].append((start, ts, eid, status))
+        if kind in _LANE_MARKS and label in lanes:
+            lanes[label]["marks"].append((ts, kind, eid))
+    for eid, (label, start) in open_tasks.items():  # still running at EOF
         lanes[label]["bars"].append((start, t1, eid, "running"))
 
     rows = []

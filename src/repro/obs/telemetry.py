@@ -32,11 +32,6 @@ def new_trace_id() -> str:
     return os.urandom(16).hex()
 
 
-def new_span_id() -> str:
-    """A 64-bit span id for the run-level parent span."""
-    return os.urandom(8).hex()
-
-
 @dataclasses.dataclass(frozen=True)
 class TelemetrySpec:
     """Which channels a run records, and where its workers put shards.
@@ -55,8 +50,6 @@ class TelemetrySpec:
     audit_policy: str | None = None
     #: run-scoped trace id stamped on spans and events
     trace_id: str = ""
-    #: the coordinator's run-level span id (parent linkage for workers)
-    parent_span_id: str | None = None
     #: directory workers flush their shards into (None = the run has no
     #: workers, or records nothing that needs merging)
     shard_dir: str | None = None

@@ -186,14 +186,22 @@ def _first_occurrence_shift(original):
     return first_occurrences
 
 
-def _current_op_cone(_original):
-    def window_circuit(circuit, controls, prev, curr):
+def _current_op_cone(original):
+    def window_keys(controls, prev, curr, starts):
         # keyed on the sensitising vectors alone: a control that changes
         # within a pair (the op changes) is taken to be constant
-        current = controls[:, curr]
-        return circuit.restrict(~current.any(axis=1), current.all(axis=1))
+        return original(controls, curr, curr, starts)
 
-    return window_circuit
+    return window_keys
+
+
+def _cone_level_fanin0(_original):
+    def cone_levels(fanin_levels):
+        # a cone gate is levelled from its fanin 0 alone, so it can land
+        # on or below the level of a deeper fanin 1 or select
+        return fanin_levels[:, 0] + 1
+
+    return cone_levels
 
 
 def _sync_drops_half_word(_original):
@@ -351,8 +359,16 @@ MUTANTS: dict[str, Mutant] = {
             name="cone-current-op-only",
             description="stream kernel prunes each window by the current "
             "vectors' controls alone, ignoring the initialising ones",
-            target=("repro.timing.dta", "_window_circuit"),
+            target=("repro.timing.dta", "_window_keys"),
             build=_current_op_cone,
+            oracles=("cone_vs_full",),
+        ),
+        Mutant(
+            name="cone-level-fanin0-only",
+            description="restricted circuits level each cone gate from its "
+            "fanin 0 alone, ignoring its other fanins' depth",
+            target=("repro.timing.levelize", "_cone_levels"),
+            build=_cone_level_fanin0,
             oracles=("cone_vs_full",),
         ),
         Mutant(

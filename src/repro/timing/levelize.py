@@ -31,23 +31,34 @@ semantics alone, the circuit that times those pairs exactly:
 * a 0/1/X forward pass from the constant controls (and the constant
   cells) finds the *stable* nodes, whose value is the same in every
   vector that matches the key -- e.g. every result-mux AND gate whose
-  select is 0 -- so they never toggle;
+  select is 0 -- so they never toggle.  The same pass gives every
+  non-stable gate its *cone level*: 1 + the highest level among its
+  non-stable fanins, inputs and stable nodes being level 0;
 * a backward closure from the outputs through the non-stable gates
   gives the *cone*: the only gates whose transitions can reach an
-  output;
-* the level steps are filtered to the cone and empty levels dropped;
-  the rows are compacted to the cone, the stable nodes it reads (which
-  become constant rows), the outputs and the inputs.
+  output.  A live gate's non-stable fanins are all live, so a cone
+  gate's level over the non-stable nodes is its depth over the cone;
+* the cone gates are packed into one step per cone level, and the
+  rows compacted to the cone, the stable nodes it reads (which become
+  constant rows, at level 0), the outputs and the inputs.
+
+A cone is levelled by its own depth, not by the netlist's: the 16-bit
+ALU's OR cone is 6 levels deep, while its result-mux gates sit up to
+netlist level 47, where the multiplier puts them.  The kernels walk one
+step per level, so a shallow cone costs few dispatches.  Each gate
+still reads only rows of lower steps, and the kernels treat it alone,
+so results do not depend on which gates share its step.
 
 The compacted rows come in two blocks: first the non-gate rows (the
 inputs and the constant rows, with any output among them) in netlist
-order, then the cone gates in packing order -- level, arity, kind,
-node id.  Every step of a restricted circuit then covers one
+order, then the cone gates in packing order -- cone level, arity,
+kind, node id.  Every step of a restricted circuit then covers one
 contiguous row range, and its ``rows`` is a slice: logic evaluation
 and the DTA propagation read and write each level as a view.  A full
-circuit keeps netlist row order (the pair-form DTA, the choke
-analysis and the oracles index its rows by netlist id), so its steps
-keep index arrays wherever their ids do not run consecutively.
+circuit keeps netlist levels and netlist row order (the pair-form DTA,
+the choke analysis and the oracles index its rows by netlist id), so
+its steps keep index arrays wherever their ids do not run
+consecutively.
 
 :attr:`LevelizedCircuit.node_ids` maps each row of a restricted
 circuit back to its netlist node (it is the identity on a full one;
@@ -58,8 +69,14 @@ Inputs keep their order and controls their rows, so
 :func:`~repro.timing.logic_eval.evaluate_logic` and the DTA
 propagation run on a restricted circuit unchanged.  On vectors that
 match its key, every row evaluates as its netlist node does in the
-full circuit.  Each key is derived once per circuit instance and
-cached on it.
+full circuit.
+
+Each key is derived once per circuit instance and cached on it.
+:meth:`LevelizedCircuit.restrict_many` derives the uncached ones of
+many keys together: the forward pass and the backward closure run
+once over a ``(nodes, keys)`` block, walked flat so that each level
+costs the same few numpy calls for one key or for many; only the
+compaction runs per key.  ``restrict`` is its one-key case.
 """
 
 from __future__ import annotations
@@ -100,12 +117,13 @@ class LevelizedCircuit:
     const0_ids: np.ndarray
     const1_ids: np.ndarray
     levels: list[LevelStep]  # levels[0] is the first *gate* level
-    node_levels: np.ndarray
+    node_levels: np.ndarray  # netlist level; cone level once restricted
     kinds: np.ndarray  # GateKind per node, int8
     fanins: np.ndarray  # (num_nodes, 3) fanin ids, -1 where unused
     controls: np.ndarray  # input rows of the control inputs, int32
     node_ids: np.ndarray  # netlist node of each row (identity unless restricted)
     _restricted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _walk_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def depth(self) -> int:
@@ -122,53 +140,153 @@ class LevelizedCircuit:
 
         ``known0`` / ``known1`` are boolean masks over :attr:`controls`:
         the controls that are 0 (1) in every vector to be timed.  The
-        result is cached per key on this instance (see the module
-        docstring for what it guarantees).
+        one-key case of :meth:`restrict_many` (see the module docstring
+        for what the result guarantees).
+        """
+        known0 = np.asarray(known0, dtype=bool)[None]
+        known1 = np.asarray(known1, dtype=bool)[None]
+        return self.restrict_many(known0, known1)[0]
+
+    def restrict_many(
+        self, known0: np.ndarray, known1: np.ndarray
+    ) -> list["LevelizedCircuit"]:
+        """One restricted circuit per key: row ``k`` of the ``(K,
+        len(controls))`` masks ``known0`` / ``known1``.
+
+        Results are cached per key on this instance; the keys not yet
+        cached are derived together, in one forward pass and one
+        backward closure over a ``(num_nodes, keys)`` block.
         """
         known0 = np.asarray(known0, dtype=bool)
         known1 = np.asarray(known1, dtype=bool)
-        key = (known0.tobytes(), known1.tobytes())
-        if key not in self._restricted:
-            self._restricted[key] = self._derive_restricted(known0, known1)
-        return self._restricted[key]
+        keys = [(k0.tobytes(), k1.tobytes()) for k0, k1 in zip(known0, known1)]
+        fresh = {key: k for k, key in enumerate(keys) if key not in self._restricted}
+        if fresh:
+            picks = list(fresh.values())
+            values, levels = self._forward(known0[picks], known1[picks])
+            live = self._cone(values)
+            for k, key in enumerate(fresh):
+                self._restricted[key] = self._compact(values[:, k], levels[:, k], live[:, k])
+        return [self._restricted[key] for key in keys]
 
-    def _derive_restricted(self, known0: np.ndarray, known1: np.ndarray) -> "LevelizedCircuit":
-        values = self.constant_values(known0, known1)
-        stable = values != _X
-        # Backward closure: a live gate that is not stable makes its
-        # non-stable fanins live.  Fanins sit on lower levels, so one
-        # reverse sweep over the levels closes the cone.  The extra
-        # last slot stands for an unused fanin (-1) and never goes live.
-        blocked = np.append(stable, True)
-        live = np.zeros(self.num_nodes + 1, dtype=bool)
-        live[self.output_ids] = True
-        live &= ~blocked
-        for step in reversed(self.levels):
-            gates = step.nodes[live[step.nodes]]
-            if len(gates):
-                fanin = self.fanins[gates].ravel()
-                live[fanin[~blocked[fanin]]] = True
+    def constant_values(self, known0: np.ndarray, known1: np.ndarray) -> np.ndarray:
+        """0/1/X forward pass over the vectors whose controls match
+        ``known0`` / ``known1``.
+
+        Returns a value per node: 0 or 1 where the node takes that
+        value in every matching vector (a *stable* node, which never
+        toggles between two of them), 2 (X) where it may take either.
+        """
+        known0 = np.asarray(known0, dtype=bool)[None]
+        known1 = np.asarray(known1, dtype=bool)[None]
+        return self._forward(known0, known1)[0][:-1, 0]
+
+    def _walk(self, keys: int) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+        """Flat positions for a walk over a ``(rows, keys)`` block, taken
+        node-major (``row * keys + key``) so that one gather serves every
+        key: ``reads`` ``(gates, 4, keys)``, ``writes`` ``(gates,
+        keys)``, with the gates in level order, and each level's range
+        of them.
+
+        A gate reads four rows: its three fanins, with an unused one
+        (-1) on the X row ``num_nodes``, and the constant row
+        ``num_nodes + 1 + kind`` of :meth:`_forward`'s value block that
+        holds its kind.  The key-independent part is cached.
+        """
+        if self._walk_cache is None:
+            gates = np.concatenate([step.nodes for step in self.levels]).astype(np.intp)
+            fanins = self.fanins[gates].astype(np.intp)
+            fanins[fanins < 0] = self.num_nodes
+            kind_rows = self.kinds[gates].astype(np.intp) + self.num_nodes + 1
+            bounds = np.cumsum([0] + [len(step.nodes) for step in self.levels]).tolist()
+            self._walk_cache = (
+                gates, np.column_stack([fanins, kind_rows]), list(zip(bounds[:-1], bounds[1:]))
+            )
+        gates, slots, bounds = self._walk_cache
+        lanes = np.arange(keys)
+        return slots[..., None] * keys + lanes, gates[:, None] * keys + lanes, bounds
+
+    def _forward(self, known0: np.ndarray, known1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The 0/1/X forward pass for K keys at once.
+
+        ``known0`` / ``known1`` are ``(K, len(controls))`` masks.
+        Returns ``(values, levels)``, each ``(num_nodes + 1, K)``; the
+        extra last row is what an unused fanin (-1) reads.  ``values``
+        is as :meth:`constant_values`; ``levels`` is 0 at every stable
+        node and every input, and 1 + the highest level among its
+        fanins at a non-stable gate: its depth over the non-stable
+        nodes, which for a cone gate is its depth over the cone.
+
+        A gate's table index ``27 * kind + 9 * v0 + 3 * v1 + v2`` is
+        one dot product of its four gathered rows (see :meth:`_walk`).
+        """
+        keys = len(known0)
+        num_nodes = self.num_nodes
+        values = np.full((num_nodes + 1 + len(_KINDS), keys), _X, dtype=np.int16)
+        values[num_nodes + 1 :] = np.arange(len(_KINDS))[:, None]
+        values[self.const0_ids] = 0
+        values[self.const1_ids] = 1
+        control_ids = self.input_ids[self.controls]
+        values[control_ids] = np.where(known1.T, 1, np.where(known0.T, 0, _X))
+        levels = np.zeros((num_nodes + 1, keys), dtype=np.int16)
+        flat_values, flat_levels = values.ravel(), levels.ravel()
+        reads, writes, bounds = self._walk(keys)
+        for lo, hi in bounds:
+            out = _TERNARY_FLAT[np.dot(_CODE_WEIGHTS, flat_values[reads[lo:hi]])]
+            flat_values[writes[lo:hi]] = out
+            level = _cone_levels(flat_levels[reads[lo:hi, :3]])
+            level *= out == _X
+            flat_levels[writes[lo:hi]] = level
+        return values[: num_nodes + 1], levels
+
+    def _cone(self, values: np.ndarray) -> np.ndarray:
+        """Backward closure from the outputs through the non-stable
+        gates, for every key column of :meth:`_forward`'s ``values``:
+        a live gate makes its non-stable fanins live.  Fanins sit on
+        lower levels, so one reverse sweep over the levels closes every
+        cone.  Returns a boolean ``(num_nodes + 1, K)`` block."""
+        open_ = values == _X
+        open_[-1] = False  # an unused fanin never goes live
+        live = np.zeros_like(open_)
+        live[self.output_ids] = open_[self.output_ids]
+        flat_open, flat_live = open_.ravel(), live.ravel()
+        reads, writes, bounds = self._walk(values.shape[1])
+        for lo, hi in reversed(bounds):
+            gate_live = flat_live[writes[lo:hi]]
+            if np.count_nonzero(gate_live):
+                fanin = reads[lo:hi, :3]
+                flat_live[fanin[flat_open[fanin] & gate_live[:, None]]] = True
+        return live
+
+    def _compact(
+        self, values: np.ndarray, levels: np.ndarray, live: np.ndarray
+    ) -> "LevelizedCircuit":
+        """One key's restricted circuit from its columns of the forward
+        values, the cone levels and the live mask."""
+        values = values[:-1]
         # Rows of the restricted circuit: the cone, every node a cone
         # gate reads (the stable ones become constant rows), the
         # outputs and the inputs.  The non-gate rows come first in node
-        # order, then the cone gates in packing order, so every level
-        # step covers one contiguous row range.
+        # order, then the cone gates in packing order -- cone level,
+        # arity, kind, node id -- so every level step covers one
+        # contiguous row range.
+        gates = np.flatnonzero(live[:-1] & (self.kinds > GateKind.CONST1))
+        kinds = self.kinds[gates]
+        gates = gates[np.lexsort((gates, kinds, _ARITY[kinds], levels[gates]))]
         keep = live.copy()
-        keep[self.fanins[live[:-1] & (self.kinds > GateKind.CONST1)]] = True
-        keep = keep[:-1]
+        keep[self.fanins[gates]] = True
+        keep = keep[:-1]  # the slot unused fanins (-1) marked
         keep[self.output_ids] = True
         keep[self.input_ids] = True
-        gates = np.concatenate([step.nodes for step in self.levels])
-        gates = gates[live[gates]]
         other = keep.copy()
         other[gates] = False
         rows = np.concatenate([np.flatnonzero(other), gates])
         remap = np.full(self.num_nodes + 1, -1, dtype=np.int32)  # [-1] stays -1
         remap[rows] = np.arange(len(rows), dtype=np.int32)
-        levels = _pack_levels(
-            remap[gates], self.node_levels[gates], self.kinds[gates], remap[self.fanins[gates]]
+        steps = _pack_levels(
+            remap[gates], levels[gates], self.kinds[gates], remap[self.fanins[gates]]
         )
-        constant = keep & stable
+        constant = keep & (values != _X)
         constant[self.input_ids] = False
         return LevelizedCircuit(
             netlist=self.netlist,
@@ -177,34 +295,21 @@ class LevelizedCircuit:
             output_ids=remap[self.output_ids],
             const0_ids=remap[np.flatnonzero(constant & (values == 0))],
             const1_ids=remap[np.flatnonzero(constant & (values == 1))],
-            levels=levels,
-            node_levels=self.node_levels[rows],
+            levels=steps,
+            node_levels=levels[rows].astype(np.int32),
             kinds=self.kinds[rows],
             fanins=remap[self.fanins[rows]],
             controls=self.controls,
             node_ids=self.node_ids[rows],
         )
 
-    def constant_values(self, known0: np.ndarray, known1: np.ndarray) -> np.ndarray:
-        """0/1/X forward pass over the vectors whose controls match
-        ``known0`` / ``known1``.
 
-        Returns an int8 value per node: 0 or 1 where the node takes that
-        value in every matching vector (a *stable* node, which never
-        toggles between two of them), 2 (X) where it may take either.
-        """
-        # one extra X slot that unused fanins (-1) read
-        values = np.full(self.num_nodes + 1, _X, dtype=np.int8)
-        values[self.const0_ids] = 0
-        values[self.const1_ids] = 1
-        control_ids = self.input_ids[self.controls]
-        values[control_ids[known0]] = 0
-        values[control_ids[known1]] = 1
-        for step in self.levels:
-            fanin = self.fanins[step.nodes]
-            code = values[fanin[:, 0]] * 9 + values[fanin[:, 1]] * 3 + values[fanin[:, 2]]
-            values[step.nodes] = _TERNARY[self.kinds[step.nodes], code]
-        return values[:-1]
+def _cone_levels(fanin_levels: np.ndarray) -> np.ndarray:
+    """Gates' cone levels from their ``(G, 3, K)`` fanin levels: 1 + the
+    highest of them (stable fanins and unused slots read 0)."""
+    level = fanin_levels.max(axis=1)
+    level += 1
+    return level
 
 
 #: the unknown value of the 0/1/X forward pass
@@ -230,7 +335,10 @@ def _ternary_table() -> np.ndarray:
     return table
 
 
-_TERNARY = _ternary_table()
+#: the ternary table flattened: index ``27 * kind + 9 * v0 + 3 * v1 + v2``
+_TERNARY_FLAT = _ternary_table().ravel()
+#: dot with a gate's four gathered rows (fanins 0-2, kind): its table index
+_CODE_WEIGHTS = np.array([9, 3, 1, 27], dtype=np.int16)
 
 
 _KINDS = tuple(GateKind)

@@ -27,6 +27,7 @@ from repro.pv.delaymodel import NTC
 from repro.pv.montecarlo import fabricate_population
 from repro.qa.oracles import pair_cycle_timings
 from repro.runtime.shm import ArraySpec, ShmCatalog, ShmPublisher, ShmReader
+from repro.timing import dta
 from repro.timing.dta import batch_cycle_timings, cycle_timings
 from repro.timing.levelize import levelize
 from tests.util import chain_circuit as _chain_circuit
@@ -230,6 +231,53 @@ def test_mixed_op_stream_runs_on_restricted_circuits(stage16_ntc, chip16):
         _assert_chip_equal(
             batch, index, pair_cycle_timings(stage16_ntc.circuit, inputs, delays)
         )
+
+
+def _assert_same_circuit(got, want):
+    for name in (
+        "num_nodes", "input_ids", "output_ids", "const0_ids", "const1_ids",
+        "node_levels", "kinds", "fanins", "controls", "node_ids",
+    ):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert len(got.levels) == len(want.levels)
+    for got_step, want_step in zip(got.levels, want.levels):
+        for got_field, want_field in zip(got_step, want_step):
+            if isinstance(want_field, np.ndarray):
+                np.testing.assert_array_equal(got_field, want_field)
+            else:
+                assert got_field == want_field
+
+
+def test_batched_restrictions_equal_one_key_restrictions(stage16_ntc, chip16):
+    """The windows of a multi-op stream derive their restrictions in one
+    batch; each equals the one-key ``restrict`` of its key, the batch
+    fills the same per-key cache, and the stream kernel finds every
+    window's restriction there."""
+    alu = stage16_ntc.alu
+    netlist = stage16_ntc.circuit.netlist
+    controls_at = stage16_ntc.circuit.controls
+    rng = np.random.default_rng(5)
+    ops = np.repeat(rng.choice([int(op) for op in alu.ops], size=40), rng.integers(1, 6, 40))
+    inputs = alu.encode_batch(
+        ops, rng.integers(0, 1 << 16, len(ops)), rng.integers(0, 1 << 16, len(ops))
+    )
+    controls = inputs[controls_at]
+    first, _ = dta._first_occurrences(inputs)
+    order = dta._class_order(controls, first)
+    starts = np.arange(0, len(first), 20)
+    known0, known1 = dta._window_keys(controls, first[order], first[order] + 1, starts)
+    distinct = {(k0.tobytes(), k1.tobytes()) for k0, k1 in zip(known0, known1)}
+    assert len(starts) > 2 and len(distinct) > 2
+
+    batched = levelize(netlist, controls=controls_at)
+    circuits = batched.restrict_many(known0, known1)
+    single = levelize(netlist, controls=controls_at)
+    for k0, k1, circuit in zip(known0, known1, circuits):
+        assert batched.restrict(k0, k1) is circuit  # one cache
+        _assert_same_circuit(circuit, single.restrict(k0, k1))
+    assert len(batched._restricted) == len(distinct)
+    batch_cycle_timings(batched, inputs, chip16.delays[None, :], chunk=20)
+    assert len(batched._restricted) == len(distinct)
 
 
 # ----------------------------------------------------------------------

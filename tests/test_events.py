@@ -22,6 +22,7 @@ from repro.experiments.progress_cli import (
     render_summary,
     summarize_events,
 )
+from repro.obs.dashboard import _fleet_lanes
 from repro.obs.schema import check
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "schemas"
@@ -262,7 +263,6 @@ def test_procpool_traced_run_carries_the_trace_id_into_workers(tmp_path):
         metrics=True,
         events_path=str(events_path),
         trace_id=trace_id,
-        parent_span_id=obs.new_span_id(),
         shard_dir=str(shard_dir),
     )))
     spec = tiny_spec(tmp_path, telemetry=telemetry.spec)
@@ -286,3 +286,13 @@ def test_procpool_traced_run_carries_the_trace_id_into_workers(tmp_path):
     for index, event in enumerate(events):
         check(event, EVENTS_SCHEMA, label=f"event[{index}]")
         assert event["trace_id"] == trace_id
+
+    # the parent's ``result`` events close the tasks the workers'
+    # ``started`` events opened: no worker is left with an experiment
+    # in flight, and no lane draws a task still running
+    workers = summarize_events(events)["workers"]
+    assert any(label.startswith("pid:") for label in workers)
+    assert {label: row["inflight"] for label, row in workers.items() if row["inflight"]} == {}
+    assert sum(row["completed"] for row in workers.values()) == 3
+    lanes = _fleet_lanes(events)
+    assert lanes.count('class="bar "') == 3 and 'class="bar open"' not in lanes

@@ -5,6 +5,7 @@ import numpy as np
 from repro.circuits.alu import AluOp
 from repro.gates.builder import NetlistBuilder
 from repro.gates.celllib import GateKind, fanin_count
+from repro.qa.circuits import random_select_netlist
 from repro.timing.levelize import levelize
 from repro.timing.logic_eval import evaluate_logic
 
@@ -193,3 +194,55 @@ def test_restricted_rows_are_level_contiguous(alu8):
         np.testing.assert_array_equal(step.nodes, np.arange(stop, stop + len(step.nodes)))
         stop += len(step.nodes)
     assert stop == restricted.num_nodes
+
+
+def test_or_cone_of_the_16_bit_alu_is_six_levels_deep(alu16):
+    """A restricted circuit is levelled by its own cone: the OR cone is
+    6 levels deep, although its result-mux gates sit at netlist levels
+    set by the multiplier."""
+    circuit = levelize(alu16.netlist, controls=alu16.select_rows)
+    known1 = np.array([o is AluOp.OR for o in alu16.ops])
+    restricted = circuit.restrict(~known1, known1)
+    assert circuit.depth == 47
+    assert restricted.depth == 6
+
+
+def _assert_cone_levelled(restricted):
+    """Every step's gates sit one level above their deepest
+    non-constant fanin; inputs and constant rows are level 0."""
+    constant = np.zeros(restricted.num_nodes + 1, dtype=bool)
+    constant[restricted.const0_ids] = constant[restricted.const1_ids] = True
+    constant[-1] = True  # an unused fanin (-1)
+    levels = np.append(restricted.node_levels, 0)
+    assert (levels[restricted.input_ids] == 0).all()
+    assert (levels[constant[:-1].nonzero()[0]] == 0).all()
+    for level, step in enumerate(restricted.levels, start=1):
+        fanins = restricted.fanins[step.nodes]
+        fanin_levels = np.where(constant[fanins], -1, levels[fanins])
+        np.testing.assert_array_equal(levels[step.nodes], level)
+        np.testing.assert_array_equal(fanin_levels.max(axis=1), level - 1)
+
+
+def test_restricted_steps_sit_one_level_above_their_deepest_fanin(alu16, rng):
+    circuit = levelize(alu16.netlist, controls=alu16.select_rows)
+    for op in alu16.ops:
+        known1 = np.array([o is op for o in alu16.ops])
+        _assert_cone_levelled(circuit.restrict(~known1, known1))
+    # an op change keeps both ops' selects unknown: their union cone
+    known0 = np.array([o not in (AluOp.ADD, AluOp.XOR) for o in alu16.ops])
+    _assert_cone_levelled(circuit.restrict(known0, np.zeros_like(known0)))
+    netlist = random_select_netlist(rng, num_data=5, num_controls=3, num_gates=60)
+    circuit = levelize(netlist, controls=range(5, 8))
+    for code in range(27):
+        values = [code // 9, code // 3 % 3, code % 3]  # 0, 1 or unknown (2)
+        known0 = np.array([v == 0 for v in values])
+        known1 = np.array([v == 1 for v in values])
+        restricted = circuit.restrict(known0, known1)
+        _assert_cone_levelled(restricted)
+        free = rng.integers(0, 2, size=(3, 16)).astype(bool)
+        controls = np.where(known1[:, None], True, np.where(known0[:, None], False, free))
+        vectors = np.concatenate([rng.integers(0, 2, size=(5, 16)).astype(bool), controls])
+        np.testing.assert_array_equal(
+            evaluate_logic(restricted, vectors),
+            evaluate_logic(circuit, vectors)[restricted.node_ids],
+        )

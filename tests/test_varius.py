@@ -1,5 +1,10 @@
 """Unit tests for the VARIUS-style variation model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -90,3 +95,36 @@ def test_sample_deterministic_for_seed():
     a = sample_delta_vth(100, DEFAULT_PARAMS, np.random.default_rng(5))
     b = sample_delta_vth(100, DEFAULT_PARAMS, np.random.default_rng(5))
     assert (a == b).all()
+
+
+_THREAD_VARS = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+)
+_FABRICATE_CHIP_8 = (
+    "import hashlib\n"
+    "from repro.circuits.ex_stage import build_ex_stage\n"
+    "from repro.pv.delaymodel import NTC\n"
+    "chip = build_ex_stage(16, NTC).fabricate(seed=8)\n"
+    "print(hashlib.sha256(chip.delays.tobytes()).hexdigest())\n"
+)
+
+
+def test_fabricated_delays_do_not_depend_on_the_blas_thread_count():
+    """The grid covariance's Cholesky factor differs in its last bits
+    with the BLAS thread count; importing ``repro`` pins one thread, so
+    chip 8's delays hash the same with the thread variables unset, set
+    to 1 and set to 2."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = {}
+    for threads in (None, "1", "2"):
+        env = {name: value for name, value in os.environ.items() if name not in _THREAD_VARS}
+        if threads is not None:
+            env.update(dict.fromkeys(_THREAD_VARS, threads))
+        env["PYTHONPATH"] = src
+        done = subprocess.run(
+            [sys.executable, "-c", _FABRICATE_CHIP_8],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        digests[threads] = done.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
