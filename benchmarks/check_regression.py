@@ -251,11 +251,6 @@ def main(argv=None) -> int:
                         "flight recorder's full/reservoir overhead over the "
                         "audit-off leg exceeds the baseline's audit "
                         "watermarks (never gates)")
-    parser.add_argument("--service",
-                        help="bench_service.py --json output: warn when "
-                        "submit-to-first-byte latency or dedup-hit "
-                        "throughput crosses the baseline's service "
-                        "watermarks (never gates)")
     parser.add_argument("--baseline", default="benchmarks/baseline.json")
     parser.add_argument("--tolerance", type=float, default=None,
                         help="override the baseline file's tolerance")
@@ -285,10 +280,10 @@ def main(argv=None) -> int:
               f"random.* call sites under {args.lint_root}/")
         return 0
     if not (args.bench or args.metrics or args.ledger or args.backends
-            or args.events or args.audit or args.service):
+            or args.events or args.audit):
         parser.error(
             "nothing to check: pass --bench, --metrics, --ledger, "
-            "--backends, --events, --audit and/or --service"
+            "--backends, --events and/or --audit"
         )
 
     with open(args.baseline) as handle:
@@ -409,29 +404,6 @@ def main(argv=None) -> int:
                     f"(watermark {watermark:g}x)"
                 )
 
-    service_doc = None
-    service_warnings = []
-    if args.service:
-        with open(args.service) as handle:
-            service_doc = json.load(handle)
-        baseline_service = baseline.get("service", {})
-        max_first_byte = float(
-            baseline_service.get("max_submit_first_byte_s", 2.0)
-        )
-        first_byte = float(service_doc.get("submit_first_byte_s", 0.0))
-        if first_byte > max_first_byte:
-            service_warnings.append(
-                f"service submit-to-first-byte: {first_byte:g}s exceeds the "
-                f"{max_first_byte:g}s watermark"
-            )
-        min_dedup_rps = float(baseline_service.get("min_dedup_hit_rps", 20.0))
-        dedup_rps = service_doc.get("dedup_hit_rps")
-        if dedup_rps is not None and float(dedup_rps) < min_dedup_rps:
-            service_warnings.append(
-                f"service dedup-hit throughput: {dedup_rps:g} req/s is below "
-                f"the {min_dedup_rps:g} req/s watermark"
-            )
-
     ledger_findings = []
     ledger_warnings = []
     if args.ledger:
@@ -473,8 +445,6 @@ def main(argv=None) -> int:
         "backends_warnings": backends_warnings,
         "audit": audit_doc,
         "audit_warnings": audit_warnings,
-        "service": service_doc,
-        "service_warnings": service_warnings,
         "ledger": ledger_findings,
         "ledger_warnings": ledger_warnings,
         "strict": args.strict,
@@ -519,14 +489,6 @@ def main(argv=None) -> int:
         # it informs the reviewer and never gates, even under --strict.
         print("AUDIT OVERHEAD (warning only):", file=sys.stderr)
         for warning in audit_warnings:
-            print(f"  {warning}", file=sys.stderr)
-    if service_warnings:
-        # Service latency/throughput is environment-sensitive (CI machines
-        # vary); byte-identity of served reports is the hard gate, so
-        # these numbers inform the reviewer and never gate, even under
-        # --strict.
-        print("SERVICE OVERHEAD (warning only):", file=sys.stderr)
-        for warning in service_warnings:
             print(f"  {warning}", file=sys.stderr)
     if events_warnings:
         # Event streams are schedule-dependent by design; counts inform

@@ -238,14 +238,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.experiments.audit_cli import audit_main
 
         return audit_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from repro.service.cli import serve_main
-
-        return serve_main(argv[1:])
-    if argv and argv[0] == "client":
-        from repro.service.cli import client_main
-
-        return client_main(argv[1:])
     parser = _build_parser()
     args = parser.parse_args(argv)
     configure_logging(args.verbose)

@@ -1,11 +1,10 @@
-"""Shared report rendering and atomic writes for the CLI and the service.
+"""Report rendering and atomic writes for the CLI.
 
 The byte-identity contract between every consumer of a
-:class:`~repro.runtime.executor.RunReport` — the CLI's ``--out``, the
-service's ``GET /jobs/<id>/report``, the QA ``service_vs_cli`` oracle —
-holds because they all render through :func:`render_report`.  There is
-exactly one serialisation of a report per format; nothing re-implements
-it.
+:class:`~repro.runtime.executor.RunReport` — the CLI's ``--out`` and
+the perfbench digests — holds because they all render through
+:func:`render_report`.  There is exactly one serialisation of a report
+per format; nothing re-implements it.
 
 :func:`atomic_write_text` is the repo-wide tempfile + ``os.replace``
 write used for every report-like artefact, so an interrupted writer can
@@ -18,7 +17,7 @@ import json
 import os
 import tempfile
 
-#: formats accepted by the CLI's ``--format`` and the service's submit.
+#: formats accepted by the CLI's ``--format``.
 REPORT_FORMATS = ("text", "json", "csv")
 
 

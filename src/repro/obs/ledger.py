@@ -214,12 +214,12 @@ def append_jsonl_line(
 ) -> None:
     """Crash-safely append one record as a single JSON line.
 
-    The shared ``O_APPEND`` tail-repair path used by the run ledger and
-    the service job journal: the record is one ``write()`` of one
-    ``\\n``-terminated line, and if a previous append was cut short (the
-    file ends mid-line) a leading newline terminates the fragment first,
-    so the fragment is skipped on read instead of corrupting this record
-    too.  Readers (:meth:`RunLedger.records`,
+    The ``O_APPEND`` tail-repair path of the run ledger, which several
+    ``--ledger-dir`` runs may append to at once: the record is one
+    ``write()`` of one ``\\n``-terminated line, and if a previous append
+    was cut short (the file ends mid-line) a leading newline terminates
+    the fragment first, so the fragment is skipped on read instead of
+    corrupting this record too.  Readers (:meth:`RunLedger.records`,
     :func:`repro.obs.events.iter_events`) never need coordination with
     an appender: they see whole lines plus at most one truncated tail.
     """

@@ -288,15 +288,6 @@ def _audit_drop_rollback(original):
     return decisions
 
 
-def _stale_digest(_original):
-    def request_digest(config, experiments, fmt):
-        # the classic cache-keying bug: the digest stops covering the
-        # request, so every submission aliases the first recorded report
-        return "deadbeefdeadbeef"
-
-    return request_digest
-
-
 def _razor_offbyone(result, _trace):
     result.flushes = max(0, result.flushes - 1)
 
@@ -472,14 +463,6 @@ MUTANTS: dict[str, Mutant] = {
             target=("repro.runtime.checkpoint", "CheckpointStore.load"),
             build=_load_without_checksum,
             oracles=("checkpoint_store",),
-        ),
-        Mutant(
-            name="service-stale-dedup",
-            description="the service dedup digest collapses to a constant, "
-            "serving every request the first recorded report",
-            target=("repro.service.jobs", "request_digest"),
-            build=_stale_digest,
-            oracles=("service_vs_cli",),
         ),
         Mutant(
             name="etrace-misaligned-init",

@@ -1053,91 +1053,6 @@ def _check_parallel_vs_serial(case: dict[str, int]) -> list[str]:
     return violations
 
 
-def _check_service_vs_cli(case: dict[str, int]) -> list[str]:
-    """A report fetched through the HTTP service must be byte-identical
-    to the CLI path's bytes for the same request — and the dedup cache
-    must never serve one request another request's bytes.
-
-    Three legs over one live service (real HTTP, ephemeral port):
-
-    1. submit request A, compare the served bytes against the canonical
-       renderer over a serial run of the same configuration;
-    2. submit request B (same ids/format, different cycle count) and
-       make the same comparison — a dedup layer keyed too coarsely
-       (the planted ``service-stale-dedup`` mutant) hands B the bytes
-       of A and dies here;
-    3. resubmit A: it must dedup-hit, serve the identical bytes, and
-       not recompute (the ``executed`` counter must not move).
-    """
-    from dataclasses import replace
-
-    from repro.experiments.config import FAST_CONFIG
-    from repro.experiments.reportio import render_report
-    from repro.experiments.runner import ExperimentContext
-    from repro.runtime.executor import run_many
-    from repro.service.client import ServiceClient
-    from repro.service.server import ServiceThread
-
-    mask = case["subset_mask"]
-    ids = ["fig3_4"] + [
-        x for i, x in enumerate(_PARALLEL_EXTRAS) if mask >> i & 1
-    ]
-    fmt = ("json", "text", "csv")[case["fmt_sel"]]
-    cycles_a = case["cycles"]
-    cycles_b = cycles_a + 137  # a different, equally valid request
-
-    def cli_bytes(cycles: int) -> bytes:
-        config = replace(FAST_CONFIG, cycles=cycles)
-        report = run_many(ids, ExperimentContext(config))
-        return render_report(report, fmt).encode()
-
-    expected_a = cli_bytes(cycles_a)
-    expected_b = cli_bytes(cycles_b)
-
-    violations: list[str] = []
-    with tempfile.TemporaryDirectory(prefix="qa-service-") as tmp:
-        service = ServiceThread(tmp)
-        try:
-            client = ServiceClient(port=service.port)
-
-            first = client.submit(ids, fast=True, fmt=fmt, cycles=cycles_a)
-            done = client.wait(first["id"], timeout_s=600)
-            if done["state"] != "done":
-                return [f"job {first['id']} ended {done['state']}: "
-                        f"{(done.get('error') or {}).get('message', '')}"]
-            if client.report(first["id"]) != expected_a:
-                violations.append(
-                    f"service report diverges from the CLI bytes (fmt={fmt})"
-                )
-
-            second = client.submit(ids, fast=True, fmt=fmt, cycles=cycles_b)
-            done_b = client.wait(second["id"], timeout_s=600)
-            if done_b["state"] != "done":
-                return violations + [
-                    f"job {second['id']} ended {done_b['state']}"
-                ]
-            if client.report(second["id"]) != expected_b:
-                violations.append(
-                    "dedup served another request's bytes: a different cycle "
-                    "count must never reuse a recorded report"
-                )
-
-            executed = client.stats()["counters"]["executed"]
-            third = client.submit(ids, fast=True, fmt=fmt, cycles=cycles_a)
-            if third["disposition"] != "dedup_hit":
-                violations.append(
-                    f"identical resubmission was {third['disposition']!r}, "
-                    "expected a dedup hit"
-                )
-            elif client.report(third["id"]) != expected_a:
-                violations.append("dedup hit served different bytes")
-            if client.stats()["counters"]["executed"] != executed:
-                violations.append("a dedup hit must not recompute")
-        finally:
-            service.stop()
-    return violations
-
-
 # ----------------------------------------------------------------------
 # trend statistics
 # ----------------------------------------------------------------------
@@ -1489,19 +1404,6 @@ ORACLES: dict[str, Oracle] = {
             params={"subset_mask": Param(0, 3), "cycles": Param(300, 800)},
             check=_check_parallel_vs_serial,
             cost=45.0,
-            tier="deep",
-        ),
-        Oracle(
-            name="service_vs_cli",
-            description="HTTP service report byte-identical to the CLI "
-            "path, dedup never serves stale bytes",
-            params={
-                "subset_mask": Param(0, 3),
-                "cycles": Param(200, 500),
-                "fmt_sel": Param(0, 2),
-            },
-            check=_check_service_vs_cli,
-            cost=30.0,
             tier="deep",
         ),
     )

@@ -8,7 +8,7 @@ Two implementations of one contract (:class:`ExecutorBackend`):
 ========== ============================================================
 
 ``--jobs`` decides between them: :func:`backend_for` is the one place
-the CLI and the service turn a job count into a backend.
+the CLI turns a job count into a backend.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ class InprocBackend(ExecutorBackend):
             )
         ctx = ExperimentContext(spec.config, store=store)
         for eid in experiment_ids:
-            obs.emit("scheduled", experiment=eid, worker="inproc")
+            obs.emit("scheduled", experiment=eid)
         resolve = self._resolve(spec)
 
         def started(experiment_id: str) -> Callable:

@@ -28,7 +28,7 @@ class ProcpoolBackend(ExecutorBackend):
         crash_retries: int = 1,
     ) -> tuple[RunReport, StoreStats]:
         for eid in experiment_ids:
-            obs.emit("scheduled", experiment=eid, worker="procpool")
+            obs.emit("scheduled", experiment=eid)
         return run_fleet(
             experiment_ids,
             spec,

@@ -44,7 +44,7 @@ def test_event_log_appends_schema_valid_events(tmp_path):
     path = tmp_path / "events.jsonl"
     log = obs.EventLog(path, trace_id="a" * 32)
     log.emit("run_start", backend="procpool", jobs=2, experiments=3)
-    log.emit("scheduled", experiment="fig3_4", worker="procpool")
+    log.emit("scheduled", experiment="fig3_4")
     log.emit("started", experiment="fig3_4", worker="pid:7")
     log.emit("result", experiment="fig3_4", worker="pid:7",
              status="ok", elapsed_s=0.25)
@@ -173,9 +173,9 @@ def test_summarize_events_folds_lifecycle_and_worker_health():
     events = [
         make_event("run_start", 1.0, backend="procpool", experiments=3,
                    trace_id=trace_id),
-        make_event("scheduled", 1.1, experiment="fig3_4", worker="procpool"),
-        make_event("scheduled", 1.1, experiment="tab3_ovh", worker="procpool"),
-        make_event("scheduled", 1.1, experiment="tab4_ovh", worker="procpool"),
+        make_event("scheduled", 1.1, experiment="fig3_4"),
+        make_event("scheduled", 1.1, experiment="tab3_ovh"),
+        make_event("scheduled", 1.1, experiment="tab4_ovh"),
         make_event("started", 1.2, experiment="fig3_4", worker="pid:1"),
         make_event("started", 1.3, experiment="tab3_ovh", worker="pid:2"),
         make_event("started", 1.4, experiment="tab4_ovh", worker="pid:1"),
@@ -194,6 +194,7 @@ def test_summarize_events_folds_lifecycle_and_worker_health():
     assert summary["experiments"]["fig3_4"]["elapsed_s"] == 0.6
     assert summary["experiments"]["tab3_ovh"]["status"] == "started"
     assert summary["experiments"]["tab4_ovh"]["status"] == "resubmit"
+    assert set(summary["workers"]) == {"pid:1", "pid:2"}
     pid1 = summary["workers"]["pid:1"]
     assert pid1["completed"] == 1 and pid1["last_ts"] == 2.0
     # the crash took the task off its worker's in-flight set
@@ -296,3 +297,23 @@ def test_procpool_traced_run_carries_the_trace_id_into_workers(tmp_path):
     assert sum(row["completed"] for row in workers.values()) == 3
     lanes = _fleet_lanes(events)
     assert lanes.count('class="bar "') == 3 and 'class="bar open"' not in lanes
+
+
+@pytest_fork
+def test_procpool_cli_run_shows_only_pool_processes_as_workers(tmp_path):
+    """A ``--jobs 2`` run's event stream names a worker only where a
+    task ran: the health table and the fleet lanes hold ``pid:N`` rows
+    and nothing else — no row for the backend that scheduled them."""
+    from repro.experiments.__main__ import main
+
+    events_path = tmp_path / "events.jsonl"
+    argv = ["fig3_4", "tab3_ovh", "tab4_ovh", "--fast", "--cycles", "200", "--jobs", "2"]
+    code = main([*argv, "--events-out", str(events_path), "--out", str(tmp_path / "report.txt")])
+    assert code == 0
+    events = obs.read_events(events_path)
+    assert all("worker" not in e for e in events if e["kind"] == "scheduled")
+
+    workers = summarize_events(events)["workers"]
+    assert workers and all(label.startswith("pid:") for label in workers)
+    assert sum(row["completed"] for row in workers.values()) == 3
+    assert f"{len(workers)} worker(s)" in _fleet_lanes(events)

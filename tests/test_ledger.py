@@ -90,13 +90,13 @@ def test_truncated_last_line_is_tolerated_and_repaired(tmp_path):
     assert [r["run_id"] for r in ledger.records()] == ["ok0", "ok2"]
 
 
-def test_reader_tolerates_concurrent_service_appends(tmp_path):
-    """A ledger CLI reader racing the service's appender sees only
-    whole records, in order — never a torn or duplicated one.
+def test_reader_tolerates_concurrent_ledger_dir_appends(tmp_path):
+    """A ledger CLI reader racing a run's appender sees only whole
+    records, in order — never a torn or duplicated one.
 
-    This is the contract the service layer leans on: ``GET /ledger``
-    and ``ledger list`` read while the job runner appends through the
-    same ``O_APPEND`` one-line-per-write path.
+    This is the contract concurrent CLI runs lean on: ``ledger list``
+    reads while a ``--ledger-dir`` run appends through the same
+    ``O_APPEND`` one-line-per-write path.
     """
     import threading
 
