@@ -26,13 +26,6 @@ this check **never gates** — not even under ``--strict`` — it only
 flags fleets that stopped emitting lifecycle events or started
 emitting fault events (resubmit/crash) on a healthy-run baseline.
 
-With ``--ledger DIR`` the single-baseline compare is replaced by
-trajectory-aware gating: the newest run in the run ledger
-(``--ledger-dir``) is scored against its own trailing window with a
-median-absolute-deviation z-score (see ``repro.obs.trends``), so a
-metric has to leave its *own* recent distribution — not an arbitrary
-pinned value — to be flagged.  Ledger drift warns unless ``--strict``.
-
 Usage (mirrors the CI perf and telemetry jobs)::
 
     python benchmarks/check_regression.py \\
@@ -40,8 +33,6 @@ Usage (mirrors the CI perf and telemetry jobs)::
         --baseline benchmarks/baseline.json --out BENCH_ci.json
     python benchmarks/check_regression.py \\
         --metrics metrics.json --out BENCH_telemetry.json
-    python benchmarks/check_regression.py \\
-        --ledger .ledger --out BENCH_ledger.json
 """
 
 from __future__ import annotations
@@ -74,7 +65,7 @@ def lint_seed_hygiene(root: str) -> list[str]:
     * module-level ``random.*()`` — the global RNG's state depends on
       import order and everything else that touched it, so its output
       differs between backends.  Use a seeded ``random.Random(seed)``
-      instance (or ``repro.runtime.backoff`` for jitter) instead.
+      instance instead.
 
     Mentions in strings and docstrings are fine; only calls are flagged.
     """
@@ -106,20 +97,6 @@ def lint_seed_hygiene(root: str) -> list[str]:
                     f"random.Random(seed) instance instead"
                 )
     return findings
-
-
-def _ledger_modules():
-    """Import the ledger/trends modules, adding ``src`` if needed.
-
-    CI invokes this script without PYTHONPATH; the repository layout is
-    fixed, so fall back to ``<repo>/src`` next to ``benchmarks/``.
-    """
-    try:
-        from repro.obs import ledger, trends
-    except ImportError:
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-        from repro.obs import ledger, trends
-    return ledger, trends
 
 
 def load_bench_means(path: str) -> dict[str, float]:
@@ -234,10 +211,6 @@ def main(argv=None) -> int:
     parser.add_argument("--metrics",
                         help="telemetry metrics.json (from --metrics-out) "
                         "to diff against the baseline's metrics section")
-    parser.add_argument("--ledger", metavar="DIR",
-                        help="run-ledger directory: gate the newest run "
-                        "against its own trailing window (MAD z-score) "
-                        "instead of a pinned baseline")
     parser.add_argument("--events", metavar="PATH",
                         help="events.jsonl (from --events-out): warn when "
                         "per-kind event counts drift from the baseline's "
@@ -255,7 +228,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tolerance", type=float, default=None,
                         help="override the baseline file's tolerance")
     parser.add_argument("--strict", action="store_true",
-                        help="fail (exit non-zero) on metric/ledger drift "
+                        help="fail (exit non-zero) on metric drift "
                         "beyond tolerance instead of warning")
     parser.add_argument("--lint", action="store_true",
                         help="seed-hygiene lint: fail on builtin hash() "
@@ -279,10 +252,10 @@ def main(argv=None) -> int:
         print(f"seed-hygiene lint: no builtin hash() or unseeded "
               f"random.* call sites under {args.lint_root}/")
         return 0
-    if not (args.bench or args.metrics or args.ledger or args.backends
+    if not (args.bench or args.metrics or args.backends
             or args.events or args.audit):
         parser.error(
-            "nothing to check: pass --bench, --metrics, --ledger, "
+            "nothing to check: pass --bench, --metrics, "
             "--backends, --events and/or --audit"
         )
 
@@ -404,34 +377,6 @@ def main(argv=None) -> int:
                     f"(watermark {watermark:g}x)"
                 )
 
-    ledger_findings = []
-    ledger_warnings = []
-    if args.ledger:
-        ledger_mod, trends = _ledger_modules()
-        records = ledger_mod.RunLedger(args.ledger).records()
-        findings = trends.detect_drift(records)
-        for finding in findings:
-            if finding["drifted"]:
-                z = finding["z"]
-                z_text = f"{z:+.1f}" if z != float("inf") else "inf"
-                ledger_warnings.append(
-                    f"{finding['metric']}: {finding['value']:g} is {z_text} "
-                    f"MAD-sigma from its window median "
-                    f"{finding['baseline_median']:g} "
-                    f"(n={finding['window']}, threshold {finding['threshold']})"
-                )
-        ledger_findings = [
-            # strict JSON has no Infinity; a zero-MAD jump reports null z
-            {**f, "z": f["z"] if abs(f["z"]) != float("inf") else None}
-            for f in findings
-            if f["drifted"] or abs(f["z"]) > f["threshold"] / 2
-        ]
-        if not records:
-            print(f"ledger at {args.ledger} is empty; nothing to gate")
-        elif not findings:
-            print(f"ledger has {len(records)} run(s); "
-                  "need more history before drift gating kicks in")
-
     report = {
         "tolerance": tolerance,
         "bench_mean_s": {name: round(mean, 3) for name, mean in means.items()},
@@ -445,8 +390,6 @@ def main(argv=None) -> int:
         "backends_warnings": backends_warnings,
         "audit": audit_doc,
         "audit_warnings": audit_warnings,
-        "ledger": ledger_findings,
-        "ledger_warnings": ledger_warnings,
         "strict": args.strict,
         "regressions": regressions,
     }
@@ -496,19 +439,18 @@ def main(argv=None) -> int:
         print("EVENT-COUNT DRIFT (warning only):", file=sys.stderr)
         for warning in events_warnings:
             print(f"  {warning}", file=sys.stderr)
-    drift_warnings = metrics_warnings + ledger_warnings
-    if drift_warnings:
+    if metrics_warnings:
         # Counter drift informs by default; --strict turns it into a gate.
         mode = "gating" if args.strict else "warning only"
         print(f"TELEMETRY DRIFT ({mode}):", file=sys.stderr)
-        for warning in drift_warnings:
+        for warning in metrics_warnings:
             print(f"  {warning}", file=sys.stderr)
     if regressions:
         print("PERF REGRESSION:", file=sys.stderr)
         for regression in regressions:
             print(f"  {regression}", file=sys.stderr)
         return 1
-    if args.strict and drift_warnings:
+    if args.strict and metrics_warnings:
         return 1
     print("no perf regressions")
     return 0

@@ -6,14 +6,10 @@ written by ``python -m repro.experiments ... --metrics-out --trace-out``
 before uploading them as artifacts, so a schema drift fails loudly in
 CI instead of silently shipping malformed telemetry.
 
-With ``--ledger`` every parseable line of a run-ledger
-(``<dir>/ledger.jsonl``) is validated against
-``ledger.schema.json`` — one record schema applied per JSONL line.
-
 Usage (needs ``PYTHONPATH=src`` like the rest of the harness)::
 
     PYTHONPATH=src python benchmarks/validate_telemetry.py \\
-        --metrics metrics.json --trace trace.json --ledger .ledger
+        --metrics metrics.json --trace trace.json
 """
 
 from __future__ import annotations
@@ -53,18 +49,6 @@ def validate_events(events_path: str) -> int:
     return len(events)
 
 
-def validate_ledger(ledger_dir: str) -> int:
-    """Validate every record of a run ledger; returns the record count."""
-    from repro.obs.ledger import RunLedger
-
-    ledger = RunLedger(ledger_dir)
-    schema = json.loads((SCHEMA_DIR / "ledger.schema.json").read_text())
-    records = ledger.records()
-    for index, record in enumerate(records):
-        check(record, schema, label=f"{ledger.path}:record[{index}]")
-    return len(records)
-
-
 def validate_audit(stream_path: str) -> int:
     """Validate a packed audit stream's summary; returns the run count.
 
@@ -93,18 +77,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--metrics", help="metrics.json to validate")
     parser.add_argument("--trace", help="trace.json to validate")
-    parser.add_argument("--ledger", metavar="DIR",
-                        help="run-ledger directory whose records to validate")
     parser.add_argument("--events", metavar="PATH",
                         help="events.jsonl whose lines to validate")
     parser.add_argument("--audit", metavar="PATH",
                         help="packed audit stream (.npz from --audit-out) "
                         "whose summary to validate")
     args = parser.parse_args(argv)
-    if not (args.metrics or args.trace or args.ledger or args.events
-            or args.audit):
+    if not (args.metrics or args.trace or args.events or args.audit):
         parser.error("nothing to validate: pass --metrics, --trace, "
-                     "--ledger, --events and/or --audit")
+                     "--events and/or --audit")
 
     failures = 0
     for document_path, schema_name in (
@@ -120,15 +101,6 @@ def main(argv=None) -> int:
             failures += 1
         else:
             print(f"ok   {document_path} conforms to {schema_name}")
-    if args.ledger:
-        try:
-            count = validate_ledger(args.ledger)
-        except (OSError, ValueError) as exc:
-            print(f"FAIL {args.ledger}: {exc}", file=sys.stderr)
-            failures += 1
-        else:
-            print(f"ok   {args.ledger}: {count} ledger record(s) conform "
-                  "to ledger.schema.json")
     if args.events:
         try:
             count = validate_events(args.events)

@@ -65,9 +65,9 @@ def record_result(result: SchemeResult) -> SchemeResult:
     ``scheme.replays`` (and friends) labelled by scheme name.  Free when
     telemetry is off: one ``enabled()`` check, no allocation.  The
     counters are schedule-dependent (serial runs memoise scheme sweeps
-    across experiments; parallel workers re-simulate per task), so the
-    ledger carries them in its ``domain`` section, outside the
-    determinism-view drift gate.
+    across experiments; parallel workers re-simulate per task), so
+    ``metrics.json`` carries them but the determinism view leaves them
+    out.
     """
     if not obs.enabled():
         return result

@@ -26,9 +26,6 @@ Examples::
     python -m repro.experiments all --fast --chaos-fail fig3_9   # self-test
     python -m repro.experiments all --fast --jobs 4 \
         --metrics-out metrics.json --trace-out trace.json  # telemetry
-    python -m repro.experiments all --fast --ledger-dir .ledger  # history
-    python -m repro.experiments ledger list --ledger-dir .ledger
-    python -m repro.experiments ledger html --ledger-dir .ledger
 
 With ``--metrics-out`` / ``--trace-out`` / ``--profile`` the run is
 instrumented end to end (see :mod:`repro.obs`): counters, gauges and
@@ -36,12 +33,6 @@ span histograms merge across workers into ``metrics.json``, every phase
 becomes a Chrome trace event viewable in Perfetto (``trace.json``), and
 ``--profile`` captures cProfile stats for the slowest spans.  A summary
 table of the hottest spans prints at the end of the run.
-
-With ``--ledger-dir`` the merged telemetry of the run is additionally
-distilled into one append-only run-ledger record (git revision, config
-digest, determinism-view counters, per-experiment wall-clock, headline
-figure outputs); the ``ledger {record,list,diff,html}`` subcommands
-inspect that history and render the self-contained HTML dashboard.
 """
 
 from __future__ import annotations
@@ -121,22 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-run a failed experiment up to N extra times",
     )
     runtime.add_argument(
-        "--retry-backoff-s",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="base of the exponential inter-retry backoff with "
-        "deterministic jitter (0 = retry immediately; default: 0)",
-    )
-    runtime.add_argument(
-        "--claim-stale-s",
-        type=float,
-        default=600.0,
-        metavar="S",
-        help="checkpoint claims older than this are presumed orphaned "
-        "and broken (default: 600)",
-    )
-    runtime.add_argument(
         "--timeout-s",
         type=float,
         metavar="S",
@@ -189,11 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="how many slowest spans keep their profiles (default: 5)",
     )
     telemetry.add_argument(
-        "--ledger-dir",
-        metavar="DIR",
-        help="append one run-ledger record here (see 'ledger --help')",
-    )
-    telemetry.add_argument(
         "--events-out",
         metavar="PATH",
         help="append the structured lifecycle event stream (JSONL) here; "
@@ -215,17 +185,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# kept as an alias: ledger_cli and older callers import it from here
-_atomic_write_text = atomic_write_text
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "ledger":
-        from repro.experiments.ledger_cli import ledger_main
-
-        return ledger_main(argv[1:])
     if argv and argv[0] == "qa":
         from repro.qa.cli import qa_main
 
@@ -258,10 +220,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--timeout-s must be positive")
     if args.jobs < 0:
         parser.error("--jobs must be >= 0")
-    if args.retry_backoff_s < 0:
-        parser.error("--retry-backoff-s must be >= 0")
-    if args.claim_stale_s <= 0:
-        parser.error("--claim-stale-s must be positive")
     if args.profile_top < 1:
         parser.error("--profile-top must be >= 1")
     jobs = args.jobs or default_jobs()
@@ -285,17 +243,14 @@ def main(argv: list[str] | None = None) -> int:
         audit_policy = audit.SamplePolicy(args.audit_policy).text
     except ValueError as exc:
         parser.error(str(exc))
-    # Metrics are on iff any metrics flag was given (--ledger-dir counts:
-    # a ledger record is built from the merged metrics document).  The
-    # cycle audit never implies metrics and never feeds back into the
-    # report (byte-identity audit on/off).  Telemetry is installed
-    # before the store so checkpoint counters are captured.
-    metrics_on = bool(
-        args.metrics_out or args.trace_out or args.profile or args.ledger_dir
-    )
+    # Metrics are on iff any metrics flag was given.  The cycle audit
+    # never implies metrics and never feeds back into the report
+    # (byte-identity audit on/off).  Telemetry is installed before the
+    # store so checkpoint counters are captured.
+    metrics_on = bool(args.metrics_out or args.trace_out or args.profile)
     # Every instrumented run gets a trace id: it stamps spans, rides the
     # WorkerSpec into every worker, tags each structured event, and
-    # lands in the ledger record — one key linking all the run's
+    # heads the audit stream — one key linking all the run's
     # artefacts.  Workers flush their shards into one directory the
     # merge reads back.
     instrumented = bool(metrics_on or args.events_out or args.audit_out)
@@ -354,11 +309,9 @@ def main(argv: list[str] | None = None) -> int:
         resume=not args.no_resume,
         retries=args.retries,
         timeout_s=args.timeout_s,
-        retry_backoff_s=args.retry_backoff_s,
         chaos_fail=tuple(args.chaos_fail),
         chaos_kill=tuple(args.chaos_kill),
         verbose=args.verbose,
-        claim_stale_s=args.claim_stale_s,
         telemetry=telemetry_spec,
     )
     backend = backend_for(jobs)
@@ -399,10 +352,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"events written to {args.events_out} "
               f"({telemetry.events.count} event(s))")
 
-    audit_rollup_doc = None
     audit_write_failed = False
     if merged.audit_runs is not None:
-        audit_rollup_doc = audit.audit_rollup(merged.audit_runs)
         try:
             audit.write_audit(
                 args.audit_out, merged.audit_runs,
@@ -414,7 +365,8 @@ def main(argv: list[str] | None = None) -> int:
                          args.audit_out, exc)
             print(f"[audit stream NOT written to {args.audit_out}: {exc}]")
         else:
-            records = audit_rollup_doc["records"]
+            records = sum(len(run["columns"]["decision"])
+                          for run in merged.audit_runs)
             print(f"audit stream written to {args.audit_out} "
                   f"({len(merged.audit_runs)} run(s), {records} record(s))")
 
@@ -445,30 +397,13 @@ def main(argv: list[str] | None = None) -> int:
         if not path or payload is None:
             continue
         try:
-            _atomic_write_text(path, payload)
+            atomic_write_text(path, payload)
         except OSError as exc:
             report_write_failed = True
             logger.error("could not write %s to %s: %s", label, path, exc)
             print(f"[{label} NOT written to {path}: {exc}]")
         else:
             print(f"{label} written to {path}")
-
-    if args.ledger_dir and metrics_doc is not None:
-        from repro.obs.ledger import RunLedger, build_record
-
-        try:
-            record = build_record(
-                report=report, metrics_doc=metrics_doc, config=config,
-                trace_id=trace_id, audit_doc=audit_rollup_doc,
-            )
-            RunLedger(args.ledger_dir).append(record)
-        except OSError as exc:
-            report_write_failed = True
-            logger.error("could not append ledger record: %s", exc)
-            print(f"[ledger record NOT written to {args.ledger_dir}: {exc}]")
-        else:
-            print(f"ledger record {record['run_id']} appended "
-                  f"in {args.ledger_dir}")
 
     print(report.summary_text())
     if metrics_doc is not None:

@@ -10,8 +10,8 @@ Thin argparse front-end over :mod:`repro.obs.audit`:
   ``--fixture`` runs the whole chain on the hand-computed forced-choke
   circuit from :mod:`repro.qa.circuits` (self-contained — the
   acceptance demo).
-* ``timeline`` — per-run bucketed decision-severity strings (the same
-  strings the ledger dashboard panel shows).
+* ``timeline`` — per-run bucketed decision-severity strings: where in
+  the trace each run's worst decisions fell.
 * ``export`` — Perfetto trace of a stream (instant events per decision
   plus a cumulative penalty counter track).
 """
@@ -281,7 +281,7 @@ def audit_main(argv: list[str]) -> int:
             return _cmd_timeline(args)
         return _cmd_export(args)
     except BrokenPipeError:
-        # `audit ... | head` is legitimate; die quietly like `ledger`.
+        # `audit ... | head` is legitimate; die quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
 

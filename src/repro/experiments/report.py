@@ -37,7 +37,7 @@ class Table:
                 text = str(value)
             # Keep one cell = one visual cell: escape the column
             # separator and embedded newlines so a hostile benchmark
-            # name (or a ledger run id) cannot shear the table.
+            # name cannot shear the table.
             return text.replace("|", "\\|").replace("\n", "\\n").replace("\r", "\\r")
 
         def numeric(index: int) -> bool:

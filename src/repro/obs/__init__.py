@@ -31,7 +31,6 @@ import os
 from typing import Any
 
 from repro.obs import audit
-from repro.obs.dashboard import render_dashboard
 from repro.obs.events import (
     EVENT_KINDS,
     EVENTS_VERSION,
@@ -39,13 +38,6 @@ from repro.obs.events import (
     format_event,
     iter_events,
     read_events,
-)
-from repro.obs.ledger import (
-    LEDGER_FILENAME,
-    LEDGER_VERSION,
-    RunLedger,
-    build_record,
-    headline_metrics,
 )
 from repro.obs.merge import (
     SCHEDULE_DEPENDENT_PREFIXES,
@@ -71,19 +63,15 @@ from repro.obs.telemetry import (
     TelemetrySpec,
     new_trace_id,
 )
-from repro.obs.trends import detect_drift, diff_records, flatten, history, robust_z
 
 __all__ = [
     "EVENT_KINDS",
     "EVENTS_VERSION",
     "EventLog",
     "Histogram",
-    "LEDGER_FILENAME",
-    "LEDGER_VERSION",
     "MergedTelemetry",
     "MetricsRegistry",
     "NullSpan",
-    "RunLedger",
     "SCHEDULE_DEPENDENT_PREFIXES",
     "SHARD_VERSION",
     "Span",
@@ -91,20 +79,14 @@ __all__ = [
     "TelemetryRecorder",
     "TelemetrySpec",
     "active",
-    "build_record",
     "determinism_view",
-    "detect_drift",
-    "diff_records",
     "emit",
     "enabled",
     "ensure_worker",
     "events_enabled",
-    "flatten",
     "flush_worker",
     "format_event",
     "gauge",
-    "headline_metrics",
-    "history",
     "inc",
     "install",
     "iter_events",
@@ -117,8 +99,6 @@ __all__ = [
     "quantile",
     "read_events",
     "recent_events",
-    "render_dashboard",
-    "robust_z",
     "scan_shards",
     "span",
     "summary_table",

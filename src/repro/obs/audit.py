@@ -474,7 +474,7 @@ def load_audit(path: str) -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# replay / export / rollup
+# replay / export
 # ----------------------------------------------------------------------
 
 def replay_counters(run: dict[str, Any]) -> dict[str, Any]:
@@ -599,7 +599,7 @@ _TIMELINE_SEVERITY: tuple[tuple[int, str], ...] = (
     (DEC_UNDER_STALL, "U"),
 )
 
-#: width of the dashboard/ledger timeline strings, in buckets.
+#: width of the ``audit timeline`` strings, in buckets.
 TIMELINE_BUCKETS = 96
 
 
@@ -622,39 +622,6 @@ def decision_timeline(run: dict[str, Any], buckets: int = TIMELINE_BUCKETS) -> s
             severity[bucket] = level
             glyphs[bucket] = glyph[code]
     return "".join(glyphs)
-
-
-def audit_rollup(runs: list[dict[str, Any]]) -> dict[str, Any]:
-    """Per-scheme decision rollup for the run-ledger ``audit`` section."""
-    schemes: dict[str, dict[str, Any]] = {}
-    policy = ""
-    records = 0
-    for run in runs:
-        policy = policy or str(run.get("policy", ""))
-        columns = run["columns"]
-        records += len(columns["decision"])
-        if run.get("kind") != "scheme":
-            continue
-        entry = schemes.setdefault(str(run["scheme"]), {
-            "records": 0, "detect": 0, "predict": 0, "false_positive": 0,
-            "avoid": 0, "under_stall": 0, "penalty_cycles": 0, "timeline": "",
-        })
-        decision = columns["decision"]
-        entry["records"] += len(decision)
-        entry["detect"] += int((decision == DEC_DETECT).sum())
-        entry["predict"] += int((decision == DEC_PREDICT_HIT).sum())
-        entry["false_positive"] += int((decision == DEC_FALSE_POSITIVE).sum())
-        entry["avoid"] += int((decision == DEC_AVOID).sum())
-        entry["under_stall"] += int((decision == DEC_UNDER_STALL).sum())
-        entry["penalty_cycles"] += int(columns["penalty"].sum())
-        if not entry["timeline"]:
-            entry["timeline"] = decision_timeline(run)
-    return {
-        "policy": policy,
-        "runs": len(runs),
-        "records": records,
-        "schemes": {name: schemes[name] for name in sorted(schemes)},
-    }
 
 
 # ----------------------------------------------------------------------

@@ -5,14 +5,14 @@ when, on which worker".  Every step of a run's lifecycle — start,
 scheduling, task start, resubmissions, crashes, results, end — becomes
 one JSON object appended to the run's ``--events-out`` file.
 
-Durability follows the run ledger exactly: each event is a single
+Durability comes from the write pattern: each event is a single
 ``write()`` of one newline-terminated line on an ``O_APPEND``
 descriptor, so concurrent writers (the coordinator plus fork workers
 sharing the inherited log) interleave whole lines, and a crash leaves
 at most one truncated final line, which :func:`read_events` tolerates.
-Unlike the ledger there is no per-event fsync — events are a telemetry
-stream, not the artefact of record, and must stay cheap enough to emit
-from scheduling hot paths.
+There is no per-event fsync — events are a telemetry stream, not the
+artefact of record, and must stay cheap enough to emit from scheduling
+hot paths.
 
 Every :class:`EventLog` also keeps a bounded in-memory **flight
 recorder** of the most recent events.  When the runtime blames a
@@ -130,8 +130,7 @@ def iter_events(path: str | os.PathLike) -> Iterator[dict[str, Any]]:
     """Parseable events in file order; malformed lines are skipped.
 
     In practice the only malformed line is a truncated tail from a
-    writer that died mid-append — replay must shrug it off, exactly
-    like :meth:`RunLedger.records`.
+    writer that died mid-append — replay must shrug it off.
     """
     try:
         text = Path(path).read_text()

@@ -39,9 +39,8 @@ from repro.obs.recorder import SHARD_VERSION
 #: ``choke.``, ``etrace.``) are excluded because serial runs memoise
 #: scheme sweeps across experiments while parallel workers rebuild a
 #: fresh context per task, so emission counts differ by schedule even
-#: though the science does not.  The run ledger still records the
-#: domain families, in its separate ``domain`` section.  The
-#: shared-memory hand-off families (``shm.``, ``runner.chips_``,
+#: though the science does not; ``metrics.json`` still carries them.
+#: The shared-memory hand-off families (``shm.``, ``runner.chips_``,
 #: ``pv.populations_``) only exist in fleet runs — serial runs
 #: fabricate the chip locally (``runner.chips_computed``) while fleets
 #: publish a population once and attach per worker — so the
@@ -52,7 +51,6 @@ SCHEDULE_DEPENDENT_PREFIXES = (
     "worker.",
     "prefetch.",
     "parallel.",
-    "executor.backoff",
     "span.",
     "sta.",
     "runner.trace",
@@ -156,8 +154,8 @@ def trace_document(
 
     ``trace_id`` (when the run has one) rides in the top-level
     ``metadata`` object — Perfetto ignores unknown top-level keys, and
-    it lets tooling link a trace file back to its ledger record and
-    event stream.
+    it lets tooling link a trace file to the run's event and audit
+    streams.
     """
     doc: dict[str, Any] = {"traceEvents": events, "displayTimeUnit": "ms"}
     if trace_id:

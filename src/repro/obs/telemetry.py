@@ -11,7 +11,7 @@ under one name, ``shard-v<SHARD_VERSION>-<pid>-<tag>``: ``.json`` for
 metrics and spans, ``.npz`` for the decision columns.
 :meth:`~Telemetry.merge` folds the parent's channels and the shard
 directory into the run's documents.  Every run is identified by
-:func:`new_trace_id`, which stamps its spans, events and ledger record.
+:func:`new_trace_id`, which stamps its spans, events and audit stream.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ passed.  Two families:
   parallel fleet vs serial executor);
 * **invariant** — conservation laws that must hold on *any* input
   (scheme accounting identities, checkpoint round-trip/corruption
-  recovery, choke-event geometry, trend-statistics edge behaviour).
+  recovery, choke-event geometry).
 
 Mutation-visibility rule: anything a mutant may patch is called through
 its module namespace (``dta.cycle_timings``, ``choke.analyze_choke_event``,
@@ -26,7 +26,7 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,8 +41,6 @@ from repro.core.schemes import ocst as ocst_mod
 from repro.core.schemes import razor as razor_mod
 from repro.core.trident import controller as trident_mod
 from repro.obs import audit
-from repro.obs import trends
-from repro.obs.ledger import LEDGER_VERSION
 from repro.pv import chip as chip_mod
 from repro.pv.delaymodel import NTC, STC
 from repro.qa import circuits, scheme_reference, trace_reference
@@ -1054,67 +1052,6 @@ def _check_parallel_vs_serial(case: dict[str, int]) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# trend statistics
-# ----------------------------------------------------------------------
-
-def _ledger_record(index: int, counters: dict[str, float]) -> dict:
-    return {
-        "version": LEDGER_VERSION,
-        "run_id": f"run-{index:03d}",
-        "counters": counters,
-    }
-
-
-def _check_trends_invariants(case: dict[str, int]) -> list[str]:
-    rng = case_rng(case)
-    n = case["n"]
-    base = float(case["base"])
-    violations: list[str] = []
-
-    flat_records = [_ledger_record(i, {"alpha": base}) for i in range(n)]
-    findings = trends.detect_drift(flat_records)
-    if any(f["drifted"] for f in findings):
-        violations.append("an all-identical series must never drift")
-    for f in findings:
-        if f["metric"] == "counter.alpha" and f["z"] != 0.0:
-            violations.append("identical window must score z == 0")
-
-    if n >= 4:  # detect_drift needs min_history(=3) prior points
-        spiked = list(flat_records)
-        spiked[-1] = _ledger_record(n, {"alpha": base + max(1.0, base) * 1000.0})
-        spike_findings = trends.detect_drift(spiked)
-        entry = next(
-            (f for f in spike_findings if f["metric"] == "counter.alpha"), None
-        )
-        if entry is None or not entry["drifted"] or not math.isinf(entry["z"]):
-            violations.append("a spike over a constant window must drift with z=inf")
-
-    # NaN values are dropped at flatten time, never propagated.
-    noisy = _ledger_record(n + 1, {"alpha": base, "beta": math.nan})
-    flat = trends.flatten(noisy)
-    if "counter.beta" in flat:
-        violations.append("flatten must drop non-finite metric values")
-
-    # Self-diff is empty; disjoint metrics land in only_in_*, not zeros.
-    record_a = _ledger_record(0, {"alpha": base, "gamma": 1.0})
-    record_b = _ledger_record(1, {"alpha": base, "delta": 2.0})
-    self_diff = trends.diff_records(record_a, record_a)
-    if self_diff["changed"] or self_diff["counter_drift"]:
-        violations.append("diffing a record against itself must be empty")
-    cross = trends.diff_records(record_a, record_b)
-    if cross["only_in_a"] != ["counter.gamma"] or cross["only_in_b"] != ["counter.delta"]:
-        violations.append("disjoint metrics must be reported as only_in_a/only_in_b")
-
-    window = [float(rng.uniform(0, 100)) for _ in range(max(3, n))]
-    center = trends.median(window)
-    if trends.robust_z(center, window) != 0.0:
-        violations.append("the window median must score z == 0")
-    if trends.mad([5.0, 5.0, 5.0]) != 0.0:
-        violations.append("MAD of identical values must be 0")
-    return violations
-
-
-# ----------------------------------------------------------------------
 # choke-event geometry
 # ----------------------------------------------------------------------
 
@@ -1379,13 +1316,6 @@ ORACLES: dict[str, Oracle] = {
             },
             check=_check_checkpoint_store,
             cost=1.0,
-        ),
-        Oracle(
-            name="trends_invariants",
-            description="MAD drift/diff edge laws of the ledger trend engine",
-            params={"n": Param(2, 12), "base": Param(0, 1000), "seed": Param(0, 999_999)},
-            check=_check_trends_invariants,
-            cost=0.3,
         ),
         Oracle(
             name="choke_detection",

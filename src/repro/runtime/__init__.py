@@ -12,15 +12,12 @@ reproduction harness itself:
 * :mod:`repro.runtime.backends` — the two executor backends (inproc
   serial reference, procpool fan-out) behind one bit-identical
   contract, chosen by ``--jobs``.
-* :mod:`repro.runtime.backoff` — exponential backoff with deterministic
-  seeded jitter for experiment retries.
 * :mod:`repro.runtime.chaos` — deliberate fault injection (experiment
   and store faults) so tests can prove the layers above degrade
   gracefully.
 * :mod:`repro.runtime.log` — shared structured logging.
 """
 
-from repro.runtime.backoff import backoff_delay, jitter_fraction
 from repro.runtime.checkpoint import (
     CheckpointStore,
     StoreStats,
@@ -55,9 +52,7 @@ __all__ = [
     "StoreStats",
     "WorkerSpec",
     "artefact_key",
-    "backoff_delay",
     "config_fingerprint",
-    "jitter_fraction",
     "configure_logging",
     "default_jobs",
     "get_logger",

@@ -63,7 +63,6 @@ class InprocBackend(ExecutorBackend):
             ctx,
             retries=spec.retries,
             timeout_s=spec.timeout_s,
-            retry_backoff_s=spec.retry_backoff_s,
             resolve=started,
             on_outcome=finished,
         )

@@ -25,7 +25,6 @@ from typing import Callable, Sequence
 
 from repro import obs
 from repro.experiments.report import ExperimentResult
-from repro.runtime.backoff import backoff_delay
 from repro.runtime.checkpoint import config_fingerprint
 from repro.runtime.log import get_logger
 
@@ -151,14 +150,8 @@ def run_supervised(
     ctx,
     retries: int = 0,
     timeout_s: float | None = None,
-    retry_backoff_s: float = 0.0,
 ) -> RunOutcome:
     """Run one experiment, converting any exception into a FailureRecord.
-
-    ``retry_backoff_s`` > 0 sleeps between attempts with an
-    exponentially growing, deterministically jittered delay (seeded by
-    experiment id and attempt), so a fleet retrying a shared-resource
-    failure never stampedes it in lockstep.
 
     ``KeyboardInterrupt`` and ``SystemExit`` are deliberately NOT
     contained — the user aborting the whole run must still work.
@@ -173,16 +166,6 @@ def run_supervised(
             obs.inc("experiment.attempts")
             if attempt > 1:
                 obs.inc("experiment.retries")
-                delay = backoff_delay(
-                    attempt - 1, retry_backoff_s, seed=(experiment_id, attempt)
-                )
-                if delay > 0.0:
-                    obs.inc("executor.backoff_s", delay)
-                    logger.info(
-                        "%s backing off %.3fs before attempt %d",
-                        experiment_id, delay, attempt,
-                    )
-                    time.sleep(delay)
             try:
                 result = _call_with_timeout(fn, ctx, timeout_s)
             except (KeyboardInterrupt, SystemExit):
@@ -236,7 +219,6 @@ def run_many(
     ctx,
     retries: int = 0,
     timeout_s: float | None = None,
-    retry_backoff_s: float = 0.0,
     resolve: Callable[[str], Callable] | None = None,
     on_outcome: Callable[[RunOutcome], None] | None = None,
 ) -> RunReport:
@@ -254,7 +236,6 @@ def run_many(
         outcome = run_supervised(
             experiment_id, resolve(experiment_id), ctx,
             retries=retries, timeout_s=timeout_s,
-            retry_backoff_s=retry_backoff_s,
         )
         report.outcomes.append(outcome)
         if on_outcome is not None:

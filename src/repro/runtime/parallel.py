@@ -86,8 +86,6 @@ class WorkerSpec:
     resume: bool = True
     retries: int = 0
     timeout_s: float | None = None
-    #: base of the exponential inter-retry backoff (0 = retry immediately)
-    retry_backoff_s: float = 0.0
     chaos_fail: tuple[str, ...] = ()
     chaos_kill: tuple[str, ...] = ()
     chaos_slow: tuple[tuple[str, float], ...] = ()
@@ -202,7 +200,6 @@ def _run_experiment_task(
                 ctx,
                 retries=spec.retries,
                 timeout_s=spec.timeout_s,
-                retry_backoff_s=spec.retry_backoff_s,
             )
         stats = ctx.store.stats.as_dict() if ctx.store is not None else None
         return outcome, stats

@@ -1,6 +1,6 @@
-"""Tests for the executor backends: backoff determinism, cross-host
-claims, the ``--jobs`` backend choice, and the bit-identical-report
-contract between inproc and procpool.
+"""Tests for the executor backends: cross-host claims, the ``--jobs``
+backend choice, and the bit-identical-report contract between inproc
+and procpool.
 """
 
 from __future__ import annotations
@@ -11,13 +11,12 @@ import os
 import socket
 import subprocess
 import sys
-import time
 from dataclasses import replace
 
 import pytest
 
 from repro.experiments import FAST_CONFIG
-from repro.runtime import CheckpointStore, WorkerSpec, backoff_delay, jitter_fraction
+from repro.runtime import CheckpointStore, WorkerSpec
 from repro.runtime.backends import InprocBackend, ProcpoolBackend, backend_for
 
 TINY = replace(FAST_CONFIG, cycles=200)
@@ -49,58 +48,6 @@ def report_digest(report) -> str:
             }
         rows.append(row)
     return json.dumps(rows, sort_keys=True)
-
-
-# ----------------------------------------------------------------------
-# backoff: deterministic, exponential, capped
-# ----------------------------------------------------------------------
-
-def test_backoff_is_deterministic_and_seed_sensitive():
-    a = backoff_delay(2, 0.1, seed=("fig3_4",))
-    assert a == backoff_delay(2, 0.1, seed=("fig3_4",))
-    assert a != backoff_delay(2, 0.1, seed=("fig4_8",))
-
-
-def test_backoff_envelope_doubles_and_caps():
-    base = 0.1
-    for attempt in range(1, 8):
-        delay = backoff_delay(attempt, base, cap_s=1.0, seed=("x",))
-        envelope = min(1.0, base * 2 ** (attempt - 1))
-        assert envelope / 2 <= delay < envelope
-    assert backoff_delay(50, base, cap_s=1.0, seed=("x",)) < 1.0
-
-
-def test_backoff_disabled_and_jitter_range():
-    assert backoff_delay(3, 0.0) == 0.0
-    assert backoff_delay(0, 1.0) == 0.0
-    for parts in (("a",), ("a", 1), (("h", 1234),)):
-        assert 0.0 <= jitter_fraction(*parts) < 1.0
-
-
-def test_executor_retries_apply_backoff(tmp_path, monkeypatch):
-    from repro.runtime import run_supervised
-    from repro.runtime.chaos import flaky_run
-
-    slept = []
-    monkeypatch.setattr(time, "sleep", lambda s: slept.append(s))
-
-    class Ctx:
-        config = TINY
-
-    def ok(ctx):
-        from repro.experiments.report import ExperimentResult
-
-        return ExperimentResult("t", "fine")
-
-    outcome = run_supervised(
-        "t", flaky_run(ok, failures=2), Ctx(),
-        retries=2, retry_backoff_s=0.1,
-    )
-    assert outcome.ok and outcome.attempts == 3
-    assert slept == [
-        backoff_delay(1, 0.1, seed=("t", 2)),
-        backoff_delay(2, 0.1, seed=("t", 3)),
-    ]
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ from repro.experiments.progress_cli import (
     render_summary,
     summarize_events,
 )
-from repro.obs.dashboard import _fleet_lanes
 from repro.obs.schema import check
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "schemas"
@@ -290,20 +289,18 @@ def test_procpool_traced_run_carries_the_trace_id_into_workers(tmp_path):
 
     # the parent's ``result`` events close the tasks the workers'
     # ``started`` events opened: no worker is left with an experiment
-    # in flight, and no lane draws a task still running
+    # in flight
     workers = summarize_events(events)["workers"]
     assert any(label.startswith("pid:") for label in workers)
     assert {label: row["inflight"] for label, row in workers.items() if row["inflight"]} == {}
     assert sum(row["completed"] for row in workers.values()) == 3
-    lanes = _fleet_lanes(events)
-    assert lanes.count('class="bar "') == 3 and 'class="bar open"' not in lanes
 
 
 @pytest_fork
 def test_procpool_cli_run_shows_only_pool_processes_as_workers(tmp_path):
     """A ``--jobs 2`` run's event stream names a worker only where a
-    task ran: the health table and the fleet lanes hold ``pid:N`` rows
-    and nothing else — no row for the backend that scheduled them."""
+    task ran: the health table holds ``pid:N`` rows and nothing
+    else — no row for the backend that scheduled them."""
     from repro.experiments.__main__ import main
 
     events_path = tmp_path / "events.jsonl"
@@ -316,4 +313,3 @@ def test_procpool_cli_run_shows_only_pool_processes_as_workers(tmp_path):
     workers = summarize_events(events)["workers"]
     assert workers and all(label.startswith("pid:") for label in workers)
     assert sum(row["completed"] for row in workers.values()) == 3
-    assert f"{len(workers)} worker(s)" in _fleet_lanes(events)

@@ -3,14 +3,18 @@
 Covers the guarantees the observability layer claims: near-zero cost
 while disabled, exact histogram quantiles, order-independent shard
 merging (the same ``metrics.json`` regardless of worker scheduling),
-Perfetto-loadable trace documents, opt-in span profiling, and the
-schema validator the CI telemetry job runs.
+Perfetto-loadable trace documents, opt-in span profiling, the schema
+validator the CI telemetry job runs, per-scheme domain counters from
+the scheme simulators, stale-shard skipping, the strict regression
+gate, and the table renderer's alignment/escaping.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import multiprocessing
+import os
 import time
 from pathlib import Path
 
@@ -18,11 +22,20 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.dcs import DcsScheme
+from repro.core.schemes.hfg import HfgScheme
+from repro.core.schemes.ocst import OcstScheme
+from repro.core.schemes.razor import RazorScheme
+from repro.core.trident.controller import TridentScheme
+from repro.experiments.report import Table
 from repro.obs import audit
 from repro.obs.metrics import MAX_HISTOGRAM_SAMPLES, Histogram, MetricsRegistry
+from repro.obs.recorder import SHARD_VERSION
 from repro.obs.schema import check, validate
+from tests.util import synthetic_error_trace
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "schemas"
+REPO = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = REPO / "benchmarks" / "schemas"
 
 
 def load_schema(name: str) -> dict:
@@ -460,3 +473,137 @@ def test_cli_profile_writes_slowest_spans(tmp_path, capsys):
     text = profile.read_text()
     assert "== profile 1/" in text
     assert "cumulative" in text
+
+
+# ----------------------------------------------------------------------
+# domain counters from the scheme simulators
+# ----------------------------------------------------------------------
+
+def test_schemes_emit_labelled_domain_counters():
+    recorder = obs.install(obs.Telemetry(obs.TelemetrySpec(metrics=True))).recorder
+    err_class = np.array([0, 2, 0, 3, 1, 2, 0, 0], dtype=np.int8)
+    trace = synthetic_error_trace(err_class)
+    schemes = [
+        RazorScheme(),
+        HfgScheme(),
+        OcstScheme(),
+        DcsScheme("icslt"),
+        TridentScheme(),
+    ]
+    for scheme in schemes:
+        result = scheme.simulate(trace)
+        assert result.scheme == scheme.name
+    counters = recorder.metrics.snapshot()["counters"]
+    for scheme in schemes:
+        label = f"{{scheme={scheme.name}}}"
+        assert counters[f"scheme.runs{label}"] == 1
+        assert f"scheme.errors{label}" in counters
+        assert f"scheme.rollbacks{label}" in counters
+        assert f"scheme.replays{label}" in counters
+    # spot-check semantics: Razor rolls back on every max violation,
+    # HFG avoids them all by stretching the guardband
+    assert counters["scheme.rollbacks{scheme=Razor}"] == 3
+    assert counters["scheme.errors{scheme=Razor}"] == 3
+    assert counters["scheme.rollbacks{scheme=HFG}"] == 0
+    assert counters["scheme.predicted{scheme=HFG}"] == 3
+    # Trident sees the consecutive error too
+    assert counters["scheme.ce_count{scheme=Trident}"] == 1
+
+
+def test_schemes_are_silent_when_telemetry_off():
+    trace = synthetic_error_trace(np.array([0, 2, 0], dtype=np.int8))
+    result = RazorScheme().simulate(trace)
+    assert result.errors_total == 1
+    assert not obs.enabled()
+
+
+# ----------------------------------------------------------------------
+# stale shard detection (reused telemetry dirs)
+# ----------------------------------------------------------------------
+
+def test_scan_shards_skips_stale_and_counts_them(tmp_path):
+    telemetry = obs.Telemetry(obs.TelemetrySpec(metrics=True, shard_dir=str(tmp_path)))
+    telemetry.recorder.metrics.inc("experiment.ok")
+    telemetry.flush()
+    (shard,) = tmp_path.glob("shard-*.json")
+    assert shard.name.startswith(f"shard-v{SHARD_VERSION}-{os.getpid()}-")
+
+    doc = telemetry.recorder.snapshot_doc()
+    # legacy unversioned filename from an older schema
+    (tmp_path / "shard-4242-1.json").write_text(json.dumps(doc))
+    # foreign schema version in the filename
+    (tmp_path / f"shard-v{SHARD_VERSION + 1}-77-1.json").write_text(json.dumps(doc))
+    # filename/header pid mismatch (leftover renamed across runs)
+    mismatched = dict(doc, pid=doc["pid"] + 1)
+    (tmp_path / f"shard-v{SHARD_VERSION}-{doc['pid']}-2.json").write_text(
+        json.dumps(mismatched)
+    )
+    # corrupt shard (a writer died mid-write): stale under the same rule
+    (tmp_path / f"shard-v{SHARD_VERSION}-55-3.json").write_text("{trunc")
+
+    docs, stale = obs.scan_shards(tmp_path)
+    assert len(docs) == 1 and docs[0]["pid"] == os.getpid()
+    assert stale == 4
+
+
+# ----------------------------------------------------------------------
+# check_regression: --strict gating
+# ----------------------------------------------------------------------
+
+def load_check_regression():
+    spec = importlib.util.spec_from_file_location(
+        "check_regression", REPO / "benchmarks" / "check_regression.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_check_regression_strict_gates_metric_drift(tmp_path):
+    cr = load_check_regression()
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps({"counters": {"experiment.ok": 2}, "histograms": {}}))
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(
+        json.dumps({"metrics": {"tolerance": 0.20, "counters": {"experiment.ok": 1}}})
+    )
+    args = [
+        "--metrics", str(metrics), "--baseline", str(baseline),
+        "--out", str(tmp_path / "report.json"),
+    ]
+    assert cr.main(args) == 0  # >20% drift warns by default
+    assert cr.main(args + ["--strict"]) == 1  # --strict turns it into a gate
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["strict"] is True
+
+
+# ----------------------------------------------------------------------
+# Table.render: numeric right-alignment and cell escaping
+# ----------------------------------------------------------------------
+
+def test_table_render_right_aligns_numeric_columns():
+    table = Table("t", ["name", "count"])
+    table.add_row("a", 5)
+    table.add_row("bb", 123)
+    lines = table.render().splitlines()
+    assert lines[1] == "name  count"
+    assert lines[3] == "a         5"
+    assert lines[4] == "bb      123"
+
+
+def test_table_render_keeps_text_columns_left_aligned():
+    table = Table("t", ["name", "mixed"])
+    table.add_row("a", 1)
+    table.add_row("b", "x")  # a non-numeric cell makes the column textual
+    lines = table.render().splitlines()
+    assert lines[3].startswith("a     1")
+    assert lines[4].startswith("b     x")
+
+
+def test_table_render_escapes_separators_and_newlines():
+    table = Table("t", ["name", "value"])
+    table.add_row("evil|benchmark", "line1\nline2")
+    rendered = table.render()
+    assert "evil\\|benchmark" in rendered
+    assert "line1\\nline2" in rendered
+    assert len(rendered.splitlines()) == 4  # title, header, rule, one row

@@ -25,7 +25,7 @@ from repro.qa.oracles import ORACLES, get_oracle
 from repro.qa.shrink import shrink_case
 
 REPO = Path(__file__).resolve().parent.parent
-FAST_ORACLES = ["classify_partition", "scheme_learning", "trends_invariants"]
+FAST_ORACLES = ["classify_partition", "scheme_learning", "choke_detection"]
 
 
 # ----------------------------------------------------------------------

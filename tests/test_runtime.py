@@ -314,10 +314,10 @@ def test_cli_rejects_unknown_chaos_target():
 
 
 def test_cli_out_written_atomically(tmp_path, monkeypatch):
-    from repro.experiments.__main__ import _atomic_write_text
+    from repro.experiments.reportio import atomic_write_text
 
     target = tmp_path / "report.txt"
-    _atomic_write_text(str(target), "complete report\n")
+    atomic_write_text(str(target), "complete report\n")
     assert target.read_text() == "complete report\n"
     assert list(tmp_path.iterdir()) == [target]  # no temp litter
 
@@ -327,7 +327,7 @@ def test_cli_out_written_atomically(tmp_path, monkeypatch):
 
     monkeypatch.setattr("os.replace", exploding_replace)
     with pytest.raises(OSError):
-        _atomic_write_text(str(target), "truncated repo")
+        atomic_write_text(str(target), "truncated repo")
     assert target.read_text() == "complete report\n"
     assert list(tmp_path.iterdir()) == [target]
 
