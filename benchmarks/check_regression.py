@@ -158,11 +158,11 @@ def diff_events(
 ) -> tuple[dict, list[str]]:
     """Per-kind event-count drift vs the baseline; informational only.
 
-    Event streams are schedule-dependent by design (steals depend on
-    queue-drain order, clock samples on heartbeat timing), so this
-    never gates — not even under ``--strict``.  Baselined kinds with a
-    zero expected count (resubmit/partition/crash/downgrade) warn on
-    *any* occurrence: they signal an unhealthy fleet, not drift.
+    Event streams are schedule-dependent by design (a resubmit depends
+    on which tasks were in flight when a worker died), so this never
+    gates — not even under ``--strict``.  Baselined kinds with a zero
+    expected count (resubmit/crash) warn on *any* occurrence: they
+    signal an unhealthy fleet, not drift.
     """
     try:
         from repro.obs.events import read_events
@@ -194,8 +194,7 @@ def diff_events(
                 f"events.{kind}: {measured} drifted {drift:+.0%} from "
                 f"baseline {expected} (tolerance {tolerance:.0%})"
             )
-    # un-baselined kinds (heartbeat/steal/clock...) are reported but
-    # never compared — their counts are pure scheduling noise
+    # a kind the baseline does not list is reported but never compared
     for kind in sorted(set(counts) - set(checked)):
         checked[kind] = {"baseline": None, "measured": counts[kind],
                          "drift": None}

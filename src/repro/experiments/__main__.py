@@ -12,9 +12,10 @@ With ``--jobs N`` (default: one per CPU) experiments fan out across a
 process pool: shared artefacts are prefetched in parallel through the
 checkpoint store, outcomes merge deterministically in submission order,
 and a killed worker degrades to a single failure record.  ``--jobs 1``
-forces the serial path on the in-process backend; anything wider runs
-on the process-pool backend.  Whatever the backend, the report is
-bit-identical.
+runs every experiment serially in this process; anything wider runs
+the process pool.  :func:`repro.runtime.backends.run_experiments` is
+the one place that choice is made, and whichever path runs, the report
+is bit-identical.
 
 Examples::
 
@@ -56,7 +57,7 @@ from repro.runtime import (
     configure_logging,
     default_jobs,
 )
-from repro.runtime.backends import backend_for
+from repro.runtime.backends import run_experiments
 from repro.runtime.log import get_logger
 
 logger = get_logger("cli")
@@ -294,18 +295,9 @@ def main(argv: list[str] | None = None) -> int:
                 f"{outcome.failure.message}]\n"
             )
 
-    # Fan-out backends rendezvous through a shared checkpoint store;
-    # without a user-provided one, an ephemeral store still lets
-    # workers share chips and error traces.  (The serial inproc
-    # backend only persists when the user asked for it.)
-    ephemeral_dir = None
-    checkpoint_dir = args.checkpoint_dir
-    if not checkpoint_dir and jobs != 1:
-        ephemeral_dir = tempfile.mkdtemp(prefix="repro-ckpt-")
-        checkpoint_dir = ephemeral_dir
     spec = WorkerSpec(
         config=config,
-        checkpoint_dir=checkpoint_dir,
+        checkpoint_dir=args.checkpoint_dir,
         resume=not args.no_resume,
         retries=args.retries,
         timeout_s=args.timeout_s,
@@ -314,17 +306,10 @@ def main(argv: list[str] | None = None) -> int:
         verbose=args.verbose,
         telemetry=telemetry_spec,
     )
-    backend = backend_for(jobs)
-    logger.info(
-        "running %d experiment(s) on the %s backend", len(ids), backend.name
-    )
-    obs.emit(
-        "run_start", backend=backend.name, jobs=jobs, experiments=len(ids)
-    )
     merged = obs.MergedTelemetry()
     try:
-        report, worker_stats = backend.run(
-            ids, spec, jobs=jobs, on_outcome=report_outcome
+        report, worker_stats = run_experiments(
+            ids, spec, jobs, on_outcome=report_outcome
         )
         obs.emit(
             "run_end",
@@ -337,8 +322,6 @@ def main(argv: list[str] | None = None) -> int:
         if telemetry is not None:
             merged = telemetry.merge()
     finally:
-        if ephemeral_dir is not None:
-            shutil.rmtree(ephemeral_dir, ignore_errors=True)
         if telemetry is not None:
             obs.uninstall()
         if shard_dir is not None:
@@ -414,9 +397,9 @@ def main(argv: list[str] | None = None) -> int:
         # folds every worker's counters in), else from the store stats.
         counts = store.stats.as_dict()
         if metrics_doc is not None:
-            merged = metrics_doc["counters"]
+            counters = metrics_doc["counters"]
             counts = {
-                name: int(merged.get(f"checkpoint.{name}", 0))
+                name: int(counters.get(f"checkpoint.{name}", 0))
                 for name in counts
             }
         print(

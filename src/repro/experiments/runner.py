@@ -76,8 +76,9 @@ class ExperimentContext:
         return _CORNERS[name]
 
     # ----------------------------------------------------------------
-    # shared-memory consumption (strictly an accelerator: any miss or
-    # shape mismatch falls back to local computation)
+    # shared-memory consumption: a chip the run's catalog holds is read
+    # before any store round-trip, so no worker claims, waits on or
+    # pickles it; any miss or shape mismatch falls back to the store
     # ----------------------------------------------------------------
     def _shared_chip(
         self, kind: str, seed: int, corner: str, buffered: bool, netlist: Netlist
@@ -151,14 +152,13 @@ class ExperimentContext:
             stage = self.stage(corner, buffered)
 
             def compute() -> ChipSample:
-                shared = self._shared_chip("stage", seed, corner, buffered, stage.netlist)
-                if shared is not None:
-                    return shared
                 with obs.span("runner.chip", seed=seed, corner=corner):
                     obs.inc("runner.chips_computed")
                     return stage.fabricate(seed=seed)
 
-            self._chips[key] = self._checkpointed("chip", key, compute)
+            self._chips[key] = self._shared_chip(
+                "stage", seed, corner, buffered, stage.netlist
+            ) or self._checkpointed("chip", key, compute)
         return self._chips[key]
 
     def alu_chip(self, seed: int, corner: str) -> ChipSample:
@@ -168,14 +168,13 @@ class ExperimentContext:
             alu, _ = self.bare_alu(corner)
 
             def compute() -> ChipSample:
-                shared = self._shared_chip("alu", seed, corner, True, alu.netlist)
-                if shared is not None:
-                    return shared
                 with obs.span("runner.alu_chip", seed=seed, corner=corner):
                     obs.inc("runner.chips_computed")
                     return fabricate_chip(alu.netlist, self.corner(corner), seed)
 
-            self._chips[key] = self._checkpointed("chip", key, compute)
+            self._chips[key] = self._shared_chip(
+                "alu", seed, corner, True, alu.netlist
+            ) or self._checkpointed("chip", key, compute)
         return self._chips[key]
 
     def trace(self, benchmark: str) -> InstructionTrace:
@@ -299,8 +298,9 @@ def prefetch_plan(
     (:meth:`ExperimentContext.error_trace`).  The plan is intentionally
     a *hint*: an under-estimate just means a worker computes the
     artefact itself through the claimed store, an over-estimate wastes
-    one pool slot.  Every error trace's chip is included, so the chip
-    phase fully feeds the trace phase.
+    one pool slot.  Every error trace's chip is included, so the chips
+    :func:`build_shared_artefacts` publishes feed every error-trace
+    task.
     """
     ids = set(experiment_ids)
     chips: dict[tuple, None] = {}  # insertion-ordered de-dup

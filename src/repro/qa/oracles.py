@@ -1008,9 +1008,8 @@ def _check_parallel_vs_serial(case: dict[str, int]) -> list[str]:
     from dataclasses import replace
 
     from repro.experiments.config import FAST_CONFIG
-    from repro.experiments.runner import ExperimentContext
-    from repro.runtime.executor import run_many
-    from repro.runtime.parallel import WorkerSpec, run_fleet
+    from repro.runtime.backends import run_experiments
+    from repro.runtime.parallel import WorkerSpec
 
     # fig3_4 (a real trace simulation) is always in; the mask mixes in
     # the cheap static-estimate experiments to vary the merge shape.
@@ -1020,10 +1019,11 @@ def _check_parallel_vs_serial(case: dict[str, int]) -> list[str]:
     )
     config = replace(FAST_CONFIG, cycles=case["cycles"])
 
-    serial = run_many(ids, ExperimentContext(config))
+    # both sides take the CLI's path: run_experiments at --jobs 1 and 2
+    serial, _stats = run_experiments(ids, WorkerSpec(config=config), 1)
     with tempfile.TemporaryDirectory(prefix="qa-fleet-") as tmp:
         spec = WorkerSpec(config=config, checkpoint_dir=os.path.join(tmp, "ckpt"))
-        fleet, _stats = run_fleet(ids, spec, jobs=2)
+        fleet, _stats = run_experiments(ids, spec, 2)
 
     violations: list[str] = []
     if len(serial.outcomes) != len(fleet.outcomes):

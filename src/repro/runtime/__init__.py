@@ -7,17 +7,20 @@ reproduction harness itself:
   crashing experiment never aborts the batch.
 * :mod:`repro.runtime.checkpoint` — checksum-verified on-disk store for
   expensive artefacts (chips, error traces) enabling checkpoint/resume.
-* :mod:`repro.runtime.parallel` — process-pool fan-out of artefacts and
-  experiments with deterministic merge and crash containment.
-* :mod:`repro.runtime.backends` — the two executor backends (inproc
-  serial reference, procpool fan-out) behind one bit-identical
-  contract, chosen by ``--jobs``.
+* :mod:`repro.runtime.parallel` — process-pool fan-out of error traces
+  and experiments with deterministic merge and crash containment, plus
+  the context builder and resolver every path sets experiments up with.
+* :mod:`repro.runtime.backends` — :func:`run_experiments`, the one run
+  path: serial in this process at ``jobs == 1``, else
+  :func:`~repro.runtime.backends.procpool.run_fleet` (shared-memory
+  chips, prefetch, fan-out); the report is bit-identical either way.
 * :mod:`repro.runtime.chaos` — deliberate fault injection (experiment
   and store faults) so tests can prove the layers above degrade
   gracefully.
 * :mod:`repro.runtime.log` — shared structured logging.
 """
 
+from repro.runtime.backends import run_experiments
 from repro.runtime.checkpoint import (
     CheckpointStore,
     StoreStats,
@@ -39,7 +42,6 @@ from repro.runtime.parallel import (
     WorkerSpec,
     default_jobs,
     prefetch_artefacts,
-    run_fleet,
     run_many_parallel,
 )
 
@@ -58,7 +60,7 @@ __all__ = [
     "get_logger",
     "prefetch_artefacts",
     "reset_logging",
-    "run_fleet",
+    "run_experiments",
     "run_many",
     "run_many_parallel",
     "run_supervised",

@@ -71,6 +71,15 @@ class RunOutcome:
     def ok(self) -> bool:
         return self.failure is None
 
+    @property
+    def status(self) -> str:
+        """``"ok"``, or the failure's kind (exception, timeout, crash)."""
+        return "ok" if self.failure is None else self.failure.kind
+
+
+#: the run summary's label per outcome status (anything else is FAIL)
+_SUMMARY_LABELS = {"ok": "ok", "timeout": "TIMEOUT", "crash": "CRASH"}
+
 
 @dataclass
 class RunReport:
@@ -99,14 +108,7 @@ class RunReport:
         lines = [f"== run summary: {passed}/{len(self.outcomes)} experiments ok =="]
         width = max((len(o.experiment_id) for o in self.outcomes), default=0)
         for outcome in self.outcomes:
-            if outcome.ok:
-                status = "ok"
-            elif outcome.failure is not None and outcome.failure.kind == "timeout":
-                status = "TIMEOUT"
-            elif outcome.failure is not None and outcome.failure.kind == "crash":
-                status = "CRASH"
-            else:
-                status = "FAIL"
+            status = _SUMMARY_LABELS.get(outcome.status, "FAIL")
             line = (
                 f"  {outcome.experiment_id.ljust(width)}  {status:<7}"
                 f"  {outcome.elapsed_s:7.1f}s"

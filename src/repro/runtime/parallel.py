@@ -1,11 +1,10 @@
-"""Process-pool fan-out for artefacts and whole experiments.
+"""Process-pool fan-out for error traces and whole experiments.
 
-The evaluation is embarrassingly parallel on two axes — chip
-fabrication across (seed, corner) and error-trace construction across
-(chip, benchmark) — and at the top level the 22 registered experiments
-are independent once those artefacts exist.  This module fans all three
-out across ``ProcessPoolExecutor`` workers while keeping every
-guarantee the serial runtime makes:
+Error-trace construction is embarrassingly parallel across (chip,
+benchmark), and the 22 registered experiments are independent once
+those artefacts exist.  This module fans both out across
+``ProcessPoolExecutor`` workers while keeping every guarantee the
+serial runtime makes:
 
 * **Determinism.**  Workers only ever *compute* artefacts that are pure
   functions of (config, key) and publish them through the shared
@@ -22,13 +21,15 @@ guarantee the serial runtime makes:
   ``--timeout-s``.  A worker that dies outright (SIGKILL, OOM,
   ``--chaos-kill``) breaks the pool; the orchestrator rebuilds the
   pool, re-runs tasks that never started, gives possibly-innocent
-  started tasks ``crash_retries`` more chances, and converts repeat
+  started tasks ``CRASH_RETRIES`` more chances, and converts repeat
   offenders into ``kind="crash"`` failure records — one murdered
   worker degrades to one failed experiment, never a dead run.
 
-The public entry point is :func:`run_fleet` (prefetch + fan-out), with
-:func:`prefetch_artefacts` and :func:`run_many_parallel` usable
-separately.
+:func:`repro.runtime.backends.procpool.run_fleet` chains the two
+halves (prefetch, then fan-out); :func:`prefetch_artefacts` and
+:func:`run_many_parallel` are usable separately.  The serial path
+shares this module's context builder and resolver, so both paths set
+up an experiment the same way.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+import shutil
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -50,6 +52,10 @@ from repro.runtime.executor import FailureRecord, RunOutcome, RunReport
 from repro.runtime.log import get_logger
 
 logger = get_logger("parallel")
+
+#: extra chances an unambiguously blamed task gets after killing its
+#: worker before it becomes a ``kind="crash"`` failure record
+CRASH_RETRIES = 1
 
 
 def default_jobs() -> int:
@@ -92,8 +98,6 @@ class WorkerSpec:
     verbose: int = 0
     #: parent-managed scratch dir for started-task markers
     scratch_dir: str | None = None
-    claim_stale_s: float = 600.0
-    claim_poll_s: float = 0.05
     #: which telemetry channels workers record, and their shard directory
     telemetry: obs.TelemetrySpec = obs.TelemetrySpec()
     #: shared-memory catalog of population artefacts (set by run_fleet;
@@ -102,24 +106,21 @@ class WorkerSpec:
 
 
 # ----------------------------------------------------------------------
-# worker side (top-level functions so the pool can pickle them)
+# experiment set-up, shared by the serial path and the pool workers
 # ----------------------------------------------------------------------
 
-def _worker_context(spec: WorkerSpec):
-    from repro.experiments.runner import ExperimentContext
-    from repro.runtime.log import configure
+def experiment_context(spec: WorkerSpec, claims: bool):
+    """The store plus :class:`ExperimentContext` a process runs experiments on.
 
-    configure(spec.verbose)
-    obs.ensure_worker(spec.telemetry)
+    ``claims`` turns on the store's claim files: pool workers need them
+    to single-flight a compute across processes, the serial path has no
+    one to race.
+    """
+    from repro.experiments.runner import ExperimentContext
+
     store = None
     if spec.checkpoint_dir:
-        store = CheckpointStore(
-            spec.checkpoint_dir,
-            resume=spec.resume,
-            claims=True,
-            claim_stale_s=spec.claim_stale_s,
-            claim_poll_s=spec.claim_poll_s,
-        )
+        store = CheckpointStore(spec.checkpoint_dir, resume=spec.resume, claims=claims)
     shared = None
     if spec.shm_catalog is not None:
         from repro.runtime.shm import ShmReader
@@ -130,7 +131,13 @@ def _worker_context(spec: WorkerSpec):
     return ExperimentContext(spec.config, store=store, shared=shared)
 
 
-def _worker_resolve(spec: WorkerSpec) -> Callable[[str], Callable]:
+def experiment_resolver(spec: WorkerSpec) -> Callable[[str], Callable]:
+    """Map an experiment id to its body, with the spec's chaos interposed.
+
+    ``chaos_kill`` swaps in an ``os._exit`` body, so the CLI refuses it
+    below ``--jobs 2``: in the serial path it would take the
+    coordinating process down.
+    """
     from repro.experiments.registry import get_experiment
     from repro.runtime.chaos import chaos_resolve, killed_run, slow_run
 
@@ -152,6 +159,18 @@ def _worker_resolve(spec: WorkerSpec) -> Callable[[str], Callable]:
             return body
 
     return resolve
+
+
+# ----------------------------------------------------------------------
+# worker side (top-level functions so the pool can pickle them)
+# ----------------------------------------------------------------------
+
+def _worker_context(spec: WorkerSpec):
+    from repro.runtime.log import configure
+
+    configure(spec.verbose)
+    obs.ensure_worker(spec.telemetry)
+    return experiment_context(spec, claims=True)
 
 
 def _mark_started(spec: WorkerSpec, experiment_id: str) -> None:
@@ -193,7 +212,7 @@ def _run_experiment_task(
     obs.emit("started", experiment=experiment_id, worker=f"pid:{os.getpid()}")
     try:
         with obs.span("worker.task", experiment=experiment_id):
-            resolve = _worker_resolve(spec)
+            resolve = experiment_resolver(spec)
             outcome = run_supervised(
                 experiment_id,
                 resolve(experiment_id),
@@ -208,26 +227,16 @@ def _run_experiment_task(
 
 
 def _prefetch_task(
-    spec: WorkerSpec, kind: str, part: tuple, submitted_ts: float | None = None
+    spec: WorkerSpec, part: tuple, submitted_ts: float | None = None
 ) -> dict[str, int] | None:
-    """Materialise one artefact into the shared store."""
+    """Materialise one batch of error traces into the shared store."""
     ctx = _worker_context(spec)
     _record_queue_wait(submitted_ts)
     try:
-        with obs.span("worker.prefetch", kind=kind, part=repr(part)):
+        with obs.span("worker.prefetch", kind="etrace_batch", part=repr(part)):
             obs.inc("prefetch.tasks")
-            if kind == "chip":
-                chip_kind, seed, corner, buffered = part
-                if chip_kind == "alu":
-                    ctx.alu_chip(seed, corner)
-                else:
-                    ctx.chip(seed, corner, buffered)
-            elif kind == "etrace_batch":
-                benchmark, seeds, corner, buffered = part
-                ctx.error_traces_batch(benchmark, seeds, corner, buffered)
-            else:
-                benchmark, chip_seed, corner, buffered = part
-                ctx.error_trace(benchmark, chip_seed, corner, buffered)
+            benchmark, seeds, corner, buffered = part
+            ctx.error_traces_batch(benchmark, seeds, corner, buffered)
         return ctx.store.stats.as_dict() if ctx.store is not None else None
     finally:
         obs.flush_worker()
@@ -259,62 +268,58 @@ def _crash_outcome(
 def prefetch_artefacts(
     spec: WorkerSpec, experiment_ids: Sequence[str], jobs: int
 ) -> StoreStats:
-    """Fan the expensive artefacts out across workers ahead of the run.
+    """Fan the run's error traces out across workers ahead of the run.
 
-    Two barrier phases — chips, then the error traces that consume them
-    — each filling the shared checkpoint store.  Strictly best-effort: a
-    failed or crashed prefetch is only logged, because any experiment
-    can recompute its own artefacts through the claimed store.
+    One phase: each task times one (benchmark, corner, buffered) batch
+    of chips and fills the shared checkpoint store.  A task reads its
+    chips from the shared-memory catalog when the spec carries one and
+    computes them through the claimed store otherwise.  Strictly
+    best-effort: a failed or crashed prefetch is only logged, because
+    any experiment can recompute its own artefacts through the claimed
+    store.
     """
     from repro.experiments.runner import group_trace_specs, prefetch_plan
 
     stats = StoreStats()
     if not spec.checkpoint_dir:
         return stats  # nowhere shared to put artefacts
-    chips, traces = prefetch_plan(spec.config, experiment_ids)
+    _, traces = prefetch_plan(spec.config, experiment_ids)
     # Traces sharing (benchmark, corner, buffered) collapse into one
     # batch-kernel task timing all their chips at once.
-    trace_batches = group_trace_specs(traces)
-    for phase, parts in (("chip", chips), ("etrace_batch", trace_batches)):
-        if not parts:
-            continue
-        logger.info("prefetching %d %s artefact(s)", len(parts), phase)
-        try:
-            with obs.span("parallel.prefetch", phase=phase, parts=len(parts)), \
-                    ProcessPoolExecutor(
-                        max_workers=min(jobs, len(parts)),
-                        mp_context=_mp_context(),
-                    ) as pool:
-                futures = [
-                    pool.submit(
-                        _prefetch_task, spec, phase, part, time.perf_counter()
-                    )
-                    for part in parts
-                ]
-                for future in as_completed(futures):
-                    try:
-                        worker_stats = future.result()
-                    except BrokenProcessPool:
-                        raise
-                    except Exception as exc:
-                        logger.warning("prefetch task failed: %s", exc)
-                    else:
-                        if worker_stats:
-                            stats.merge(worker_stats)
-        except BrokenProcessPool:
-            logger.warning(
-                "prefetch pool died; experiments will compute artefacts on demand"
-            )
-            return stats
+    batches = group_trace_specs(traces)
+    if not batches:
+        return stats
+    logger.info("prefetching %d error-trace batch(es)", len(batches))
+    span = obs.span("parallel.prefetch", phase="etrace_batch", parts=len(batches))
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(batches)), mp_context=_mp_context())
+    try:
+        with span, pool:
+            futures = [
+                pool.submit(_prefetch_task, spec, part, time.perf_counter())
+                for part in batches
+            ]
+            for future in as_completed(futures):
+                try:
+                    worker_stats = future.result()
+                except BrokenProcessPool:
+                    raise
+                except Exception as exc:
+                    logger.warning("prefetch task failed: %s", exc)
+                else:
+                    if worker_stats:
+                        stats.merge(worker_stats)
+    except BrokenProcessPool:
+        logger.warning(
+            "prefetch pool died; experiments will compute artefacts on demand"
+        )
     return stats
 
 
 def run_many_parallel(
     experiment_ids: Sequence[str],
     spec: WorkerSpec,
-    jobs: int | None = None,
+    jobs: int,
     on_outcome: Callable[[RunOutcome], None] | None = None,
-    crash_retries: int = 1,
 ) -> tuple[RunReport, StoreStats]:
     """Supervise a batch across worker processes.
 
@@ -327,7 +332,6 @@ def run_many_parallel(
     Returns the report plus the workers' merged store statistics.
     """
     ids = list(experiment_ids)
-    jobs = jobs or default_jobs()
     outcomes: dict[str, RunOutcome] = {}
     crashes = dict.fromkeys(ids, 0)
     stats = StoreStats()
@@ -391,7 +395,7 @@ def run_many_parallel(
                     outcomes[eid] = outcome
                     obs.emit(
                         "result", experiment=eid,
-                        status="ok" if outcome.ok else outcome.failure.kind,
+                        status=outcome.status,
                         elapsed_s=round(outcome.elapsed_s, 3),
                     )
                     flush()
@@ -423,7 +427,7 @@ def run_many_parallel(
                     for eid in unfinished:
                         if eid in blamed:
                             crashes[eid] += 1
-                            if crashes[eid] > crash_retries:
+                            if crashes[eid] > CRASH_RETRIES:
                                 outcomes[eid] = _crash_outcome(
                                     eid, spec,
                                     "worker process died"
@@ -434,11 +438,11 @@ def run_many_parallel(
                                 continue
                             logger.warning(
                                 "worker running %s died; retrying (%d/%d)",
-                                eid, crashes[eid], crash_retries,
+                                eid, crashes[eid], CRASH_RETRIES,
                             )
                             obs.emit(
                                 "resubmit", experiment=eid,
-                                reason=f"worker died ({crashes[eid]}/{crash_retries})",
+                                reason=f"worker died ({crashes[eid]}/{CRASH_RETRIES})",
                             )
                             # a repeat offender re-runs quarantined
                             isolate.append(eid)
@@ -447,66 +451,9 @@ def run_many_parallel(
             else:
                 pending.extend(unfinished)
     finally:
-        for marker in scratch.glob("started-*"):
-            try:
-                marker.unlink()
-            except OSError:
-                pass
-        try:
-            scratch.rmdir()
-        except OSError:
-            pass
+        shutil.rmtree(scratch, ignore_errors=True)
 
     report = RunReport()
     report.outcomes.extend(outcomes[eid] for eid in ids)
     return report, stats
 
-
-def run_fleet(
-    experiment_ids: Sequence[str],
-    spec: WorkerSpec,
-    jobs: int | None = None,
-    on_outcome: Callable[[RunOutcome], None] | None = None,
-    crash_retries: int = 1,
-) -> tuple[RunReport, StoreStats]:
-    """Prefetch shared artefacts, then fan the experiments out.
-
-    The convenience wrapper the CLI uses for ``--jobs > 1``.  The parent
-    fabricates the run's chip populations once, publishes them to
-    shared-memory segments, and ships only the catalog inside the
-    :class:`WorkerSpec` — workers attach zero-copy views instead of
-    pickling or recomputing whole chips.  The parent generates no
-    instruction trace: each error-trace worker generates its own.
-    Publishing is best-effort: on any failure the fleet runs exactly as
-    before, computing artefacts through the store.
-    """
-    from repro.experiments.runner import build_shared_artefacts
-
-    jobs = jobs or default_jobs()
-    obs.gauge("parallel.jobs", jobs)
-    stats = StoreStats()
-    publisher = None
-    try:
-        catalog, publisher = build_shared_artefacts(spec.config, experiment_ids)
-    except Exception as exc:
-        logger.warning(
-            "shared-memory publish failed (%s); workers will compute "
-            "artefacts locally", exc,
-        )
-    else:
-        if catalog is not None and len(catalog):
-            spec = dataclasses.replace(spec, shm_catalog=catalog)
-    try:
-        stats.merge(prefetch_artefacts(spec, experiment_ids, jobs))
-        with obs.span(
-            "parallel.fanout", experiments=len(experiment_ids), jobs=jobs
-        ):
-            report, run_stats = run_many_parallel(
-                experiment_ids, spec, jobs=jobs,
-                on_outcome=on_outcome, crash_retries=crash_retries,
-            )
-    finally:
-        if publisher is not None:
-            publisher.unlink()
-    stats.merge(run_stats)
-    return report, stats

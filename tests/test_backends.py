@@ -1,6 +1,6 @@
-"""Tests for the executor backends: cross-host claims, the ``--jobs``
-backend choice, and the bit-identical-report contract between inproc
-and procpool.
+"""Tests for the one run path: cross-host claims, the ``--jobs``
+dispatch of ``run_experiments``, and the bit-identical-report contract
+between its serial (inproc) and process-pool (procpool) paths.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments import FAST_CONFIG
-from repro.runtime import CheckpointStore, WorkerSpec
-from repro.runtime.backends import InprocBackend, ProcpoolBackend, backend_for
+from repro.runtime import CheckpointStore, WorkerSpec, parallel
+from repro.runtime.backends import procpool, run_experiments
 
 TINY = replace(FAST_CONFIG, cycles=200)
 
@@ -51,19 +51,37 @@ def report_digest(report) -> str:
 
 
 # ----------------------------------------------------------------------
-# backend choice and cross-backend bit-identity
+# the --jobs dispatch and bit-identity across it
 # ----------------------------------------------------------------------
 
-def test_backend_follows_jobs():
-    assert isinstance(backend_for(1), InprocBackend)
-    for jobs in (2, 4):
-        assert isinstance(backend_for(jobs), ProcpoolBackend)
+def test_run_experiments_dispatches_on_jobs(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("--jobs 1 started a process pool")
+
+    # serial: everything runs in this process, no pool is ever built
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        report, _ = run_experiments(["tab3_ovh"], tiny_spec(tmp_path / "a"), 1)
+    assert report.ok
+
+    # wider: the fleet runs, once, through the procpool module attribute
+    calls = []
+    real = procpool.run_fleet
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(procpool, "run_fleet", counted)
+    report, _ = run_experiments(["tab3_ovh", "tab4_ovh"], tiny_spec(tmp_path / "b"), 2)
+    assert report.ok
+    assert calls == [2]
 
 
 def test_inproc_and_procpool_reports_identical(tmp_path):
     ids = ["fig3_4", "tab3_ovh", "tab4_ovh"]
-    ref, _ = InprocBackend().run(ids, tiny_spec(tmp_path / "a"))
-    got, _ = ProcpoolBackend().run(ids, tiny_spec(tmp_path / "b"), jobs=2)
+    ref, _ = run_experiments(ids, tiny_spec(tmp_path / "a"), 1)
+    got, _ = run_experiments(ids, tiny_spec(tmp_path / "b"), 2)
     assert report_digest(ref) == report_digest(got)
 
 
@@ -111,3 +129,19 @@ def test_cli_explicit_backend_selection(tmp_path, capsys):
     assert main([*argv, "--jobs", "1", "--out", str(out_a)]) == 0
     assert main([*argv, "--jobs", "2", "--out", str(out_b)]) == 0
     assert out_a.read_text() == out_b.read_text()
+
+
+def test_procpool_shares_chips_through_memory_not_the_store(tmp_path, capsys):
+    # the published chip population feeds every worker directly: none
+    # is pickled into the checkpoint store, and the report is unchanged
+    from repro.experiments.__main__ import main
+
+    ckpt = tmp_path / "ckpt"
+    argv = ["fig3_4", "--fast", "--cycles", "200", "--format", "json"]
+    out_pool = tmp_path / "pool.json"
+    out_serial = tmp_path / "serial.json"
+    assert main([*argv, "--jobs", "2", "--checkpoint-dir", str(ckpt), "--out", str(out_pool)]) == 0
+    assert list(ckpt.glob("etrace-*.ckpt"))
+    assert not list(ckpt.glob("chip-*.ckpt"))
+    assert main([*argv, "--jobs", "1", "--out", str(out_serial)]) == 0
+    assert out_pool.read_text() == out_serial.read_text()

@@ -250,9 +250,9 @@ pytest_fork = pytest.mark.skipif(
 )
 
 
-@pytest_fork
-def test_procpool_traced_run_carries_the_trace_id_into_workers(tmp_path):
-    from repro.runtime.backends import ProcpoolBackend
+def _traced_run(tmp_path, jobs):
+    """Run three experiments through ``run_experiments`` with telemetry on."""
+    from repro.runtime.backends import run_experiments
     from tests.test_backends import tiny_spec
 
     trace_id = obs.new_trace_id()
@@ -266,31 +266,39 @@ def test_procpool_traced_run_carries_the_trace_id_into_workers(tmp_path):
         shard_dir=str(shard_dir),
     )))
     spec = tiny_spec(tmp_path, telemetry=telemetry.spec)
-    report, _ = ProcpoolBackend().run(
-        ["fig3_4", "tab3_ovh", "tab4_ovh"], spec, jobs=2
-    )
+    report, _ = run_experiments(["fig3_4", "tab3_ovh", "tab4_ovh"], spec, jobs)
     assert all(outcome.ok for outcome in report.outcomes)
 
-    # the workers' shards joined the parent's in one merged trace, and
-    # every span, the parent's and the workers', carries the run's id
+    # every span, the parent's and any worker's, carries the run's id,
+    # and every event line conforms to the checked-in schema
     merged = telemetry.merge()
     assert merged.trace["metadata"]["trace_id"] == trace_id
     spans = [e for e in merged.trace["traceEvents"] if e["ph"] == "X"]
-    assert len({e["pid"] for e in spans}) > 1
     assert all(e["args"].get("trace_id") == trace_id for e in spans)
-
-    # the event stream recorded the task lifecycle under the run's
-    # trace id, and every line conforms to the checked-in schema
     events = obs.read_events(events_path)
-    assert {"scheduled", "started", "result"} <= {e["kind"] for e in events}
+    assert {"run_start", "scheduled", "started", "result"} <= {e["kind"] for e in events}
     for index, event in enumerate(events):
         check(event, EVENTS_SCHEMA, label=f"event[{index}]")
         assert event["trace_id"] == trace_id
+    return spans, summarize_events(events)["workers"]
+
+
+def test_inproc_traced_run_names_one_inproc_worker(tmp_path):
+    spans, workers = _traced_run(tmp_path, jobs=1)
+    assert len({e["pid"] for e in spans}) == 1
+    assert list(workers) == ["inproc"]
+    assert workers["inproc"]["completed"] == 3 and not workers["inproc"]["inflight"]
+
+
+@pytest_fork
+def test_procpool_traced_run_carries_the_trace_id_into_workers(tmp_path):
+    # the workers' shards joined the parent's in one merged trace
+    spans, workers = _traced_run(tmp_path, jobs=2)
+    assert len({e["pid"] for e in spans}) > 1
 
     # the parent's ``result`` events close the tasks the workers'
     # ``started`` events opened: no worker is left with an experiment
     # in flight
-    workers = summarize_events(events)["workers"]
     assert any(label.startswith("pid:") for label in workers)
     assert {label: row["inflight"] for label, row in workers.items() if row["inflight"]} == {}
     assert sum(row["completed"] for row in workers.values()) == 3

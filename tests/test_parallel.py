@@ -288,7 +288,8 @@ def test_prefetch_plan_covers_selected_experiments():
     assert ("stage", TINY.ch3_chip_seed, "NTC", True) in chips
     assert ("stage", TINY.ch4_chip_seed, "NTC", True) in chips
     assert len(traces) == 2 * len(TINY.benchmarks)
-    # every trace's chip is staged by the chip phase
+    # every trace's chip is in the plan, so the shared-memory publish
+    # feeds every error-trace task
     chip_keys = {(seed, corner, buffered) for _, seed, corner, buffered in chips}
     for _, chip_seed, corner, buffered in traces:
         assert (chip_seed, corner, buffered) in chip_keys
