@@ -1,38 +1,21 @@
 #!/usr/bin/env python
-"""CI perf-regression gate.
+"""CI gates: perfbench against a base checkout, and the seed-hygiene lint.
 
-Merges the pytest-benchmark results and the parallel-scaling numbers
-into one ``BENCH_ci.json`` artifact, then compares the tier-1 smoke
-benchmarks against the committed baseline
-(``benchmarks/baseline.json``).  A benchmark whose mean wall-clock
-exceeds its baseline by more than the tolerance (default 30%) — or a
-baselined benchmark that silently stopped running — fails the job.
+The perf gate runs ``perfbench/run.py --trace 0`` on every workload in
+``BENCHMARK.json``, in this checkout and in a checkout of the base
+commit, in alternating pairs.  It fails if any run of this checkout is
+not ``correct`` (an op raised or an output digest moved), or if, for
+any ``end_to_end`` metric on any workload, this checkout's median is
+worse than the base's by more than the metric's ``bound``.  Workloads,
+metrics, directions and bounds all come from ``BENCHMARK.json``.
 
-With ``--metrics`` it additionally diffs key telemetry counters from a
-``metrics.json`` (written by ``--metrics-out``) against the baseline's
-``metrics`` section: checkpoint hit-rate, span wall-clock totals, and
-the pinned domain counters.  Metric drift beyond the tolerance
-(default 20%) only **warns** by default — counters drift for
-legitimate reasons (config changes, new instrumentation) far more
-often than they signal a regression, so they inform the reviewer
-instead of gating the merge.  With ``--strict`` any metric drifting
-beyond the tolerance fails the job, so CI can opt in per-job.
+The lint (``--lint``) needs no base checkout: it fails on builtin
+``hash()`` and unseeded ``random.*()`` call sites under ``--lint-root``.
 
-With ``--events PATH`` the per-kind event counts of an
-``events.jsonl`` (written by ``--events-out``) are diffed against the
-baseline's ``events.counts`` section.  Event streams are
-schedule-dependent by design (worker assignment varies run to run), so
-this check **never gates** — not even under ``--strict`` — it only
-flags fleets that stopped emitting lifecycle events or started
-emitting fault events (resubmit/crash) on a healthy-run baseline.
+Usage::
 
-Usage (mirrors the CI perf and telemetry jobs)::
-
-    python benchmarks/check_regression.py \\
-        --bench BENCH_bench.json --scaling BENCH_scaling.json \\
-        --baseline benchmarks/baseline.json --out BENCH_ci.json
-    python benchmarks/check_regression.py \\
-        --metrics metrics.json --out BENCH_telemetry.json
+    python benchmarks/check_regression.py ../base
+    python benchmarks/check_regression.py --lint
 """
 
 from __future__ import annotations
@@ -40,10 +23,21 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import os
+import statistics
+import subprocess
 import sys
 from pathlib import Path
 
+#: the checkout this script belongs to: the change under test
+REPO = Path(__file__).resolve().parent.parent
+
+#: base/change run pairs per workload; the gate compares their medians.
+#: With 3 pairs, two comparisons of identical trees read ``setup_s``
+#: 20% and 22% apart on a 2-core host, too near its 25% bound.
+PAIRS = 5
+
+#: ``--seconds`` of each perfbench run (its timed phase; set-up is extra)
+SECONDS = 3
 
 #: global-RNG functions whose call sites the lint flags; a seeded
 #: ``random.Random(seed)`` instance is the sanctioned alternative
@@ -99,147 +93,123 @@ def lint_seed_hygiene(root: str) -> list[str]:
     return findings
 
 
-def load_bench_means(path: str) -> dict[str, float]:
-    """name -> mean seconds from a pytest-benchmark JSON file."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    return {
-        bench["name"]: float(bench["stats"]["mean"])
-        for bench in payload.get("benchmarks", [])
-    }
-
-
-def telemetry_observations(metrics_path: str) -> dict[str, float]:
-    """Counters + derived values from a ``metrics.json`` worth diffing."""
-    with open(metrics_path) as handle:
-        doc = json.load(handle)
-    counters = doc.get("counters", {})
-    observed: dict[str, float] = dict(counters)
-    hits = counters.get("checkpoint.hits", 0)
-    misses = counters.get("checkpoint.misses", 0)
-    if hits + misses:
-        observed["derived.checkpoint_hit_rate"] = hits / (hits + misses)
-    observed["derived.span_total_s"] = sum(
-        entry.get("sum", 0.0)
-        for name, entry in doc.get("histograms", {}).items()
-        if name.startswith("span.") and name.endswith(".s")
+def run_perfbench(command: list[str], checkout: Path, workload: str) -> dict | None:
+    """One untraced perfbench run's result record, or None if it printed none."""
+    done = subprocess.run(
+        [*command, "--workload", workload, "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=checkout,
+        capture_output=True,
+        text=True,
     )
-    return observed
-
-
-def diff_metrics(
-    observed: dict[str, float], baseline_metrics: dict, tolerance: float
-) -> tuple[dict, list[str]]:
-    """Compare observed counters to the baseline; drift only warns."""
-    checked = {}
-    warnings = []
-    for name, expected in baseline_metrics.get("counters", {}).items():
-        measured = observed.get(name)
-        drift = None
-        if measured is not None and expected:
-            drift = (measured - expected) / expected
-        checked[name] = {
-            "baseline": expected,
-            "measured": round(measured, 6) if measured is not None else None,
-            "drift": round(drift, 4) if drift is not None else None,
-        }
-        if measured is None:
-            warnings.append(f"{name}: baselined metric not present in metrics.json")
-        elif drift is not None and abs(drift) > tolerance:
-            warnings.append(
-                f"{name}: {measured:g} drifted {drift:+.0%} from "
-                f"baseline {expected:g} (tolerance {tolerance:.0%})"
-            )
-    return checked, warnings
-
-
-def diff_events(
-    events_path: str, baseline_events: dict, tolerance: float
-) -> tuple[dict, list[str]]:
-    """Per-kind event-count drift vs the baseline; informational only.
-
-    Event streams are schedule-dependent by design (a resubmit depends
-    on which tasks were in flight when a worker died), so this never
-    gates — not even under ``--strict``.  Baselined kinds with a zero
-    expected count (resubmit/crash) warn on *any* occurrence: they
-    signal an unhealthy fleet, not drift.
-    """
+    lines = done.stdout.strip().splitlines()
     try:
-        from repro.obs.events import read_events
-    except ImportError:
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-        from repro.obs.events import read_events
+        record = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        record = None
+    if not isinstance(record, dict):
+        print(f"perfbench {workload} in {checkout} printed no result "
+              f"(exit {done.returncode}): {done.stderr.strip()[-2000:]}", file=sys.stderr)
+        return None
+    return record
 
-    counts: dict[str, int] = {}
-    for event in read_events(events_path):
-        kind = event.get("kind", "?")
-        counts[kind] = counts.get(kind, 0) + 1
-    checked = {}
-    warnings = []
-    for kind, expected in baseline_events.get("counts", {}).items():
-        measured = counts.get(kind, 0)
-        drift = (measured - expected) / expected if expected else None
-        checked[kind] = {
-            "baseline": expected,
-            "measured": measured,
-            "drift": round(drift, 4) if drift is not None else None,
-        }
-        if expected == 0 and measured:
-            warnings.append(
-                f"events.{kind}: {measured} event(s) on a run baselined "
-                f"at zero (fleet fault indicator)"
+
+def compare(benchmark: dict, base: dict, change: dict) -> tuple[list[str], list[str]]:
+    """Judge the change's runs against the base's: (report lines, failures).
+
+    ``base`` and ``change`` map a workload name to its run records, each
+    the JSON object on perfbench's last stdout line (None for a run that
+    printed no result).  A change run that is missing or not ``correct``
+    fails.  Each ``end_to_end`` metric compares medians over the runs
+    that reported it; a base without the metric (an older checkout) is
+    reported and not compared.
+    """
+    lines: list[str] = []
+    failures: list[str] = []
+    for workload in (entry["name"] for entry in benchmark["workloads"]):
+        change_runs = change.get(workload, [])
+        bad = sum(1 for run in change_runs if not (run and run.get("correct")))
+        if bad:
+            failures.append(f"{workload}: {bad} of {len(change_runs)} run(s) not correct")
+        for metric in benchmark["end_to_end"]:
+            name, bound = metric["name"], float(metric["bound"])
+            medians = []
+            for runs in (base.get(workload, []), change_runs):
+                values = [run["metrics"][name]["value"] for run in runs
+                          if run and name in run.get("metrics", {})]
+                medians.append(statistics.median(values) if values else None)
+            base_median, change_median = medians
+            label = f"{workload} {name}"
+            if change_median is None:
+                failures.append(f"{label}: not reported by this checkout")
+                continue
+            if base_median is None:
+                lines.append(f"  {label:<32s} {change_median:>12.6g}  (no base value)")
+                continue
+            if metric["better"] == "higher":
+                worse = base_median - change_median
+            else:
+                worse = change_median - base_median
+            if base_median:
+                worse /= abs(base_median)
+            elif worse > 0:
+                worse = float("inf")
+            status = "REGRESSED" if worse > bound else "ok"
+            lines.append(
+                f"  {label:<32s} {change_median:>12.6g} vs base {base_median:<12.6g} "
+                f"worse by {worse:+.1%} (bound {bound:.0%}) {status}"
             )
-        elif drift is not None and abs(drift) > tolerance:
-            warnings.append(
-                f"events.{kind}: {measured} drifted {drift:+.0%} from "
-                f"baseline {expected} (tolerance {tolerance:.0%})"
-            )
-    # a kind the baseline does not list is reported but never compared
-    for kind in sorted(set(counts) - set(checked)):
-        checked[kind] = {"baseline": None, "measured": counts[kind],
-                         "drift": None}
-    return checked, warnings
+            if worse > bound:
+                failures.append(
+                    f"{label}: {change_median:g} is {worse:.1%} worse than the "
+                    f"base's {base_median:g} (bound {bound:.0%})"
+                )
+    return lines, failures
+
+
+def gate(base_checkout: Path) -> int:
+    """Run the perfbench pairs and print the comparison; 1 on a regression."""
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
+    command = benchmark["command"]
+    workloads = [entry["name"] for entry in benchmark["workloads"]]
+    runs: dict[str, dict[str, list]] = {"base": {}, "change": {}}
+    for pair in range(PAIRS):
+        for workload in workloads:
+            # alternate which side goes first, so a host that speeds up
+            # or slows down over the gate favours neither
+            sides = [("base", base_checkout), ("change", REPO)]
+            for side, checkout in sides if pair % 2 == 0 else sides[::-1]:
+                record = run_perfbench(command, checkout, workload)
+                runs[side].setdefault(workload, []).append(record)
+                if record is None:
+                    state = "no result"
+                elif record.get("correct"):
+                    state = "correct"
+                else:
+                    state = (f"NOT correct ({record.get('failed')} of "
+                             f"{record.get('attempted')} op(s) failed)")
+                print(f"pair {pair + 1}/{PAIRS} {workload:<13s} {side:<6s} {state}",
+                      flush=True)
+    lines, failures = compare(benchmark, runs["base"], runs["change"])
+    print(f"medians over {PAIRS} pair(s), this checkout vs {base_checkout}:")
+    print("\n".join(lines))
+    if failures:
+        print("PERF REGRESSION:", file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
+        return 1
+    print("no perf regressions")
+    return 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--bench",
-                        help="pytest-benchmark --benchmark-json output")
-    parser.add_argument("--scaling",
-                        help="bench_parallel_scaling.py --json output")
-    parser.add_argument("--metrics",
-                        help="telemetry metrics.json (from --metrics-out) "
-                        "to diff against the baseline's metrics section")
-    parser.add_argument("--events", metavar="PATH",
-                        help="events.jsonl (from --events-out): warn when "
-                        "per-kind event counts drift from the baseline's "
-                        "events.counts (schedule-dependent; never gates)")
-    parser.add_argument("--backends",
-                        help="bench_backends.py --json output: warn when a "
-                        "backend's overhead over inproc exceeds the "
-                        "baseline's backends.max_overhead (never gates)")
-    parser.add_argument("--audit",
-                        help="bench_audit.py --json output: warn when the "
-                        "flight recorder's full/reservoir overhead over the "
-                        "audit-off leg exceeds the baseline's audit "
-                        "watermarks (never gates)")
-    parser.add_argument("--baseline", default="benchmarks/baseline.json")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="override the baseline file's tolerance")
-    parser.add_argument("--strict", action="store_true",
-                        help="fail (exit non-zero) on metric drift "
-                        "beyond tolerance instead of warning")
+    parser.add_argument("base", nargs="?", type=Path,
+                        help="checkout of the base commit to compare against")
     parser.add_argument("--lint", action="store_true",
-                        help="seed-hygiene lint: fail on builtin hash() "
-                        "call sites under --lint-root (no perf inputs "
-                        "needed)")
+                        help="seed-hygiene lint: fail on builtin hash() and "
+                        "unseeded random.* call sites under --lint-root")
     parser.add_argument("--lint-root", default="src", metavar="DIR",
                         help="directory tree the lint scans (default: src)")
-    parser.add_argument("--out",
-                        default=os.environ.get("CHECK_REGRESSION_OUT",
-                                               "BENCH_ci.json"),
-                        help="merged report path (default: BENCH_ci.json, "
-                        "or $CHECK_REGRESSION_OUT; ignored by --lint)")
     args = parser.parse_args(argv)
     if args.lint:
         findings = lint_seed_hygiene(args.lint_root)
@@ -251,208 +221,9 @@ def main(argv=None) -> int:
         print(f"seed-hygiene lint: no builtin hash() or unseeded "
               f"random.* call sites under {args.lint_root}/")
         return 0
-    if not (args.bench or args.metrics or args.backends
-            or args.events or args.audit):
-        parser.error(
-            "nothing to check: pass --bench, --metrics, "
-            "--backends, --events and/or --audit"
-        )
-
-    with open(args.baseline) as handle:
-        baseline = json.load(handle)
-    tolerance = (
-        args.tolerance if args.tolerance is not None
-        else float(baseline.get("tolerance", 0.30))
-    )
-
-    means = load_bench_means(args.bench) if args.bench else {}
-    scaling = None
-    if args.scaling:
-        with open(args.scaling) as handle:
-            scaling = json.load(handle)
-
-    regressions = []
-    checked = {}
-    if scaling is not None:
-        # Gate the fan-out wall-clock per jobs level, same tolerance as
-        # the benchmark means.  Baselines are padded over a warm run;
-        # a missing level (the bench's --jobs set changed) also fails,
-        # like a baselined benchmark that stopped running.
-        walls = {
-            str(entry["jobs"]): float(entry["wall_s"])
-            for entry in scaling.get("scaling", [])
-        }
-        for jobs, allowed_wall in baseline.get("scaling_wall_s", {}).items():
-            limit = allowed_wall * (1.0 + tolerance)
-            measured = walls.get(str(jobs))
-            checked[f"parallel_scaling_jobs{jobs}"] = {
-                "baseline_s": allowed_wall,
-                "limit_s": round(limit, 3),
-                "measured_s": round(measured, 3) if measured is not None else None,
-            }
-            if measured is None:
-                regressions.append(
-                    f"parallel_scaling_jobs{jobs}: baselined jobs level "
-                    f"did not run"
-                )
-            elif measured > limit:
-                regressions.append(
-                    f"parallel_scaling_jobs{jobs}: {measured:.2f}s exceeds "
-                    f"{allowed_wall:.2f}s baseline by more than "
-                    f"{tolerance:.0%} (limit {limit:.2f}s)"
-                )
-    if args.bench:
-        for name, allowed_mean in baseline.get("bench_mean_s", {}).items():
-            limit = allowed_mean * (1.0 + tolerance)
-            measured = means.get(name)
-            checked[name] = {
-                "baseline_s": allowed_mean,
-                "limit_s": round(limit, 3),
-                "measured_s": round(measured, 3) if measured is not None else None,
-            }
-            if measured is None:
-                regressions.append(f"{name}: baselined benchmark did not run")
-            elif measured > limit:
-                regressions.append(
-                    f"{name}: {measured:.2f}s exceeds {allowed_mean:.2f}s "
-                    f"baseline by more than {tolerance:.0%} (limit {limit:.2f}s)"
-                )
-
-    metrics_checked = {}
-    metrics_warnings = []
-    if args.metrics:
-        baseline_metrics = baseline.get("metrics", {})
-        metrics_tolerance = (
-            args.tolerance if args.tolerance is not None
-            else float(baseline_metrics.get("tolerance", 0.20))
-        )
-        observed = telemetry_observations(args.metrics)
-        metrics_checked, metrics_warnings = diff_metrics(
-            observed, baseline_metrics, metrics_tolerance
-        )
-
-    events_checked = {}
-    events_warnings = []
-    if args.events:
-        baseline_events = baseline.get("events", {})
-        events_tolerance = (
-            args.tolerance if args.tolerance is not None
-            else float(baseline_events.get("tolerance", 0.5))
-        )
-        events_checked, events_warnings = diff_events(
-            args.events, baseline_events, events_tolerance
-        )
-
-    backends_doc = None
-    backends_warnings = []
-    if args.backends:
-        with open(args.backends) as handle:
-            backends_doc = json.load(handle)
-        max_overhead = float(
-            baseline.get("backends", {}).get("max_overhead", 4.0)
-        )
-        for entry in backends_doc.get("backends", []):
-            if entry.get("overhead", 0.0) > max_overhead:
-                backends_warnings.append(
-                    f"backend {entry['backend']}: {entry['wall_s']:g}s is "
-                    f"{entry['overhead']:g}x the inproc reference "
-                    f"(watermark {max_overhead:g}x)"
-                )
-
-    audit_doc = None
-    audit_warnings = []
-    if args.audit:
-        with open(args.audit) as handle:
-            audit_doc = json.load(handle)
-        baseline_audit = baseline.get("audit", {})
-        for leg, default_max in (("full", 2.0), ("reservoir", 2.0)):
-            watermark = float(
-                baseline_audit.get(f"max_overhead_{leg}", default_max)
-            )
-            overhead = float(audit_doc.get(f"overhead_{leg}", 0.0))
-            if overhead > watermark:
-                audit_warnings.append(
-                    f"audit {leg}: {overhead:g}x the audit-off sweep "
-                    f"(watermark {watermark:g}x)"
-                )
-
-    report = {
-        "tolerance": tolerance,
-        "bench_mean_s": {name: round(mean, 3) for name, mean in means.items()},
-        "checked": checked,
-        "scaling": scaling,
-        "metrics": metrics_checked,
-        "metrics_warnings": metrics_warnings,
-        "events": events_checked,
-        "events_warnings": events_warnings,
-        "backends": backends_doc,
-        "backends_warnings": backends_warnings,
-        "audit": audit_doc,
-        "audit_warnings": audit_warnings,
-        "strict": args.strict,
-        "regressions": regressions,
-    }
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
-    print(f"merged perf report written to {args.out}")
-
-    for name, info in checked.items():
-        status = "REGRESSED" if any(r.startswith(name) for r in regressions) else "ok"
-        measured = info["measured_s"]
-        measured_text = f"{measured:.2f}s" if measured is not None else "missing"
-        print(f"  {name:<28s} {measured_text:>9s} "
-              f"(baseline {info['baseline_s']:.2f}s, limit {info['limit_s']:.2f}s) "
-              f"{status}")
-    for name, info in metrics_checked.items():
-        drift = info["drift"]
-        drift_text = f"{drift:+.0%}" if drift is not None else "n/a"
-        drifted = any(w.startswith(name) for w in metrics_warnings)
-        status = "DRIFTED" if drifted else "ok"
-        print(f"  {name:<36s} {info['measured']!s:>12s} "
-              f"(baseline {info['baseline']!s}, drift {drift_text}) {status}")
-    for kind, info in events_checked.items():
-        drift = info["drift"]
-        drift_text = f"{drift:+.0%}" if drift is not None else "n/a"
-        drifted = any(w.startswith(f"events.{kind}:") for w in events_warnings)
-        status = "DRIFTED" if drifted else "ok"
-        baseline_text = (
-            str(info["baseline"]) if info["baseline"] is not None else "-"
-        )
-        print(f"  events.{kind:<28s} {info['measured']:>5d} "
-              f"(baseline {baseline_text}, drift {drift_text}) {status}")
-    if backends_warnings:
-        # Backend overhead is environment-sensitive (CI machines vary);
-        # it informs the reviewer and never gates, even under --strict.
-        print("BACKEND OVERHEAD (warning only):", file=sys.stderr)
-        for warning in backends_warnings:
-            print(f"  {warning}", file=sys.stderr)
-    if audit_warnings:
-        # Recording cost is environment-sensitive like backend overhead;
-        # it informs the reviewer and never gates, even under --strict.
-        print("AUDIT OVERHEAD (warning only):", file=sys.stderr)
-        for warning in audit_warnings:
-            print(f"  {warning}", file=sys.stderr)
-    if events_warnings:
-        # Event streams are schedule-dependent by design; counts inform
-        # the reviewer and never gate, even under --strict.
-        print("EVENT-COUNT DRIFT (warning only):", file=sys.stderr)
-        for warning in events_warnings:
-            print(f"  {warning}", file=sys.stderr)
-    if metrics_warnings:
-        # Counter drift informs by default; --strict turns it into a gate.
-        mode = "gating" if args.strict else "warning only"
-        print(f"TELEMETRY DRIFT ({mode}):", file=sys.stderr)
-        for warning in metrics_warnings:
-            print(f"  {warning}", file=sys.stderr)
-    if regressions:
-        print("PERF REGRESSION:", file=sys.stderr)
-        for regression in regressions:
-            print(f"  {regression}", file=sys.stderr)
-        return 1
-    if args.strict and metrics_warnings:
-        return 1
-    print("no perf regressions")
-    return 0
+    if args.base is None:
+        parser.error("nothing to check: pass a base checkout or --lint")
+    return gate(args.base.resolve())
 
 
 if __name__ == "__main__":

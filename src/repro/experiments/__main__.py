@@ -332,8 +332,10 @@ def main(argv: list[str] | None = None) -> int:
         logger.warning("skipped %d stale telemetry shard(s)", merged.stale)
     metrics_doc = merged.metrics
     if telemetry is not None and telemetry.events is not None:
+        # count the file, not this process's log: workers append their
+        # own events to it
         print(f"events written to {args.events_out} "
-              f"({telemetry.events.count} event(s))")
+              f"({len(obs.read_events(args.events_out))} event(s))")
 
     audit_write_failed = False
     if merged.audit_runs is not None:

@@ -17,9 +17,8 @@ view at ``--jobs 1`` and ``--jobs 4``.  Timing histograms, gauges, and
 counter families that legitimately depend on scheduling (checkpoint
 hit/miss patterns, claim traffic, per-worker queue stats, STA reruns in
 per-process stage builds) are excluded; domain counters (experiment
-outcomes, artefact computations, DTA evaluations) are kept.  The CI
-determinism test and ``benchmarks/check_regression.py`` both consume
-this view.
+outcomes, artefact computations, DTA evaluations) are kept.  The
+determinism test in ``tests/test_obs.py`` consumes this view.
 """
 
 from __future__ import annotations

@@ -305,10 +305,11 @@ def test_procpool_traced_run_carries_the_trace_id_into_workers(tmp_path):
 
 
 @pytest_fork
-def test_procpool_cli_run_shows_only_pool_processes_as_workers(tmp_path):
+def test_procpool_cli_run_shows_only_pool_processes_as_workers(tmp_path, capsys):
     """A ``--jobs 2`` run's event stream names a worker only where a
     task ran: the health table holds ``pid:N`` rows and nothing
-    else — no row for the backend that scheduled them."""
+    else — no row for the backend that scheduled them.  The count the
+    CLI prints is the file's, workers' events included."""
     from repro.experiments.__main__ import main
 
     events_path = tmp_path / "events.jsonl"
@@ -316,6 +317,7 @@ def test_procpool_cli_run_shows_only_pool_processes_as_workers(tmp_path):
     code = main([*argv, "--events-out", str(events_path), "--out", str(tmp_path / "report.txt")])
     assert code == 0
     events = obs.read_events(events_path)
+    assert f"events written to {events_path} ({len(events)} event(s))" in capsys.readouterr().out
     assert all("worker" not in e for e in events if e["kind"] == "scheduled")
 
     workers = summarize_events(events)["workers"]

@@ -93,10 +93,18 @@ def test_fig4_9_runs(ctx):
 
 
 def test_tab_overheads(ctx):
+    tables = {}
     for experiment_id in ("tab3_ovh", "tab4_ovh"):
         result = get_experiment(experiment_id)(ctx)
         assert isinstance(result, ExperimentResult)
         assert result.tables[0].rows
+        tables[experiment_id] = result.tables[0]
+    # both land on the paper's values: the DCS gate counts, Trident's area
+    for row in tables["tab3_ovh"].rows:
+        gates, gates_paper = row[1], row[2]
+        assert gates == pytest.approx(gates_paper, rel=0.01)
+    area, area_paper = tables["tab4_ovh"].rows[0][2:4]
+    assert area == pytest.approx(area_paper, abs=0.08)
 
 
 def test_run_experiment_with_default_context_shortcut():

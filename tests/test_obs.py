@@ -547,7 +547,7 @@ def test_scan_shards_skips_stale_and_counts_them(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# check_regression: --strict gating
+# check_regression: the perfbench comparison
 # ----------------------------------------------------------------------
 
 def load_check_regression():
@@ -559,22 +559,48 @@ def load_check_regression():
     return module
 
 
-def test_check_regression_strict_gates_metric_drift(tmp_path):
-    cr = load_check_regression()
-    metrics = tmp_path / "metrics.json"
-    metrics.write_text(json.dumps({"counters": {"experiment.ok": 2}, "histograms": {}}))
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(
-        json.dumps({"metrics": {"tolerance": 0.20, "counters": {"experiment.ok": 1}}})
-    )
-    args = [
-        "--metrics", str(metrics), "--baseline", str(baseline),
-        "--out", str(tmp_path / "report.json"),
-    ]
-    assert cr.main(args) == 0  # >20% drift warns by default
-    assert cr.main(args + ["--strict"]) == 1  # --strict turns it into a gate
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["strict"] is True
+def perf_record(wall_s=1.0, rate=100.0, correct=True):
+    """A perfbench result line with one metric of each direction."""
+    metrics = {"wall_s": {"value": wall_s, "unit": "s"},
+               "rate": {"value": rate, "unit": "cycles/s"}}
+    return {"correct": correct, "attempted": 1, "failed": int(not correct),
+            "metrics": metrics}
+
+
+def test_check_regression_compare_gates_on_bounds_and_correctness():
+    compare = load_check_regression().compare
+    benchmark = {
+        "workloads": [{"name": "sweep"}],
+        "end_to_end": [
+            {"name": "wall_s", "better": "lower", "bound": 0.25},
+            {"name": "rate", "better": "higher", "bound": 0.25},
+        ],
+    }
+    base = {"sweep": [perf_record()] * 3}
+
+    def failures(*change):
+        return compare(benchmark, base, {"sweep": list(change)})[1]
+
+    # within both bounds, and one slow outlier does not move the median
+    assert failures(perf_record(1.2, 80.0), perf_record(1.2, 80.0), perf_record(9.0)) == []
+    # beyond the bound, in each direction
+    slower = failures(*[perf_record(wall_s=1.3)] * 3)
+    assert len(slower) == 1 and slower[0].startswith("sweep wall_s")
+    fewer = failures(*[perf_record(rate=70.0)] * 3)
+    assert len(fewer) == 1 and fewer[0].startswith("sweep rate")
+    # one incorrect run fails the gate however fast it was
+    wrong = failures(perf_record(), perf_record(correct=False), perf_record())
+    assert wrong == ["sweep: 1 of 3 run(s) not correct"]
+    # a run that printed no result counts as not correct
+    assert failures(perf_record(), None, perf_record()) == ["sweep: 1 of 3 run(s) not correct"]
+
+    # the repo's own BENCHMARK.json: identical records pass
+    real = json.loads((REPO / "BENCHMARK.json").read_text())
+    record = {"correct": True, "metrics": {
+        metric["name"]: {"value": 1.0, "unit": metric["unit"]} for metric in real["end_to_end"]
+    }}
+    runs = {entry["name"]: [record] * 3 for entry in real["workloads"]}
+    assert compare(real, runs, runs)[1] == []
 
 
 # ----------------------------------------------------------------------
