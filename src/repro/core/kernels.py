@@ -17,7 +17,10 @@ misses, in order, and settle every other cycle with array operations:
   its slot, and a tag is learned at one of its own occurrences, so a
   slot's last touch before cycle ``j`` is the last occurrence of its
   tag before ``j`` (:class:`Occurrences`); the victim follows from
-  those times alone (:func:`plru_victim`).
+  those times alone (:func:`plru_victim`).  The occurrences come from
+  one stable sort of the codes, which runs as a radix sort on a 16-bit
+  copy whenever the dense codes fit one (NumPy's stable sort of keys
+  of 16 bits or fewer).
 * **Closed form.**  When the distinct errant tags fit the table nothing
   is ever evicted: each tag is learned at its first errant occurrence
   and stays, and no replay loop runs at all.
@@ -76,11 +79,14 @@ def first_of_code(codes: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 class Occurrences:
-    """The last occurrence of each of many codes before a given cycle."""
+    """The last occurrence of each of many dense codes before a given cycle."""
 
     def __init__(self, codes: np.ndarray) -> None:
         self.stride = len(codes) + 1
-        order = np.argsort(codes, kind="stable")
+        # A stable sort of 16-bit keys is a radix sort: same order, a
+        # fraction of the time of the int64 merge sort.
+        keys = codes.astype(np.uint16) if codes.max(initial=0) < 1 << 16 else codes
+        order = np.argsort(keys, kind="stable")
         self.keys = codes[order] * self.stride + order  # (code, cycle), sorted
         self.previous = np.concatenate(([-1], order))  # the cycle of the key before
 

@@ -7,9 +7,17 @@ tuned to grant the block extra time, avoiding future errors at the cost
 of a slightly longer effective period.  Like Razor it relies on inserted
 buffers against minimum timing violations, so it only reacts to maximum
 violations.
+
+The skew is constant within an interval, so :meth:`OcstScheme.simulate`
+settles each interval with one comparison of its errant cycles' late
+arrivals against the tuned period, then takes one step of the tuning
+state machine (:class:`SkewTuner`).  The per-cycle loop it replaces is
+kept as the exact reference, :func:`repro.qa.scheme_reference.ocst_reference`.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.arch.pipeline import DEFAULT_PIPELINE, PipelineConfig
 from repro.core.scheme_sim import ErrorTrace
@@ -41,85 +49,95 @@ class OcstScheme(Scheme):
         self.error_rate_threshold = error_rate_threshold
 
     def simulate(self, trace: ErrorTrace) -> SchemeResult:
+        n = len(trace)
         period = trace.clock_period
-        skew_step = self.skew_step_fraction * period
-        max_skew = self.max_skew_fraction * period
-        skew = 0.0
+        interval = self.interval
+        flush_penalty = self.pipeline.flush_penalty
+        tuner = SkewTuner(self, period)
 
-        flushes = 0
-        avoided = 0
-        elapsed_ps = 0.0
-        interval_errors = 0
-        interval_cycles = 0
-        climb_baseline_rate: float | None = None
-        frozen_intervals = 0
-        t_late = trace.t_late
-        max_err = trace.max_err
-        err_class = trace.err_class
+        # Within an interval the tuned period is fixed: an errant cycle
+        # whose late arrival still exceeds it is flushed and replayed
+        # Razor-style, the others are avoided by the granted skew.
+        errant = np.flatnonzero(trace.max_err)
+        errant_late = trace.t_late[errant]
+        starts = range(0, n, interval)
+        bounds = errant.searchsorted([*starts, n]).tolist()
+        flush = np.zeros(len(errant), dtype=bool)
+        effective = []  # the tuned period of each interval
+        for k, start in enumerate(starts):
+            effective.append(period + tuner.skew)
+            lo, hi = bounds[k], bounds[k + 1]
+            flush[lo:hi] = errant_late[lo:hi] > effective[-1]
+            if start + interval <= n:  # a trailing partial interval never retunes
+                tuner.close_interval(int(np.count_nonzero(flush[lo:hi])))
+        flushes = int(np.count_nonzero(flush))
+        avoided = len(errant) - flushes
+
+        # Each cycle adds its tuned period, and a flush adds the penalty
+        # right after its cycle: one sequential cumsum sums them in the
+        # per-cycle order, so the float bits match a cycle-by-cycle sum.
+        period_of = np.repeat(effective, interval)[:n]
+        flushed = errant[flush]
+        steps = np.insert(period_of, flushed + 1, flush_penalty * period_of[flushed])
+        elapsed_ps = float(np.cumsum(steps)[-1]) if n else 0.0
+        average_period = elapsed_ps / max(n + flushes * flush_penalty, 1)
 
         sink = audit.get()
-        rec = sink.begin_scheme_run(self.name, trace) if sink is not None else None
-
-        for j in range(len(trace)):
-            effective = period + skew
-            elapsed_ps += effective
-            interval_cycles += 1
-            if max_err[j]:
-                if t_late[j] > effective:
-                    # Error still trips the speculation window: Razor-style
-                    # flush + replay.
-                    flushes += 1
-                    interval_errors += 1
-                    elapsed_ps += self.pipeline.flush_penalty * effective
-                    if rec is not None:
-                        rec.decision(j, int(err_class[j]), audit.DEC_DETECT,
-                                     penalty=self.pipeline.flush_penalty)
-                else:
-                    # The tuned skew granted enough extra time.
-                    avoided += 1
-                    if rec is not None:
-                        rec.decision(j, int(err_class[j]), audit.DEC_AVOID)
-            if interval_cycles >= self.interval:
-                rate = interval_errors / interval_cycles
-                if frozen_intervals > 0:
-                    frozen_intervals -= 1
-                elif rate > self.error_rate_threshold and skew < max_skew:
-                    # Climb one step per interval towards the skew bound.
-                    if climb_baseline_rate is None:
-                        climb_baseline_rate = rate
-                    skew = min(skew + skew_step, max_skew)
-                elif skew >= max_skew and climb_baseline_rate is not None:
-                    # The climb is exhausted: keep the skew only if it is
-                    # actually buying error reduction.  Choke-path errors
-                    # sit far beyond any tunable skew range, and paying
-                    # the stretched period for nothing is strictly worse.
-                    if rate > 0.95 * climb_baseline_rate:
-                        skew = 0.0
-                        frozen_intervals = 8
-                    climb_baseline_rate = None
-                elif interval_errors == 0 and skew > 0.0:
-                    # Tune back towards nominal when the block runs clean.
-                    skew = max(skew - skew_step, 0.0)
-                    climb_baseline_rate = None
-                interval_errors = 0
-                interval_cycles = 0
-
-        base = len(trace)
-        total_errors = flushes + avoided
-        average_period = elapsed_ps / max(
-            base + flushes * self.pipeline.flush_penalty, 1
-        )
-        if rec is not None:
+        if sink is not None:
+            rec = sink.begin_scheme_run(self.name, trace)
+            rec.decisions(
+                errant,
+                trace.err_class[errant],
+                np.where(flush, audit.DEC_DETECT, audit.DEC_AVOID),
+                penalty=np.where(flush, flush_penalty, 0),
+            )
             rec.finish(effective_clock_period=average_period)
         return record_result(SchemeResult(
             scheme=self.name,
             benchmark=trace.benchmark,
-            base_cycles=base,
-            penalty_cycles=flushes * self.pipeline.flush_penalty,
+            base_cycles=n,
+            penalty_cycles=flushes * flush_penalty,
             effective_clock_period=average_period,
-            errors_total=total_errors,
+            errors_total=flushes + avoided,
             errors_predicted=avoided,
             errors_missed=flushes,
             flushes=flushes,
-            extra={"final_skew_ps": skew},
+            extra={"final_skew_ps": tuner.skew},
         ))
+
+
+class SkewTuner:
+    """OCST's tuning state machine over one run, stepped once at the end
+    of every full interval with that interval's flushed errors."""
+
+    def __init__(self, scheme: OcstScheme, period: float) -> None:
+        self.interval = scheme.interval
+        self.threshold = scheme.error_rate_threshold
+        self.step = scheme.skew_step_fraction * period
+        self.max_skew = scheme.max_skew_fraction * period
+        self.skew = 0.0
+        self.climb_baseline_rate: float | None = None
+        self.frozen_intervals = 0
+
+    def close_interval(self, errors: int) -> None:
+        rate = errors / self.interval
+        if self.frozen_intervals > 0:
+            self.frozen_intervals -= 1
+        elif rate > self.threshold and self.skew < self.max_skew:
+            # Climb one step per interval towards the skew bound.
+            if self.climb_baseline_rate is None:
+                self.climb_baseline_rate = rate
+            self.skew = min(self.skew + self.step, self.max_skew)
+        elif self.skew >= self.max_skew and self.climb_baseline_rate is not None:
+            # The climb is exhausted: keep the skew only if it is
+            # actually buying error reduction.  Choke-path errors sit far
+            # beyond any tunable skew range, and paying the stretched
+            # period for nothing is strictly worse.
+            if rate > 0.95 * self.climb_baseline_rate:
+                self.skew = 0.0
+                self.frozen_intervals = 8
+            self.climb_baseline_rate = None
+        elif errors == 0 and self.skew > 0.0:
+            # Tune back towards nominal when the block runs clean.
+            self.skew = max(self.skew - self.step, 0.0)
+            self.climb_baseline_rate = None

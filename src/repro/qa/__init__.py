@@ -17,8 +17,9 @@ Layout:
 * :mod:`repro.qa.shrink` — deterministic greedy case shrinking.
 * :mod:`repro.qa.oracles` — the registry of differential and invariant
   oracles.
-* :mod:`repro.qa.scheme_reference` — the per-cycle DCS/Trident loops the
-  event-compressed scheme kernels are checked against.
+* :mod:`repro.qa.scheme_reference` — the per-cycle DCS/Trident/OCST loops
+  the event-compressed scheme kernels and per-interval OCST are checked
+  against.
 * :mod:`repro.qa.trace_reference` — the scalar-call trace generator the
   draw-replaying one is checked against.
 * :mod:`repro.qa.engine` — budget planning and campaign execution.

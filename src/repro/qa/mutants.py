@@ -146,6 +146,17 @@ def _plru_first_touch(_original):
     return last_before
 
 
+def _ocst_retune_late(original):
+    def close_interval(self, errors):
+        # the tuner acts on the interval before the one that just ended,
+        # so every skew update lands one interval late
+        previous = getattr(self, "_previous_errors", 0)
+        self._previous_errors = errors
+        original(self, previous)
+
+    return close_interval
+
+
 def _drop_choke_event(_original):
     def analyze_choke_event(circuit, chip, vector_prev, *args, **kwargs):
         # every choke event silently discarded, in either call form
@@ -448,6 +459,14 @@ MUTANTS: dict[str, Mutant] = {
             "first touch instead of its last",
             target=("repro.core.kernels", "Occurrences.last_before"),
             build=_plru_first_touch,
+            oracles=("scheme_kernel_vs_reference",),
+        ),
+        Mutant(
+            name="ocst-retune-one-interval-late",
+            description="OCST's per-interval replay retunes the skew from the "
+            "previous interval's errors",
+            target=("repro.core.schemes.ocst", "SkewTuner.close_interval"),
+            build=_ocst_retune_late,
             oracles=("scheme_kernel_vs_reference",),
         ),
         Mutant(

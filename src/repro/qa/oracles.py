@@ -26,7 +26,7 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -610,12 +610,19 @@ def _check_audit_vs_result(case: dict[str, int]) -> list[str]:
 
 
 def _check_scheme_kernel_vs_reference(case: dict[str, int]) -> list[str]:
-    """The event-compressed DCS/Trident kernels against the per-cycle
-    reference loops: every ``SchemeResult`` field and every audit column
-    must be equal.  Capacities of 1-8 force evictions (ACSLT set and way
+    """The event-compressed DCS/Trident kernels and OCST's per-interval
+    replay against the per-cycle reference loops: every ``SchemeResult``
+    field must be equal and of the same type, and every audit column
+    equal.  Capacities of 1-8 force evictions (ACSLT set and way
     evictions alike), random error classes force Trident's SE->CE
-    escalation, and the DCS tag-granularity knobs vary."""
+    escalation, and the DCS tag-granularity knobs vary.  OCST runs 1-16
+    cycle intervals over late arrivals spread across its skew range, so
+    it climbs, resets, freezes and tunes back within one trace."""
     trace = _random_error_trace(case)
+    # Late arrivals spread across OCST's skew range; the tables ignore them.
+    rng = case_rng(case, "ocst")
+    late = trace.clock_period * (1.0 + 0.25 * rng.random(len(trace)))
+    trace = replace(trace, t_late=np.where(trace.max_err, late, trace.t_late))
     capacity = 2 ** case["capacity_log2"]
     knobs = {"use_owm": bool(case["use_owm"]), "use_prev": bool(case["use_prev"])}
     runs = (
@@ -627,18 +634,20 @@ def _check_scheme_kernel_vs_reference(case: dict[str, int]) -> list[str]:
             scheme_reference.dcs_reference,
         ),
         (trident_mod.TridentScheme(cet_capacity=capacity), scheme_reference.trident_reference),
+        (ocst_mod.OcstScheme(interval=int(rng.integers(1, 17))), scheme_reference.ocst_reference),
     )
     violations: list[str] = []
     with audit.recording() as sink:
         for scheme, reference in runs:
-            kernel = asdict(scheme.simulate(trace))
+            kernel = scheme_reference.typed_fields(scheme.simulate(trace))
             kernel_run = sink.runs[-1].to_block()
-            expected = asdict(reference(scheme, trace))
+            expected = scheme_reference.typed_fields(reference(scheme, trace))
             reference_run = sink.runs[-1].to_block()
-            for name, value in expected.items():
-                if kernel[name] != value:
+            for name in sorted(kernel.keys() | expected.keys()):
+                if kernel.get(name) != expected.get(name):
                     violations.append(
-                        f"{scheme.name}: kernel {name}={kernel[name]!r} != reference {value!r}"
+                        f"{scheme.name}: kernel {name}={_typed_repr(kernel.get(name))} "
+                        f"!= reference {_typed_repr(expected.get(name))}"
                     )
             if kernel_run["events_seen"] != reference_run["events_seen"]:
                 violations.append(f"{scheme.name}: audit events_seen differs")
@@ -646,6 +655,13 @@ def _check_scheme_kernel_vs_reference(case: dict[str, int]) -> list[str]:
                 if not np.array_equal(kernel_run["columns"][name], column):
                     violations.append(f"{scheme.name}: audit column {name!r} differs")
     return violations
+
+
+def _typed_repr(field: tuple[type, object] | None) -> str:
+    if field is None:
+        return "<missing>"
+    kind, value = field
+    return f"{value!r} ({kind.__name__})"
 
 
 def _check_scheme_learning(case: dict[str, int]) -> list[str]:
@@ -1005,8 +1021,6 @@ _PARALLEL_EXTRAS = ("tab3_ovh", "tab4_ovh")
 
 
 def _check_parallel_vs_serial(case: dict[str, int]) -> list[str]:
-    from dataclasses import replace
-
     from repro.experiments.config import FAST_CONFIG
     from repro.runtime.backends import run_experiments
     from repro.runtime.parallel import WorkerSpec
@@ -1232,8 +1246,8 @@ ORACLES: dict[str, Oracle] = {
         ),
         Oracle(
             name="scheme_kernel_vs_reference",
-            description="event-compressed DCS/Trident kernels equal the per-cycle "
-            "reference: results and audit columns",
+            description="event-compressed DCS/Trident kernels and per-interval OCST "
+            "equal the per-cycle reference: result values and types, audit columns",
             params={
                 "n": Param(2, 300),
                 "err_rate_pct": Param(0, 80),

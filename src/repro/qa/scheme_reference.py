@@ -1,21 +1,26 @@
-"""Per-cycle reference replays of the DCS and Trident schemes.
+"""Per-cycle reference replays of the DCS, Trident and OCST schemes.
 
 These are the scheme loops as first written: every cycle builds its
 tag, probes the table (:class:`~repro.core.cslt.IndependentCSLT`,
 :class:`~repro.core.cslt.AssociativeCSLT` or
 :class:`~repro.core.trident.cet.ChokeErrorTable`, each with its own
-pseudo-LRU tree) and records its audit decision one event at a time.
-They exist to validate the event-compressed kernels of
-:mod:`repro.core.kernels`, the way :mod:`repro.timing.reference`
-validates the DTA: the ``scheme_kernel_vs_reference`` oracle requires
-equal :class:`~repro.core.schemes.base.SchemeResult` fields and equal
-audit columns.
+pseudo-LRU tree), or for OCST adds its tuned period, compares its late
+arrival against it and steps the skew state machine at each interval
+end, and records its audit decision one event at a time.
+They exist to validate the fast paths (the event-compressed kernels of
+:mod:`repro.core.kernels`, OCST's per-interval replay), the way
+:mod:`repro.timing.reference` validates the DTA: the
+``scheme_kernel_vs_reference`` oracle requires equal
+:class:`~repro.core.schemes.base.SchemeResult` fields, of equal types,
+and equal audit columns.
 
 Each function has the signature of ``simulate``, so a test can install
 it in place of the kernel (``DcsScheme.simulate = dcs_reference``).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from repro.core.cslt import AssociativeCSLT, IndependentCSLT
 from repro.core.scheme_sim import ErrorTrace
@@ -25,6 +30,20 @@ from repro.core.trident.cet import ChokeErrorTable
 from repro.core.trident.tdc import TransitionDetectorCounter
 from repro.obs import audit
 from repro.timing.dta import ERR_CE, ERR_NONE
+
+
+def typed_fields(result: SchemeResult) -> dict[str, tuple[type, object]]:
+    """Every field of ``result``, each ``extra`` entry as its own
+    ``extra[key]`` field, as a ``(type, value)`` pair.
+
+    Comparing these pairs is type-strict: ``np.int64(5) == 5``, but a
+    digest of the result's JSON sees different bytes for the two.
+    """
+    fields = dataclasses.asdict(result)
+    extra = fields.pop("extra")
+    typed = {name: (type(value), value) for name, value in fields.items()}
+    typed.update({f"extra[{key!r}]": (type(value), value) for key, value in extra.items()})
+    return typed
 
 
 def dcs_reference(scheme, trace: ErrorTrace) -> SchemeResult:
@@ -201,3 +220,89 @@ def trident_reference(scheme, trace: ErrorTrace) -> SchemeResult:
             },
         )
     )
+
+
+def ocst_reference(scheme, trace: ErrorTrace) -> SchemeResult:
+    """:meth:`repro.core.schemes.ocst.OcstScheme.simulate`, one cycle at a time."""
+    period = trace.clock_period
+    skew_step = scheme.skew_step_fraction * period
+    max_skew = scheme.max_skew_fraction * period
+    skew = 0.0
+
+    flushes = 0
+    avoided = 0
+    elapsed_ps = 0.0
+    interval_errors = 0
+    interval_cycles = 0
+    climb_baseline_rate: float | None = None
+    frozen_intervals = 0
+    t_late = trace.t_late
+    max_err = trace.max_err
+    err_class = trace.err_class
+
+    sink = audit.get()
+    rec = sink.begin_scheme_run(scheme.name, trace) if sink is not None else None
+
+    for j in range(len(trace)):
+        effective = period + skew
+        elapsed_ps += effective
+        interval_cycles += 1
+        if max_err[j]:
+            if t_late[j] > effective:
+                # Error still trips the speculation window: Razor-style
+                # flush + replay.
+                flushes += 1
+                interval_errors += 1
+                elapsed_ps += scheme.pipeline.flush_penalty * effective
+                if rec is not None:
+                    rec.decision(j, int(err_class[j]), audit.DEC_DETECT,
+                                 penalty=scheme.pipeline.flush_penalty)
+            else:
+                # The tuned skew granted enough extra time.
+                avoided += 1
+                if rec is not None:
+                    rec.decision(j, int(err_class[j]), audit.DEC_AVOID)
+        if interval_cycles >= scheme.interval:
+            rate = interval_errors / interval_cycles
+            if frozen_intervals > 0:
+                frozen_intervals -= 1
+            elif rate > scheme.error_rate_threshold and skew < max_skew:
+                # Climb one step per interval towards the skew bound.
+                if climb_baseline_rate is None:
+                    climb_baseline_rate = rate
+                skew = min(skew + skew_step, max_skew)
+            elif skew >= max_skew and climb_baseline_rate is not None:
+                # The climb is exhausted: keep the skew only if it is
+                # actually buying error reduction.  Choke-path errors
+                # sit far beyond any tunable skew range, and paying
+                # the stretched period for nothing is strictly worse.
+                if rate > 0.95 * climb_baseline_rate:
+                    skew = 0.0
+                    frozen_intervals = 8
+                climb_baseline_rate = None
+            elif interval_errors == 0 and skew > 0.0:
+                # Tune back towards nominal when the block runs clean.
+                skew = max(skew - skew_step, 0.0)
+                climb_baseline_rate = None
+            interval_errors = 0
+            interval_cycles = 0
+
+    base = len(trace)
+    total_errors = flushes + avoided
+    average_period = elapsed_ps / max(
+        base + flushes * scheme.pipeline.flush_penalty, 1
+    )
+    if rec is not None:
+        rec.finish(effective_clock_period=average_period)
+    return record_result(SchemeResult(
+        scheme=scheme.name,
+        benchmark=trace.benchmark,
+        base_cycles=base,
+        penalty_cycles=flushes * scheme.pipeline.flush_penalty,
+        effective_clock_period=average_period,
+        errors_total=total_errors,
+        errors_predicted=avoided,
+        errors_missed=flushes,
+        flushes=flushes,
+        extra={"final_skew_ps": skew},
+    ))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.arch.pipeline import PipelineConfig
 from repro.core.dcs import DcsScheme
+from repro.core.kernels import Occurrences
 from repro.core.trident import TridentScheme
 from repro.experiments.scheme_runs import ACSLT_ENTRIES, ACSLT_WAYS, ICSLT_ENTRIES
 from repro.qa.scheme_reference import dcs_reference, trident_reference
@@ -128,6 +129,18 @@ def test_result_metadata(error_trace16):
 # ----------------------------------------------------------------------
 # the event-compressed kernel against the per-cycle reference
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("low", [0, (1 << 16) - 3])
+def test_occurrences_last_before_on_both_sort_keys(low):
+    """Codes below 2**16 sort as a 16-bit radix key, the rest as int64;
+    both must give each code's last occurrence before a cycle."""
+    codes = low + np.random.default_rng(low).integers(0, 6, 300)
+    occurrences = Occurrences(codes)
+    for cycle in range(1, len(codes) + 1, 7):
+        seen = np.unique(codes[:cycle])
+        expected = [np.flatnonzero(codes[:cycle] == code)[-1] for code in seen]
+        assert occurrences.last_before(seen, cycle).tolist() == expected
+
 
 @pytest.mark.parametrize(
     "variant, capacity, associativity",

@@ -15,8 +15,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.core.dcs import DcsScheme
+from repro.core.schemes import OcstScheme
+from repro.core.trident import TridentScheme
 from repro.qa import corpus as qa_corpus
 from repro.qa.engine import fuzz_oracle, plan_rounds, run_campaign, run_check
 from repro.qa.gen import Param, case_rng, case_seed, draw_case, validate_case
@@ -225,6 +229,39 @@ def test_checked_in_corpus_replays_green():
     for path in cheap:
         artifact = qa_corpus.load_artifact(path)
         assert qa_corpus.replay(artifact) == [], path.name
+
+
+@pytest.mark.parametrize(
+    "scheme_class, field, key, numpy_type",
+    [
+        (DcsScheme, "flushes", None, np.int64),
+        (TridentScheme, "extra", "first_occurrences", np.int64),
+        (OcstScheme, "extra", "final_skew_ps", np.float64),
+    ],
+)
+def test_scheme_kernel_oracle_is_type_strict(monkeypatch, scheme_class, field, key, numpy_type):
+    """A numpy scalar equals its Python value under ``==``, but a digest
+    of the result's JSON sees other bytes: the oracle must report it."""
+    kernel = scheme_class.simulate
+
+    def simulate(self, trace):
+        result = kernel(self, trace)
+        if key is None:
+            setattr(result, field, numpy_type(getattr(result, field)))
+        else:
+            result.extra[key] = numpy_type(result.extra[key])
+        return result
+
+    oracle = get_oracle("scheme_kernel_vs_reference")
+    case = draw_case(oracle.params, case_seed(0, oracle.name, 0))
+    assert run_check(oracle, case) == []
+    monkeypatch.setattr(scheme_class, "simulate", simulate)
+    name = field if key is None else f"extra[{key!r}]"
+    violations = run_check(oracle, case)
+    assert violations  # one per scheme instance of the class
+    for violation in violations:
+        assert f"kernel {name}=" in violation
+        assert numpy_type.__name__ in violation
 
 
 # ----------------------------------------------------------------------

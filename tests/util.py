@@ -9,8 +9,6 @@ place.  Only the word-level ALU helpers remain test-local.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.obs import audit
@@ -23,6 +21,7 @@ from repro.qa.circuits import (  # noqa: F401 - re-exported for the tests
     random_netlist,
     synthetic_error_trace,
 )
+from repro.qa.scheme_reference import typed_fields
 
 
 def eval_word(builder, word, input_bits) -> int:
@@ -50,7 +49,8 @@ def int_to_bits(value: int, width: int) -> list[int]:
 
 def simulate_audited(simulate, scheme, trace):
     """``simulate(scheme, trace)`` under a fresh full audit sink: the
-    result fields (``extra`` included) and the audit run's digest."""
+    result fields (``extra`` included) with their types, so comparing
+    two of these is type-strict, and the audit run's digest."""
     with audit.recording() as sink:
         result = simulate(scheme, trace)
-    return dataclasses.asdict(result), sink.runs[-1].digest
+    return typed_fields(result), sink.runs[-1].digest
