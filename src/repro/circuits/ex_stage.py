@@ -27,7 +27,7 @@ from repro.pv.chip import ChipSample, fabricate_chip
 from repro.pv.delaymodel import Corner, NTC, nominal_delay_factor, nominal_gate_delays
 from repro.pv.varius import DEFAULT_PARAMS, VariusParams
 from repro.timing.dta import (
-    DEFAULT_CHUNK, BatchCycleTimings, CycleTimings, batch_cycle_timings, cycle_timings,
+    DEFAULT_CHUNK, BatchCycleTimings, CycleTimings, batch_cycle_timings,
 )
 from repro.timing.levelize import LevelizedCircuit, levelize
 from repro.timing.sta import arrival_times
@@ -85,21 +85,46 @@ class ExStage:
         )
 
     def timings(
-        self, chip: ChipSample, inputs: np.ndarray, chunk: int = DEFAULT_CHUNK
+        self,
+        chip: ChipSample,
+        inputs: np.ndarray,
+        chunk: int = DEFAULT_CHUNK,
+        prune: bool = False,
     ) -> CycleTimings:
-        """Per-cycle dynamic timing of an input-vector stream on ``chip``."""
-        return cycle_timings(self.circuit, inputs, chip.delays, chunk=chunk)
+        """Per-cycle dynamic timing of an input-vector stream on ``chip``.
+
+        ``prune`` skips the transitions that cannot err at this stage's
+        clock period and hold constraint (see :meth:`batch_timings`).
+        """
+        return batch_cycle_timings(
+            self.circuit, inputs, chip.delays[None, :], chunk, *self._limits(prune)
+        ).chip(0)
 
     def batch_timings(
-        self, delay_matrix: np.ndarray, inputs: np.ndarray, chunk: int = DEFAULT_CHUNK
+        self,
+        delay_matrix: np.ndarray,
+        inputs: np.ndarray,
+        chunk: int = DEFAULT_CHUNK,
+        prune: bool = False,
     ) -> BatchCycleTimings:
         """Population-level timing: one kernel call for all chips.
 
         ``delay_matrix`` is ``(num_chips, num_nodes)`` -- a
         :class:`~repro.pv.montecarlo.ChipPopulation`'s ``delays`` or
-        :func:`repro.pv.chip.delay_matrix` over a chip list.
+        :func:`repro.pv.chip.delay_matrix` over a chip list.  With
+        ``prune``, a transition whose class cannot err on a chip reads
+        the class's static bounds there instead of its exact arrivals
+        (:func:`~repro.timing.dta.batch_cycle_timings`), so only its
+        error class is exact.
         """
-        return batch_cycle_timings(self.circuit, inputs, delay_matrix, chunk=chunk)
+        return batch_cycle_timings(
+            self.circuit, inputs, delay_matrix, chunk, *self._limits(prune)
+        )
+
+    def _limits(self, prune: bool) -> tuple[float | None, float | None]:
+        """The kernel's ``(clock_period, hold_constraint)``: this stage's
+        when pruning, none otherwise."""
+        return (self.clock_period, self.hold_constraint) if prune else (None, None)
 
 
 def _leaf_depths(num_leaves: int) -> np.ndarray:

@@ -142,18 +142,50 @@ def _assemble_trace(
     )
 
 
+#: Version of the error-trace artefact, part of its checkpoint key.  2:
+#: a pruned trace (see :func:`timing_mode`) holds class bounds, not
+#: exact arrivals, on the cycles of classes that cannot err.
+ETRACE_VERSION = 2
+
+
+def timing_mode(prune: bool = True) -> str:
+    """How :func:`build_error_trace` times a trace: ``"pruned"`` or
+    ``"exact"``.
+
+    Pruned timing skips the transitions of classes that cannot err at
+    the stage's clock period and hold constraint; their cycles read
+    the class's static bounds, so every error class is exact but the
+    arrivals of error-free cycles are not.  An active audit sink reads
+    those arrivals (its ``slack_late`` / ``slack_early`` columns cover
+    decisions on error-free cycles), so under one every class is timed.
+    """
+    return "pruned" if prune and audit.get() is None else "exact"
+
+
 def build_error_trace(
     stage: ExStage,
     chip: ChipSample,
     trace: InstructionTrace,
     chunk: int = DEFAULT_CHUNK,
+    prune: bool = True,
 ) -> ErrorTrace:
-    """Run DTA of ``trace`` on ``chip`` and classify every cycle."""
+    """Run DTA of ``trace`` on ``chip`` and classify every cycle.
+
+    With ``prune`` (and no audit sink, see :func:`timing_mode`) the
+    transitions that cannot err are not timed.  A trace with no setup
+    error is timed again in full: :class:`~repro.core.schemes.hfg.
+    HfgScheme` reads ``max(t_late)``, which a setup error keeps exact
+    (every class bound it skips is at most the clock period).
+    """
     if trace.width != stage.width:
         raise ValueError(
             f"trace width {trace.width} does not match stage width {stage.width}"
         )
-    timings = stage.timings(chip, trace.encode_inputs(stage.alu), chunk=chunk)
+    inputs = trace.encode_inputs(stage.alu)
+    pruned = timing_mode(prune) == "pruned"
+    timings = stage.timings(chip, inputs, chunk=chunk, prune=pruned)
+    if pruned and not timings.max_violations(stage.clock_period).any():
+        timings = stage.timings(chip, inputs, chunk=chunk)
 
     owm = owm_flag(trace.a_values, trace.b_values, trace.width)
     size_a = operand_size_class(trace.a_values, trace.width)
@@ -167,15 +199,18 @@ def build_error_traces_batch(
     chips: "list[ChipSample] | tuple[ChipSample, ...]",
     trace: InstructionTrace,
     chunk: int = DEFAULT_CHUNK,
+    prune: bool = True,
 ) -> list[ErrorTrace]:
     """Run DTA of ``trace`` on a whole chip population in one kernel call.
 
     One :func:`~repro.timing.dta.batch_cycle_timings` call times every
     chip; trace encoding, logic evaluation, and OWM/operand-size
     classification are computed once and shared.  Entry ``i`` is
-    bit-identical to ``build_error_trace(stage, chips[i], trace, chunk)``
-    (the batch kernel's per-chip rows are bit-identical to the scalar
-    path, and everything else here is delay-independent).
+    bit-identical to ``build_error_trace(stage, chips[i], trace, chunk,
+    prune)`` (the batch kernel's per-chip rows are bit-identical to the
+    scalar path, pruned or not, and everything else here is
+    delay-independent); the chips without a setup error are timed
+    again in full, as there.
     """
     if not chips:
         raise ValueError("need at least one chip")
@@ -183,9 +218,16 @@ def build_error_traces_batch(
         raise ValueError(
             f"trace width {trace.width} does not match stage width {stage.width}"
         )
-    batch = stage.batch_timings(
-        delay_matrix(chips), trace.encode_inputs(stage.alu), chunk=chunk
-    )
+    inputs = trace.encode_inputs(stage.alu)
+    matrix = delay_matrix(chips)
+    pruned = timing_mode(prune) == "pruned"
+    batch = stage.batch_timings(matrix, inputs, chunk=chunk, prune=pruned)
+    if pruned:
+        clean = ~(batch.t_late > stage.clock_period).any(axis=1)
+        if clean.any():
+            exact = stage.batch_timings(matrix[clean], inputs, chunk=chunk)
+            batch.t_late[clean] = exact.t_late
+            batch.t_early[clean] = exact.t_early
 
     owm = owm_flag(trace.a_values, trace.b_values, trace.width)
     size_a = operand_size_class(trace.a_values, trace.width)

@@ -25,7 +25,9 @@ from repro import obs
 from repro.arch.trace import BENCHMARKS, InstructionTrace, generate_trace
 from repro.circuits.alu import Alu, build_alu
 from repro.circuits.ex_stage import ExStage, build_ex_stage
-from repro.core.scheme_sim import ErrorTrace, build_error_trace, build_error_traces_batch
+from repro.core.scheme_sim import (
+    ETRACE_VERSION, ErrorTrace, build_error_trace, build_error_traces_batch, timing_mode,
+)
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.gates.netlist import Netlist
 from repro.pv.chip import ChipSample, fabricate_chip
@@ -188,6 +190,16 @@ class ExperimentContext:
                 )
         return self._traces[key]
 
+    def _etrace_key(self, benchmark: str, chip_seed: int, corner: str, buffered: bool) -> tuple:
+        """The memo and store key of one error trace.  It names the
+        artefact's version and timing mode, so a store never serves a
+        pruned trace where exact arrivals are read (an audited run), nor
+        a trace of an older layout."""
+        return (
+            benchmark, chip_seed, corner, buffered, self.config.cycles, self.config.width,
+            ETRACE_VERSION, timing_mode(),
+        )
+
     def error_trace(
         self,
         benchmark: str,
@@ -195,7 +207,7 @@ class ExperimentContext:
         corner: str = "NTC",
         buffered: bool = True,
     ) -> ErrorTrace:
-        key = (benchmark, chip_seed, corner, buffered, self.config.cycles, self.config.width)
+        key = self._etrace_key(benchmark, chip_seed, corner, buffered)
         if key not in self._error_traces:
             def compute() -> ErrorTrace:
                 with obs.span(
@@ -229,8 +241,7 @@ class ExperimentContext:
         """
         chip_seeds = [int(seed) for seed in chip_seeds]
         keys = {
-            seed: (benchmark, seed, corner, buffered, self.config.cycles, self.config.width)
-            for seed in chip_seeds
+            seed: self._etrace_key(benchmark, seed, corner, buffered) for seed in chip_seeds
         }
 
         def cached(seed: int) -> bool:

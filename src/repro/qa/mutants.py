@@ -215,6 +215,16 @@ def _cone_level_fanin0(_original):
     return cone_levels
 
 
+def _bound_fanin0_only(original):
+    def static_bounds(circuit, may_toggle, delays32):
+        # the bound folds each gate's fanin 0 alone, so a later arrival
+        # through fanin 1 or a MUX select escapes it
+        levels = [step._replace(in1=step.in1[:0], in2=step.in2[:0]) for step in circuit.levels]
+        return original(replace(circuit, levels=levels), may_toggle, delays32)
+
+    return static_bounds
+
+
 def _sync_drops_half_word(_original):
     from operator import length_hint
 
@@ -372,6 +382,14 @@ MUTANTS: dict[str, Mutant] = {
             target=("repro.timing.levelize", "_cone_levels"),
             build=_cone_level_fanin0,
             oracles=("cone_vs_full",),
+        ),
+        Mutant(
+            name="class-bound-loosened",
+            description="the static class bounds of the pruned stream kernel "
+            "fold only each gate's fanin 0",
+            target=("repro.timing.dta", "_static_bounds"),
+            build=_bound_fanin0_only,
+            oracles=("class_bound_soundness",),
         ),
         Mutant(
             name="pair-adjacent-toggle",

@@ -273,20 +273,16 @@ def _check_stream_repeats_vs_pairs(case: dict[str, int]) -> list[str]:
     return violations
 
 
-def _check_cone_vs_full(case: dict[str, int]) -> list[str]:
-    """The stream kernel on restricted circuits vs the unpruned pairs.
+def _multi_class_stream(case: dict[str, int]):
+    """A random netlist with designated controls and a stream over it.
 
-    A random netlist with designated control inputs feeding a one-hot
-    style AND-OR output mux (:func:`circuits.random_select_netlist`);
-    each vector takes its controls from a pool of 2-4 distinct patterns
-    and its data from a pool of 1-6, so the stream mixes classes, repeats
-    transitions, and changes class within pairs.  Every chip row must
-    be bit-identical to :func:`pair_cycle_timings`, which propagates
-    the unpruned circuit.  For every pattern pair, the restriction
-    itself is checked on vectors that match its key: no node it marks
-    constant ever takes the other value (so none toggles), and every
-    row of the restricted circuit -- inputs, cone, constant rows and
-    outputs -- evaluates as the full circuit's node does.
+    The netlist's outputs pass a one-hot style AND-OR mux
+    (:func:`circuits.random_select_netlist`); each vector takes its
+    controls from a pool of 2-4 distinct patterns and its data from a
+    pool of 1-6, so the stream mixes classes, repeats transitions, and
+    changes class within pairs.  Returns ``(circuit, inputs, patterns,
+    rng)``: ``patterns`` is ``(num_controls, P)``, ``rng`` the
+    generator the stream was drawn from, for further draws.
     """
     num_data, num_controls = case["num_inputs"], case["num_controls"]
     netlist = circuits.random_select_netlist(
@@ -306,10 +302,30 @@ def _check_cone_vs_full(case: dict[str, int]) -> list[str]:
         data[:, rng.integers(0, case["data_pool"], size=num_vectors)],
         patterns[:, rng.integers(0, len(codes), size=num_vectors)],
     ])
+    return circuit, inputs, patterns, rng
+
+
+def _check_cone_vs_full(case: dict[str, int]) -> list[str]:
+    """The stream kernel on restricted circuits vs the unpruned pairs.
+
+    A random netlist with designated control inputs feeding a one-hot
+    style AND-OR output mux (:func:`circuits.random_select_netlist`);
+    each vector takes its controls from a pool of 2-4 distinct patterns
+    and its data from a pool of 1-6, so the stream mixes classes, repeats
+    transitions, and changes class within pairs.  Every chip row must
+    be bit-identical to :func:`pair_cycle_timings`, which propagates
+    the unpruned circuit.  For every pattern pair, the restriction
+    itself is checked on vectors that match its key: no node it marks
+    constant ever takes the other value (so none toggles), and every
+    row of the restricted circuit -- inputs, cone, constant rows and
+    outputs -- evaluates as the full circuit's node does.
+    """
+    circuit, inputs, patterns, rng = _multi_class_stream(case)
     violations = _stream_parity(circuit, inputs, case)
 
-    for p in range(len(codes)):
-        for c in range(len(codes)):
+    num_data = case["num_inputs"]
+    for p in range(patterns.shape[1]):
+        for c in range(patterns.shape[1]):
             pair = patterns[:, [p, c]]
             known0, known1 = ~pair.any(axis=1), pair.all(axis=1)
             vectors = np.concatenate([
@@ -328,6 +344,66 @@ def _check_cone_vs_full(case: dict[str, int]) -> list[str]:
                 violations.append(
                     f"patterns {p} -> {c}: restricted circuit disagrees with the full one"
                 )
+    return violations
+
+
+def _check_class_bound_soundness(case: dict[str, int]) -> list[str]:
+    """The pruned stream kernel skips only transitions that cannot err.
+
+    On :func:`_multi_class_stream`'s netlists and random chips, the
+    clock period and the hold constraint sit at the case's percentiles
+    of the exact arrivals, so some classes can err and some cannot.  A
+    transition is skipped on a chip where its class's bounds
+    (``dta.class_bounds``) lie within both.  There, the exact arrivals
+    (:func:`pair_cycle_timings`) must lie within both too, and the
+    pruned kernel must report the bounds, which must enclose the exact
+    arrivals.  Every other transition must be bit-identical to the
+    unpruned kernel, and every error class equal to the exact one.
+    """
+    circuit, inputs, _patterns, _rng = _multi_class_stream(case)
+    delay_rng = case_rng(case, "delays")
+    rows = np.stack(
+        [circuits.random_gate_delays(circuit.netlist, delay_rng) for _ in range(case["num_chips"])]
+    )
+    chunk = max(1, case["chunk"])
+    exact = [pair_cycle_timings(circuit, inputs, delays) for delays in rows]
+    late = np.concatenate([timings.t_late for timings in exact])
+    early = np.concatenate([timings.t_early for timings in exact])
+    early = early[np.isfinite(early)]
+    period = float(np.percentile(late, case["period_pct"]))
+    hold = float(np.percentile(early, case["hold_pct"])) if len(early) else 0.0
+
+    unpruned = dta.batch_cycle_timings(circuit, inputs, rows, chunk=chunk)
+    pruned = dta.batch_cycle_timings(
+        circuit, inputs, rows, chunk=chunk, clock_period=period, hold_constraint=hold
+    )
+    controls = inputs[circuit.controls]
+    prev, curr = controls[:, :-1], controls[:, 1:]
+    bound_late, bound_early = dta.class_bounds(
+        circuit, (~(prev | curr)).T, (prev & curr).T, rows.astype(np.float32)
+    )
+    skipped = (bound_late <= period) & (bound_early >= hold)
+
+    violations: list[str] = []
+    for index, want in enumerate(exact):
+        got, full, skip = pruned.chip(index), unpruned.chip(index), skipped[index]
+        where = f"chip {index} (period {period!r}, hold {hold!r})"
+        if not (
+            np.array_equal(got.t_late[~skip], full.t_late[~skip])
+            and np.array_equal(got.t_early[~skip], full.t_early[~skip])
+        ):
+            violations.append(f"{where}: a timed transition differs from the unpruned kernel")
+        if (want.t_late[skip] > period).any() or (want.t_early[skip] < hold).any():
+            violations.append(f"{where}: a skipped transition can err")
+        if not (
+            np.array_equal(got.t_late[skip], bound_late[index, skip])
+            and np.array_equal(got.t_early[skip], bound_early[index, skip])
+        ):
+            violations.append(f"{where}: a skipped transition does not read its class bounds")
+        if (got.t_late < want.t_late).any() or (got.t_early > want.t_early).any():
+            violations.append(f"{where}: a reported arrival is not a bound on the exact one")
+        if not np.array_equal(got.classify(period, hold), want.classify(period, hold)):
+            violations.append(f"{where}: an error class differs from the exact one")
     return violations
 
 
@@ -1197,6 +1273,25 @@ ORACLES: dict[str, Oracle] = {
                 "chunk": Param(1, 16),
             },
             check=_check_cone_vs_full,
+            cost=3.0,
+        ),
+        Oracle(
+            name="class_bound_soundness",
+            description="pruned stream kernel skips only transitions whose exact "
+            "arrivals cannot err, reads their class bounds, and times the rest "
+            "bit-identically to the unpruned kernel",
+            params={
+                **_NETLIST_PARAMS,
+                "num_controls": Param(1, 4),
+                "patterns": Param(2, 4),
+                "data_pool": Param(1, 6),
+                "num_vectors": Param(2, 24),
+                "num_chips": Param(1, 4),
+                "chunk": Param(1, 16),
+                "period_pct": Param(0, 100),
+                "hold_pct": Param(0, 100),
+            },
+            check=_check_class_bound_soundness,
             cost=3.0,
         ),
         Oracle(

@@ -106,11 +106,48 @@ element work, bounds such small windows.  Class cuts can pay only
 where the restrictions are amortised over many more pairs per class,
 as at the paper's scale.
 
+Transitions that cannot err
+---------------------------
+
+Only a few classes sensitise a path long enough to miss the clock, or
+short enough to beat the hold constraint.  Each class has a static
+bound on each chip: :func:`class_bounds` runs one
+:func:`_propagate_arrivals` over the full circuit with one column per
+class key, whose toggle mask is the nodes that *may* toggle -- those
+the key's 0/1/X forward pass leaves at X
+(:meth:`~repro.timing.levelize.LevelizedCircuit.may_toggle`).  A
+transition of the class toggles a subset of them, and max, min, the
+clamp and float32 round-to-nearest addition are all monotone, so its
+latest arrival at every node is at most the bound's and its earliest at
+least the bound's, bit for bit.  The forward pass depends on the key
+alone and is cached per key on the circuit; the bounds are cached per
+delay row and key, so the streams of one chip share them.
+
+Given ``clock_period`` and ``hold_constraint``, :func:`batch_cycle_timings`
+is *pruned*.  A class is safe on a chip when its static latest
+arrival is at most the period and its static earliest at least the
+hold constraint; no transition of it can err there.  The kernel times
+a distinct transition only if its class is unsafe on some chip of the
+call, and on every chip where the class is safe the transition reads
+the class's bounds, which classify as :data:`ERR_NONE`.  A chip's
+result is therefore the same whichever chips share its call: exact
+arrivals on the classes that can err there, bounds on the rest.  Only
+error classes, and arrivals of cycles that can err, are exact, so a
+pruned call serves readers of those alone;
+:func:`repro.core.scheme_sim.build_error_trace` decides when that
+holds.  ``dta.transitions_skipped`` counts the distinct transitions no
+chip needed, ``dta.transitions_timed`` the rest, and the
+``dta.t_late_max_ps`` / ``dta.t_early_min_ps`` samples cover the timed
+ones.  The ``class_bound_soundness`` oracle holds every skipped pair's
+exact arrivals within the period and the hold constraint, and every
+timed one bit-identical to the unpruned kernel.
+
 The pair form stays unpruned and uncompressed, so it remains an
 independent reference: ``stream_repeats_vs_pairs`` holds the stream
 kernel bit-identical to it on streams drawn from small vector pools,
-and ``cone_vs_full`` on multi-class streams over random netlists with
-designated controls.
+``cone_vs_full`` on multi-class streams over random netlists with
+designated controls, and ``class_bound_soundness`` checks the pruned
+kernel's skips against it.
 """
 
 from __future__ import annotations
@@ -334,6 +371,15 @@ def _class_order(controls: np.ndarray, first: np.ndarray) -> np.ndarray:
     return np.lexsort(np.packbits(bits, axis=0)[::-1])
 
 
+def _class_starts(controls: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+    """Where each class's run starts in ``ordered``, the transitions in
+    :func:`_class_order`."""
+    bits = np.concatenate([controls[:, ordered], controls[:, ordered + 1]])
+    fresh = np.ones(len(ordered), dtype=bool)
+    fresh[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+    return np.flatnonzero(fresh)
+
+
 def _window_keys(
     controls: np.ndarray, prev: np.ndarray, curr: np.ndarray, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -351,11 +397,65 @@ def _window_keys(
     return known0.T, known1.T
 
 
+def _static_bounds(
+    circuit: LevelizedCircuit, may_toggle: np.ndarray, delays32: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Output arrival bounds of every column of ``may_toggle`` on every
+    row of the ``(num_chips, num_nodes)`` float32 ``delays32``.
+
+    One propagation in which each column's toggle mask is the nodes
+    that *may* toggle, reduced over the outputs as the stream kernel
+    reduces a transition.  Returns ``(late, early)``, each float32
+    ``(num_chips, K)``.
+    """
+    block = _propagate_arrivals(circuit, may_toggle, delays32)
+    late, neg_early = block[circuit.output_ids].max(axis=0)
+    return np.where(np.isfinite(late), late, np.float32(0.0)), 0.0 - neg_early
+
+
+def class_bounds(
+    circuit: LevelizedCircuit,
+    known0: np.ndarray,
+    known1: np.ndarray,
+    delays32: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Static output arrival bounds of K class keys on each chip.
+
+    Row ``k`` of the ``(K, len(controls))`` masks ``known0`` /
+    ``known1`` is a key, as :meth:`~repro.timing.levelize.
+    LevelizedCircuit.restrict` takes it; ``delays32`` is a float32
+    ``(num_chips, num_nodes)`` delay matrix.  Returns ``(late, early)``,
+    each float32 ``(num_chips, K)``: no transition whose two vectors
+    match key ``k`` has a ``t_late`` above ``late[c, k]`` or a
+    ``t_early`` below ``early[c, k]`` on chip ``c``, bit for bit (see
+    "Transitions that cannot err" in the module docstring).  The bounds
+    are cached on ``circuit`` per delay row and key, so every stream
+    timed on one chip shares them.
+    """
+    keys = [(k0.tobytes(), k1.tobytes()) for k0, k1 in zip(known0, known1)]
+    caches = [circuit._bounds.setdefault(row.tobytes(), {}) for row in delays32]
+    missing = [k for k, key in enumerate(keys) if any(key not in c for c in caches)]
+    if missing:
+        circuit.may_toggle(known0[missing], known1[missing])
+        # Bound every key the circuit has seen, not only the missing
+        # ones: per-level dispatch, not the column count, sets the cost
+        # of a propagation, and a chip's next stream mostly repeats the
+        # classes other chips' streams have shown.
+        seen = circuit._may_toggle
+        late, early = _static_bounds(circuit, np.stack(list(seen.values()), axis=1), delays32)
+        for cache, row_late, row_early in zip(caches, late, early):
+            cache.update(zip(seen, zip(row_late, row_early)))
+    bounds = np.array([[cache[key] for key in keys] for cache in caches], dtype=np.float32)
+    return bounds[..., 0], bounds[..., 1]
+
+
 def batch_cycle_timings(
     circuit: LevelizedCircuit,
     inputs: np.ndarray,
     delay_matrix: np.ndarray,
     chunk: int = DEFAULT_CHUNK,
+    clock_period: float | None = None,
+    hold_constraint: float | None = None,
 ) -> BatchCycleTimings:
     """Time a whole chip population against one input-vector stream.
 
@@ -376,6 +476,14 @@ def batch_cycle_timings(
     its two vectors, and the restricted circuit times every output of
     a matching pair exactly.  Logic evaluation is shared across the
     population.
+
+    With ``clock_period`` and ``hold_constraint`` set, the call is
+    *pruned*: a class whose static bounds (:func:`class_bounds`) lie
+    within both on a chip cannot err there.  Its transitions read the
+    bounds on that chip, which classify as :data:`ERR_NONE`, and are
+    timed only if the class can err on another chip of the call;
+    every other transition is timed exactly as unpruned.  A skipped
+    transition's ``output_toggles`` is -1.
     """
     inputs = np.asarray(inputs, dtype=bool)
     delay_matrix = np.asarray(delay_matrix)
@@ -391,6 +499,8 @@ def batch_cycle_timings(
         raise ValueError("need at least two input vectors")
     if chunk < 1:
         raise ValueError("chunk must be positive")
+    if (clock_period is None) != (hold_constraint is None):
+        raise ValueError("clock_period and hold_constraint are set together")
 
     with obs.span(
         "dta.batch_cycle_timings", cycles=total, chips=num_chips, chunk=chunk
@@ -401,9 +511,9 @@ def batch_cycle_timings(
 
         first, first_of = _first_occurrences(inputs)
         count = len(first)
-        obs.inc("dta.transitions_timed", count)
         controls = inputs[circuit.controls]
         order = _class_order(controls, first)
+        ordered = first[order]
 
         # The delay-matrix float32 view is computed once per call, not
         # once per window (the old per-call astype copy, hoisted).
@@ -414,11 +524,27 @@ def batch_cycle_timings(
         t_early = np.empty((num_chips, count), dtype=np.float32)
         toggles = np.empty(count, dtype=np.int32)
 
+        if clock_period is not None:
+            # Each class's key is its one pattern of control bits.
+            classes = _class_starts(controls, ordered)
+            bound_late, bound_early = class_bounds(
+                circuit, *_window_keys(controls, ordered, ordered + 1, classes), delays32
+            )
+            safe = (bound_late <= clock_period) & (bound_early >= hold_constraint)
+            class_of = np.empty(count, dtype=np.intp)
+            class_of[order] = np.repeat(np.arange(len(classes)), np.diff(classes, append=count))
+            skip = safe.all(axis=0)[class_of]
+            obs.inc("dta.transitions_skipped", int(np.count_nonzero(skip)))
+            toggles[skip] = -1
+            keep = ~skip[order]
+            order, ordered = order[keep], ordered[keep]
+        obs.inc("dta.transitions_timed", len(order))
+
         # Every window's restriction, derived together.
-        ordered = first[order]
-        starts = np.arange(0, count, window)
-        restrictions = circuit.restrict_many(
-            *_window_keys(controls, ordered, ordered + 1, starts)
+        starts = np.arange(0, len(order), window)
+        restrictions = (
+            circuit.restrict_many(*_window_keys(controls, ordered, ordered + 1, starts))
+            if len(starts) else []
         )
         gate_evals = 0
         for start, restricted in zip(starts.tolist(), restrictions):
@@ -453,20 +579,29 @@ def batch_cycle_timings(
             toggles[picks] = out_toggled
         obs.inc("dta.gate_evals", gate_evals)
 
+        if obs.enabled() and len(order):
+            # Arrival-time extremes of the timed transitions: the late
+            # tail is where setup violations (and choke paths) live, the
+            # early minimum is what the hold constraint fights.  One
+            # sample per call keeps the histogram cheap and order-free.
+            obs.observe("dta.t_late_max_ps", float(t_late[:, order].max()))
+            finite_early = t_early[:, order]
+            finite_early = finite_early[np.isfinite(finite_early)]
+            if len(finite_early):
+                obs.observe("dta.t_early_min_ps", float(finite_early.min()))
+
+        if clock_period is not None:
+            # A transition reads its class's bounds on every chip where
+            # the class cannot err, so a chip's result does not depend
+            # on which other chips share the call.
+            on_safe = safe[:, class_of]
+            np.copyto(t_late, bound_late[:, class_of], where=on_safe)
+            np.copyto(t_early, bound_early[:, class_of], where=on_safe)
+
         # Every transition reads its key's first occurrence.
         t_late = t_late[:, first_of]
         t_early = t_early[:, first_of]
         toggles = toggles[first_of]
-
-        if obs.enabled():
-            # Arrival-time extremes of this evaluation: the late tail is
-            # where setup violations (and choke paths) live, the early
-            # minimum is what the hold constraint fights.  One sample per
-            # call keeps the histogram cheap and order-free.
-            obs.observe("dta.t_late_max_ps", float(t_late.max()))
-            finite_early = t_early[np.isfinite(t_early)]
-            if len(finite_early):
-                obs.observe("dta.t_early_min_ps", float(finite_early.min()))
 
     return BatchCycleTimings(t_late=t_late, t_early=t_early, output_toggles=toggles)
 

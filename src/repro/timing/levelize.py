@@ -123,6 +123,9 @@ class LevelizedCircuit:
     controls: np.ndarray  # input rows of the control inputs, int32
     node_ids: np.ndarray  # netlist node of each row (identity unless restricted)
     _restricted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _may_toggle: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: static class bounds, per delay row and key (see ``dta.class_bounds``)
+    _bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _walk_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -169,6 +172,28 @@ class LevelizedCircuit:
                 self._restricted[key] = self._compact(values[:, k], levels[:, k], live[:, k])
         return [self._restricted[key] for key in keys]
 
+    def may_toggle(self, known0: np.ndarray, known1: np.ndarray) -> np.ndarray:
+        """The nodes that may toggle between two vectors matching each key.
+
+        Row ``k`` of the ``(K, len(controls))`` masks ``known0`` /
+        ``known1`` is one key.  Returns a boolean ``(num_nodes, K)``
+        matrix: column ``k`` marks the nodes the 0/1/X forward pass
+        leaves at X for key ``k``.  Every other node holds one value in
+        every vector matching the key, so no such transition toggles
+        it.  The column depends on the key alone, never on delays, and
+        is cached per key on this instance.
+        """
+        known0 = np.asarray(known0, dtype=bool)
+        known1 = np.asarray(known1, dtype=bool)
+        keys = [(k0.tobytes(), k1.tobytes()) for k0, k1 in zip(known0, known1)]
+        fresh = {key: k for k, key in enumerate(keys) if key not in self._may_toggle}
+        if fresh:
+            picks = list(fresh.values())
+            values = self._forward(known0[picks], known1[picks], levels=False)[0][:-1]
+            for k, key in enumerate(fresh):
+                self._may_toggle[key] = values[:, k] == _X
+        return np.stack([self._may_toggle[key] for key in keys], axis=1)
+
     def constant_values(self, known0: np.ndarray, known1: np.ndarray) -> np.ndarray:
         """0/1/X forward pass over the vectors whose controls match
         ``known0`` / ``known1``.
@@ -206,7 +231,9 @@ class LevelizedCircuit:
         lanes = np.arange(keys)
         return slots[..., None] * keys + lanes, gates[:, None] * keys + lanes, bounds
 
-    def _forward(self, known0: np.ndarray, known1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _forward(
+        self, known0: np.ndarray, known1: np.ndarray, levels: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """The 0/1/X forward pass for K keys at once.
 
         ``known0`` / ``known1`` are ``(K, len(controls))`` masks.
@@ -215,7 +242,9 @@ class LevelizedCircuit:
         is as :meth:`constant_values`; ``levels`` is 0 at every stable
         node and every input, and 1 + the highest level among its
         fanins at a non-stable gate: its depth over the non-stable
-        nodes, which for a cone gate is its depth over the cone.
+        nodes, which for a cone gate is its depth over the cone.  It is
+        None when ``levels`` is off, which saves about a third of the
+        pass.
 
         A gate's table index ``27 * kind + 9 * v0 + 3 * v1 + v2`` is
         one dot product of its four gathered rows (see :meth:`_walk`).
@@ -228,16 +257,17 @@ class LevelizedCircuit:
         values[self.const1_ids] = 1
         control_ids = self.input_ids[self.controls]
         values[control_ids] = np.where(known1.T, 1, np.where(known0.T, 0, _X))
-        levels = np.zeros((num_nodes + 1, keys), dtype=np.int16)
-        flat_values, flat_levels = values.ravel(), levels.ravel()
+        depth = np.zeros((num_nodes + 1, keys), dtype=np.int16)
+        flat_values, flat_depth = values.ravel(), depth.ravel()
         reads, writes, bounds = self._walk(keys)
         for lo, hi in bounds:
             out = _TERNARY_FLAT[np.dot(_CODE_WEIGHTS, flat_values[reads[lo:hi]])]
             flat_values[writes[lo:hi]] = out
-            level = _cone_levels(flat_levels[reads[lo:hi, :3]])
-            level *= out == _X
-            flat_levels[writes[lo:hi]] = level
-        return values[: num_nodes + 1], levels
+            if levels:
+                level = _cone_levels(flat_depth[reads[lo:hi, :3]])
+                level *= out == _X
+                flat_depth[writes[lo:hi]] = level
+        return values[: num_nodes + 1], depth if levels else None
 
     def _cone(self, values: np.ndarray) -> np.ndarray:
         """Backward closure from the outputs through the non-stable

@@ -373,8 +373,9 @@ LONG_STREAM_COUNTERS = {
     "dta.chip_cycles": 23988,
     "dta.cycles_analyzed": 23988,
     "dta.evaluations": 12,
-    "dta.gate_evals": 18809210,
-    "dta.transitions_timed": 19576,
+    "dta.gate_evals": 8270870,
+    "dta.transitions_skipped": 10764,
+    "dta.transitions_timed": 8812,
     "etrace.cycles": 23988,
     "etrace.errors{kind=ce}": 62,
     "etrace.errors{kind=se_max}": 2545,
@@ -399,3 +400,11 @@ def test_long_stream_report_bytes_and_counters_are_pinned(tmp_path):
         if k.startswith(("dta.", "etrace.cycles", "etrace.errors"))
     }
     assert pinned == LONG_STREAM_COUNTERS
+
+
+def test_pruning_takes_the_period_and_the_hold_constraint_together(stage16_ntc, chip16):
+    inputs = stage16_ntc.encode_batch(np.zeros(3, dtype=int), np.arange(3), np.arange(3))
+    with pytest.raises(ValueError, match="together"):
+        batch_cycle_timings(
+            stage16_ntc.circuit, inputs, chip16.delays[None, :], clock_period=1.0
+        )

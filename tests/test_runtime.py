@@ -216,6 +216,34 @@ def test_resume_skips_error_trace_recomputation(tmp_path, monkeypatch):
     np.testing.assert_array_equal(resumed.t_late, trace.t_late)
 
 
+def test_stored_pruned_error_trace_is_never_served_to_an_audited_context(tmp_path):
+    """The error-trace key names the artefact version and timing mode:
+    an audited context misses a pruned trace in the store, and an
+    entry under the unversioned key of older stores is never read."""
+    from repro.core.scheme_sim import build_error_trace
+    from repro.obs import audit
+
+    seed = TINY.ch3_chip_seed
+    store = CheckpointStore(tmp_path / "ck")
+    legacy = artefact_key("etrace", TINY, "vortex", seed, "NTC", True, TINY.cycles, TINY.width)
+    assert store.save(legacy, "an unversioned store's trace")
+    pruned = ExperimentContext(TINY, store=store).error_trace("vortex", seed)
+    assert store.stats.misses == 2 and store.stats.hits == 0  # the chip and the trace
+
+    audited_store = CheckpointStore(tmp_path / "ck")
+    with audit.recording():
+        ctx = ExperimentContext(TINY, store=audited_store)
+        audited = ctx.error_trace("vortex", seed)
+        exact = build_error_trace(
+            ctx.stage(), ctx.chip(seed), ctx.trace("vortex"), prune=False
+        )
+    assert audited_store.stats.hits == 1  # the chip; the trace missed
+    assert np.array_equal(audited.t_late, exact.t_late)
+    assert np.array_equal(audited.t_early, exact.t_early)
+    assert not np.array_equal(pruned.t_late, exact.t_late)
+    np.testing.assert_array_equal(pruned.err_class, exact.err_class)
+
+
 def test_corrupt_chip_checkpoint_recomputes_identical_chip(tmp_path):
     store = CheckpointStore(tmp_path)
     ctx = ExperimentContext(TINY, store=store)
