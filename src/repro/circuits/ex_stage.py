@@ -97,7 +97,7 @@ class ExStage:
         clock period and hold constraint (see :meth:`batch_timings`).
         """
         return batch_cycle_timings(
-            self.circuit, inputs, chip.delays[None, :], chunk, *self._limits(prune)
+            self.circuit, inputs, chip.delays[None, :], chunk, self._limits(prune)
         ).chip(0)
 
     def batch_timings(
@@ -118,13 +118,13 @@ class ExStage:
         error class is exact.
         """
         return batch_cycle_timings(
-            self.circuit, inputs, delay_matrix, chunk, *self._limits(prune)
+            self.circuit, inputs, delay_matrix, chunk, self._limits(prune)
         )
 
-    def _limits(self, prune: bool) -> tuple[float | None, float | None]:
-        """The kernel's ``(clock_period, hold_constraint)``: this stage's
-        when pruning, none otherwise."""
-        return (self.clock_period, self.hold_constraint) if prune else (None, None)
+    def _limits(self, prune: bool) -> tuple[float, float] | None:
+        """The kernel's ``limits``: this stage's clock period and hold
+        constraint when pruning, None otherwise."""
+        return (self.clock_period, self.hold_constraint) if prune else None
 
 
 def _leaf_depths(num_leaves: int) -> np.ndarray:

@@ -148,7 +148,7 @@ def _assemble_trace(
 ETRACE_VERSION = 2
 
 
-def timing_mode(prune: bool = True) -> str:
+def timing_mode() -> str:
     """How :func:`build_error_trace` times a trace: ``"pruned"`` or
     ``"exact"``.
 
@@ -159,7 +159,7 @@ def timing_mode(prune: bool = True) -> str:
     those arrivals (its ``slack_late`` / ``slack_early`` columns cover
     decisions on error-free cycles), so under one every class is timed.
     """
-    return "pruned" if prune and audit.get() is None else "exact"
+    return "pruned" if audit.get() is None else "exact"
 
 
 def build_error_trace(
@@ -167,11 +167,10 @@ def build_error_trace(
     chip: ChipSample,
     trace: InstructionTrace,
     chunk: int = DEFAULT_CHUNK,
-    prune: bool = True,
 ) -> ErrorTrace:
     """Run DTA of ``trace`` on ``chip`` and classify every cycle.
 
-    With ``prune`` (and no audit sink, see :func:`timing_mode`) the
+    Unless an audit sink is active (see :func:`timing_mode`), the
     transitions that cannot err are not timed.  A trace with no setup
     error is timed again in full: :class:`~repro.core.schemes.hfg.
     HfgScheme` reads ``max(t_late)``, which a setup error keeps exact
@@ -182,7 +181,7 @@ def build_error_trace(
             f"trace width {trace.width} does not match stage width {stage.width}"
         )
     inputs = trace.encode_inputs(stage.alu)
-    pruned = timing_mode(prune) == "pruned"
+    pruned = timing_mode() == "pruned"
     timings = stage.timings(chip, inputs, chunk=chunk, prune=pruned)
     if pruned and not timings.max_violations(stage.clock_period).any():
         timings = stage.timings(chip, inputs, chunk=chunk)
@@ -199,15 +198,14 @@ def build_error_traces_batch(
     chips: "list[ChipSample] | tuple[ChipSample, ...]",
     trace: InstructionTrace,
     chunk: int = DEFAULT_CHUNK,
-    prune: bool = True,
 ) -> list[ErrorTrace]:
     """Run DTA of ``trace`` on a whole chip population in one kernel call.
 
     One :func:`~repro.timing.dta.batch_cycle_timings` call times every
     chip; trace encoding, logic evaluation, and OWM/operand-size
     classification are computed once and shared.  Entry ``i`` is
-    bit-identical to ``build_error_trace(stage, chips[i], trace, chunk,
-    prune)`` (the batch kernel's per-chip rows are bit-identical to the
+    bit-identical to ``build_error_trace(stage, chips[i], trace, chunk)``
+    (the batch kernel's per-chip rows are bit-identical to the
     scalar path, pruned or not, and everything else here is
     delay-independent); the chips without a setup error are timed
     again in full, as there.
@@ -220,7 +218,7 @@ def build_error_traces_batch(
         )
     inputs = trace.encode_inputs(stage.alu)
     matrix = delay_matrix(chips)
-    pruned = timing_mode(prune) == "pruned"
+    pruned = timing_mode() == "pruned"
     batch = stage.batch_timings(matrix, inputs, chunk=chunk, prune=pruned)
     if pruned:
         clean = ~(batch.t_late > stage.clock_period).any(axis=1)

@@ -333,7 +333,7 @@ def _check_cone_vs_full(case: dict[str, int]) -> list[str]:
                 pair[:, rng.integers(0, 2, size=8)],
             ])
             values = evaluate_logic(circuit, vectors)
-            constant = circuit.constant_values(known0, known1)
+            constant = circuit.constant_values(known0[None], known1[None])[:, 0]
             stable = constant < 2
             if (values[stable] != constant[stable, None]).any():
                 violations.append(f"patterns {p} -> {c}: a node marked constant changes value")
@@ -374,9 +374,7 @@ def _check_class_bound_soundness(case: dict[str, int]) -> list[str]:
     hold = float(np.percentile(early, case["hold_pct"])) if len(early) else 0.0
 
     unpruned = dta.batch_cycle_timings(circuit, inputs, rows, chunk=chunk)
-    pruned = dta.batch_cycle_timings(
-        circuit, inputs, rows, chunk=chunk, clock_period=period, hold_constraint=hold
-    )
+    pruned = dta.batch_cycle_timings(circuit, inputs, rows, chunk=chunk, limits=(period, hold))
     controls = inputs[circuit.controls]
     prev, curr = controls[:, :-1], controls[:, 1:]
     bound_late, bound_early = dta.class_bounds(

@@ -123,13 +123,14 @@ least the bound's, bit for bit.  The forward pass depends on the key
 alone and is cached per key on the circuit; the bounds are cached per
 delay row and key, so the streams of one chip share them.
 
-Given ``clock_period`` and ``hold_constraint``, :func:`batch_cycle_timings`
-is *pruned*.  A class is safe on a chip when its static latest
-arrival is at most the period and its static earliest at least the
-hold constraint; no transition of it can err there.  The kernel times
-a distinct transition only if its class is unsafe on some chip of the
-call, and on every chip where the class is safe the transition reads
-the class's bounds, which classify as :data:`ERR_NONE`.  A chip's
+Given ``limits``, a clock period and a hold constraint,
+:func:`batch_cycle_timings` is *pruned*.  A class is safe on a chip
+when its static latest arrival is at most the period and its static
+earliest at least the hold constraint; no transition of it can err
+there.  The kernel times a distinct transition only if its class is
+unsafe on some chip of the call, and on every chip where the class is
+safe the transition reads the class's bounds, which classify as
+:data:`ERR_NONE`.  A chip's
 result is therefore the same whichever chips share its call: exact
 arrivals on the classes that can err there, bounds on the rest.  Only
 error classes, and arrivals of cycles that can err, are exact, so a
@@ -157,7 +158,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.timing.levelize import LevelizedCircuit
+from repro.timing.levelize import LevelizedCircuit, mask_keys
 from repro.timing.logic_eval import evaluate_logic
 
 _INF_BITS = np.uint32(0x7F800000)
@@ -362,22 +363,21 @@ def _first_occurrences(inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[fresh], first_of
 
 
-def _class_order(controls: np.ndarray, first: np.ndarray) -> np.ndarray:
+def _class_order(controls: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Order of ``first`` sorted by class: the control bits of each
-    transition's two vectors (``controls`` is the stream's control rows)."""
+    transition's two vectors (``controls`` is the stream's control rows).
+
+    Returns ``(order, starts)``: ``starts`` is where each class's run
+    begins in ``first[order]``.
+    """
     if not len(controls):
-        return np.arange(len(first))
-    bits = np.concatenate([controls[:, first], controls[:, first + 1]])
-    return np.lexsort(np.packbits(bits, axis=0)[::-1])
-
-
-def _class_starts(controls: np.ndarray, ordered: np.ndarray) -> np.ndarray:
-    """Where each class's run starts in ``ordered``, the transitions in
-    :func:`_class_order`."""
-    bits = np.concatenate([controls[:, ordered], controls[:, ordered + 1]])
-    fresh = np.ones(len(ordered), dtype=bool)
-    fresh[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
-    return np.flatnonzero(fresh)
+        return np.arange(len(first)), np.zeros(1, dtype=np.intp)
+    packed = np.packbits(np.concatenate([controls[:, first], controls[:, first + 1]]), axis=0)
+    order = np.lexsort(packed[::-1])
+    packed = packed[:, order]
+    fresh = np.ones(len(first), dtype=bool)
+    fresh[1:] = (packed[:, 1:] != packed[:, :-1]).any(axis=0)
+    return order, np.flatnonzero(fresh)
 
 
 def _window_keys(
@@ -432,7 +432,7 @@ def class_bounds(
     are cached on ``circuit`` per delay row and key, so every stream
     timed on one chip shares them.
     """
-    keys = [(k0.tobytes(), k1.tobytes()) for k0, k1 in zip(known0, known1)]
+    keys = mask_keys(known0, known1)
     caches = [circuit._bounds.setdefault(row.tobytes(), {}) for row in delays32]
     missing = [k for k, key in enumerate(keys) if any(key not in c for c in caches)]
     if missing:
@@ -454,8 +454,7 @@ def batch_cycle_timings(
     inputs: np.ndarray,
     delay_matrix: np.ndarray,
     chunk: int = DEFAULT_CHUNK,
-    clock_period: float | None = None,
-    hold_constraint: float | None = None,
+    limits: tuple[float, float] | None = None,
 ) -> BatchCycleTimings:
     """Time a whole chip population against one input-vector stream.
 
@@ -477,9 +476,9 @@ def batch_cycle_timings(
     a matching pair exactly.  Logic evaluation is shared across the
     population.
 
-    With ``clock_period`` and ``hold_constraint`` set, the call is
-    *pruned*: a class whose static bounds (:func:`class_bounds`) lie
-    within both on a chip cannot err there.  Its transitions read the
+    With ``limits``, a ``(clock_period, hold_constraint)`` pair, the
+    call is *pruned*: a class whose static bounds
+    (:func:`class_bounds`) lie within both on a chip cannot err there.  Its transitions read the
     bounds on that chip, which classify as :data:`ERR_NONE`, and are
     timed only if the class can err on another chip of the call;
     every other transition is timed exactly as unpruned.  A skipped
@@ -499,8 +498,6 @@ def batch_cycle_timings(
         raise ValueError("need at least two input vectors")
     if chunk < 1:
         raise ValueError("chunk must be positive")
-    if (clock_period is None) != (hold_constraint is None):
-        raise ValueError("clock_period and hold_constraint are set together")
 
     with obs.span(
         "dta.batch_cycle_timings", cycles=total, chips=num_chips, chunk=chunk
@@ -512,7 +509,7 @@ def batch_cycle_timings(
         first, first_of = _first_occurrences(inputs)
         count = len(first)
         controls = inputs[circuit.controls]
-        order = _class_order(controls, first)
+        order, classes = _class_order(controls, first)
         ordered = first[order]
 
         # The delay-matrix float32 view is computed once per call, not
@@ -524,9 +521,9 @@ def batch_cycle_timings(
         t_early = np.empty((num_chips, count), dtype=np.float32)
         toggles = np.empty(count, dtype=np.int32)
 
-        if clock_period is not None:
+        if limits is not None:
             # Each class's key is its one pattern of control bits.
-            classes = _class_starts(controls, ordered)
+            clock_period, hold_constraint = limits
             bound_late, bound_early = class_bounds(
                 circuit, *_window_keys(controls, ordered, ordered + 1, classes), delays32
             )
@@ -590,7 +587,7 @@ def batch_cycle_timings(
             if len(finite_early):
                 obs.observe("dta.t_early_min_ps", float(finite_early.min()))
 
-        if clock_period is not None:
+        if limits is not None:
             # A transition reads its class's bounds on every chip where
             # the class cannot err, so a chip's result does not depend
             # on which other chips share the call.

@@ -93,6 +93,12 @@ from repro.gates.netlist import Netlist
 _ARITY = np.array([fanin_count(kind) for kind in GateKind], dtype=np.int8)
 
 
+def mask_keys(known0: np.ndarray, known1: np.ndarray) -> list[tuple[bytes, bytes]]:
+    """The cache key of each row of the boolean ``(K, len(controls))``
+    masks ``known0`` / ``known1``."""
+    return [(k0.tobytes(), k1.tobytes()) for k0, k1 in zip(known0, known1)]
+
+
 class LevelStep(NamedTuple):
     """All gates of one logic level, sorted by (arity, kind, node id)."""
 
@@ -160,17 +166,14 @@ class LevelizedCircuit:
         cached are derived together, in one forward pass and one
         backward closure over a ``(num_nodes, keys)`` block.
         """
-        known0 = np.asarray(known0, dtype=bool)
-        known1 = np.asarray(known1, dtype=bool)
-        keys = [(k0.tobytes(), k1.tobytes()) for k0, k1 in zip(known0, known1)]
-        fresh = {key: k for k, key in enumerate(keys) if key not in self._restricted}
-        if fresh:
-            picks = list(fresh.values())
-            values, levels = self._forward(known0[picks], known1[picks])
+        def derive(known0: np.ndarray, known1: np.ndarray) -> list["LevelizedCircuit"]:
+            values, levels = self._forward(known0, known1)
             live = self._cone(values)
-            for k, key in enumerate(fresh):
-                self._restricted[key] = self._compact(values[:, k], levels[:, k], live[:, k])
-        return [self._restricted[key] for key in keys]
+            return [
+                self._compact(values[:, k], levels[:, k], live[:, k]) for k in range(len(known0))
+            ]
+
+        return self._cached(self._restricted, known0, known1, derive)
 
     def may_toggle(self, known0: np.ndarray, known1: np.ndarray) -> np.ndarray:
         """The nodes that may toggle between two vectors matching each key.
@@ -183,28 +186,40 @@ class LevelizedCircuit:
         it.  The column depends on the key alone, never on delays, and
         is cached per key on this instance.
         """
-        known0 = np.asarray(known0, dtype=bool)
-        known1 = np.asarray(known1, dtype=bool)
-        keys = [(k0.tobytes(), k1.tobytes()) for k0, k1 in zip(known0, known1)]
-        fresh = {key: k for k, key in enumerate(keys) if key not in self._may_toggle}
-        if fresh:
-            picks = list(fresh.values())
-            values = self._forward(known0[picks], known1[picks], levels=False)[0][:-1]
-            for k, key in enumerate(fresh):
-                self._may_toggle[key] = values[:, k] == _X
-        return np.stack([self._may_toggle[key] for key in keys], axis=1)
+        masks = self._cached(
+            self._may_toggle, known0, known1,
+            lambda known0, known1: list((self.constant_values(known0, known1) == _X).T),
+        )
+        return np.stack(masks, axis=1)
 
     def constant_values(self, known0: np.ndarray, known1: np.ndarray) -> np.ndarray:
-        """0/1/X forward pass over the vectors whose controls match
-        ``known0`` / ``known1``.
+        """0/1/X forward pass over the vectors whose controls match each
+        key: row ``k`` of the ``(K, len(controls))`` masks ``known0`` /
+        ``known1``.
 
-        Returns a value per node: 0 or 1 where the node takes that
-        value in every matching vector (a *stable* node, which never
-        toggles between two of them), 2 (X) where it may take either.
+        Returns a ``(num_nodes, K)`` block: 0 or 1 where the node takes
+        that value in every vector matching the key (a *stable* node,
+        which never toggles between two of them), 2 (X) where it may
+        take either.
         """
-        known0 = np.asarray(known0, dtype=bool)[None]
-        known1 = np.asarray(known1, dtype=bool)[None]
-        return self._forward(known0, known1)[0][:-1, 0]
+        known0 = np.asarray(known0, dtype=bool)
+        known1 = np.asarray(known1, dtype=bool)
+        return self._forward(known0, known1, levels=False)[0][:-1]
+
+    def _cached(self, cache: dict, known0: np.ndarray, known1: np.ndarray, derive) -> list:
+        """Per-key results held in ``cache``, keyed by :func:`mask_keys`.
+
+        ``derive(known0, known1)`` gets the rows of the keys not yet
+        cached, all together, and returns one result per row.
+        """
+        known0 = np.asarray(known0, dtype=bool)
+        known1 = np.asarray(known1, dtype=bool)
+        keys = mask_keys(known0, known1)
+        fresh = {key: k for k, key in enumerate(keys) if key not in cache}
+        if fresh:
+            picks = list(fresh.values())
+            cache.update(zip(fresh, derive(known0[picks], known1[picks])))
+        return [cache[key] for key in keys]
 
     def _walk(self, keys: int) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
         """Flat positions for a walk over a ``(rows, keys)`` block, taken

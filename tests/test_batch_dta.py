@@ -263,7 +263,7 @@ def test_batched_restrictions_equal_one_key_restrictions(stage16_ntc, chip16):
     )
     controls = inputs[controls_at]
     first, _ = dta._first_occurrences(inputs)
-    order = dta._class_order(controls, first)
+    order, _ = dta._class_order(controls, first)
     starts = np.arange(0, len(first), 20)
     known0, known1 = dta._window_keys(controls, first[order], first[order] + 1, starts)
     distinct = {(k0.tobytes(), k1.tobytes()) for k0, k1 in zip(known0, known1)}
@@ -401,10 +401,3 @@ def test_long_stream_report_bytes_and_counters_are_pinned(tmp_path):
     }
     assert pinned == LONG_STREAM_COUNTERS
 
-
-def test_pruning_takes_the_period_and_the_hold_constraint_together(stage16_ntc, chip16):
-    inputs = stage16_ntc.encode_batch(np.zeros(3, dtype=int), np.arange(3), np.arange(3))
-    with pytest.raises(ValueError, match="together"):
-        batch_cycle_timings(
-            stage16_ntc.circuit, inputs, chip16.delays[None, :], clock_period=1.0
-        )

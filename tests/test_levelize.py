@@ -133,11 +133,12 @@ def test_levelize_has_no_controls_by_default(rng):
 
 def test_constant_values_follow_the_gate_semantics():
     circuit, left, right = _gated_pair()
-    values = circuit.constant_values([True, False], [False, False])  # s = 0
-    assert values[left] == 0  # AND with a 0 select
-    assert values[right] == 2  # t unknown: X
-    values = circuit.constant_values([False, False], [False, True])  # t = 1
-    assert values[right] == 2  # follows b
+    values = circuit.constant_values(
+        [[True, False], [False, False]], [[False, False], [False, True]]
+    )
+    assert values[left, 0] == 0  # s = 0: AND with a 0 select
+    assert values[right, 0] == 2  # t unknown: X
+    assert values[right, 1] == 2  # t = 1: follows b
 
 
 def test_restrict_drops_the_silenced_branch_and_is_cached():

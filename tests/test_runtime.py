@@ -234,9 +234,7 @@ def test_stored_pruned_error_trace_is_never_served_to_an_audited_context(tmp_pat
     with audit.recording():
         ctx = ExperimentContext(TINY, store=audited_store)
         audited = ctx.error_trace("vortex", seed)
-        exact = build_error_trace(
-            ctx.stage(), ctx.chip(seed), ctx.trace("vortex"), prune=False
-        )
+        exact = build_error_trace(ctx.stage(), ctx.chip(seed), ctx.trace("vortex"))
     assert audited_store.stats.hits == 1  # the chip; the trace missed
     assert np.array_equal(audited.t_late, exact.t_late)
     assert np.array_equal(audited.t_early, exact.t_early)

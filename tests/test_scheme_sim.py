@@ -97,6 +97,15 @@ def _skipped(stage, chip, trace):
     return ((late <= stage.clock_period) & (early >= stage.hold_constraint))[0]
 
 
+def _exact(stage, chip, trace):
+    """``build_error_trace`` with every class timed: an active audit
+    sink turns pruning off."""
+    from repro.obs import audit
+
+    with audit.recording():
+        return build_error_trace(stage, chip, trace)
+
+
 def _scheme_results(trace):
     from repro.core.dcs import DcsScheme
     from repro.core.schemes import HfgScheme, OcstScheme, RazorScheme
@@ -120,7 +129,7 @@ def test_pruned_traces_equal_unpruned_ones_on_the_pinned_fast_chips(chip_seed):
     for benchmark in FAST_CONFIG.benchmarks:
         trace = ctx.trace(benchmark)
         pruned = build_error_trace(stage, chip, trace)
-        full = build_error_trace(stage, chip, trace, prune=False)
+        full = _exact(stage, chip, trace)
         np.testing.assert_array_equal(pruned.err_class, full.err_class)
         timed = ~_skipped(stage, chip, trace)
         assert np.array_equal(pruned.t_late[timed], full.t_late[timed])
@@ -135,7 +144,7 @@ def test_a_trace_without_setup_errors_is_timed_in_full(stage16_ntc, chip16_max_o
     from repro.core.schemes import HfgScheme
 
     trace = generate_trace(BENCHMARKS["mcf"], 20, width=16)
-    full = build_error_trace(stage16_ntc, chip16_max_only, trace, prune=False)
+    full = _exact(stage16_ntc, chip16_max_only, trace)
     assert not full.max_err.any()
     # the pruned kernel alone reads class bounds above the exact arrivals
     inputs = trace.encode_inputs(stage16_ntc.alu)
@@ -152,7 +161,7 @@ def test_an_audited_build_times_every_class(stage16_ntc, chip16, mcf_trace16):
     from repro.core.dcs import DcsScheme
     from repro.obs import audit
 
-    full = build_error_trace(stage16_ntc, chip16, mcf_trace16, prune=False)
+    full = stage16_ntc.timings(chip16, mcf_trace16.encode_inputs(stage16_ntc.alu))
     pruned = build_error_trace(stage16_ntc, chip16, mcf_trace16)
     with audit.recording() as sink:
         audited = build_error_trace(stage16_ntc, chip16, mcf_trace16)
@@ -165,8 +174,8 @@ def test_an_audited_build_times_every_class(stage16_ntc, chip16, mcf_trace16):
     for run in runs:
         columns = run["columns"]
         cycles = columns["cycle"]
-        slack_late = (full.clock_period - full.t_late[cycles]).astype(np.float32)
-        slack_early = (full.t_early[cycles] - full.hold_constraint).astype(np.float32)
+        slack_late = (stage16_ntc.clock_period - full.t_late[cycles]).astype(np.float32)
+        slack_early = (full.t_early[cycles] - stage16_ntc.hold_constraint).astype(np.float32)
         assert np.array_equal(columns["slack_late"], slack_late)
         assert np.array_equal(columns["slack_early"], slack_early)
 
